@@ -25,15 +25,21 @@
  * Usage: micro_ticks [OUT.json]   (default BENCH_ticks.json)
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/system.hh"
 #include "sim/trace.hh"
 #include "workloads/phases.hh"
 #include "workloads/suite.hh"
+
+#ifndef OCCAMY_BUILD_TYPE
+#define OCCAMY_BUILD_TYPE "unknown"
+#endif
 
 using namespace occamy;
 
@@ -186,7 +192,15 @@ main(int argc, char **argv)
         batchIdleHeavy(), scalarFallback(), drainedPartner(),
         parallelClusters()};
 
-    std::string json = "{\"bench\":\"micro_ticks\",\"scenarios\":[";
+    // Wall-clock fields only compare within one host class and build
+    // type, so the report records both.
+    char head[160];
+    std::snprintf(head, sizeof(head),
+                  "{\"bench\":\"micro_ticks\",\"host_cores\":%u,"
+                  "\"build_type\":\"%s\",\"scenarios\":[",
+                  std::max(1u, std::thread::hardware_concurrency()),
+                  OCCAMY_BUILD_TYPE);
+    std::string json = head;
     bool all_match = true;
     bool first = true;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <functional>
 #include <ostream>
 #include <stdexcept>
 
@@ -50,6 +51,8 @@ CoProcessor::CoProcessor(const MachineConfig &cfg, MemSystem &mem)
     for (unsigned c = 0; c < cfg.numCores; ++c)
         cores_.emplace_back(core_cfg);
     busy_lanes_.assign(cfg.numCores, 0);
+    fts_cursor_.assign(cfg.numCores, 0);
+    wait_head_.assign(regfile_.physRegs(), -1);
 
     // Boot-time lane ownership.
     switch (model_.bootOwnership()) {
@@ -156,6 +159,173 @@ CoProcessor::robEntry(CoreState &cs, SeqNum seq)
     return cs.rob[idx];
 }
 
+// Wakeup index. Replacing the per-cycle scan of every IQ entry with it
+// keeps every artifact byte-identical because of three facts, each
+// asserted where it is relied on:
+//  1. A tryIssue rejection has no side effects, so skipping an entry
+//     the scan would have rejected changes nothing.
+//  2. While an entry waits, each source's readiness moves at most
+//     once, from kCycleNever to a fixed cycle: a producer issues once,
+//     sources are freed only after the entry commits, and
+//     applyVl/resetCore run only on a core with an empty IQ. So a
+//     ready time computed once stays true until the entry issues.
+//  3. A wake only makes a *younger* entry ready (producers precede
+//     their consumers), so an oldest-first walk that re-reads the
+//     ready bits as it goes sees a same-cycle wake exactly where the
+//     scan did.
+
+void
+CoProcessor::indexEntry(CoreId c, CoreState &cs, const DynInst &inst,
+                        Cycle now)
+{
+    assert(!inst.issued);
+    const IssueClass k = issueClass(inst);
+    const std::size_t slot = cs.slotOf(inst.seq);
+    Cycle at = 0;
+    if (k != kLoad) {
+        for (unsigned i = 0; i < inst.nsrc; ++i) {
+            const std::int32_t p = inst.srcPhys[i];
+            if (p < 0)
+                continue;
+            const Cycle r = regfile_.readyAt(p);
+            if (r == kCycleNever) {
+                // Only the entry's own core renames onto its rows, so
+                // the producer (and the wake) is on this core.
+                assert(regfile_.holder(p) == c &&
+                       "waiter parked on another core's register");
+                (void)c;
+                cs.waitNext[slot] = wait_head_[p];
+                wait_head_[p] = static_cast<std::int32_t>(slot);
+                return;
+            }
+            at = std::max(at, r);
+        }
+    }
+    if (at <= now) {
+        cs.readyWord(slot, k) |= std::uint64_t{1} << (slot & 63);
+    } else {
+        auto &heap = cs.timed[k];
+        heap.push_back({at, inst.seq});
+        std::push_heap(heap.begin(), heap.end(),
+                       std::greater<TimedEntry>());
+    }
+}
+
+void
+CoProcessor::wakeWaiters(CoreId c, CoreState &cs, std::int32_t phys,
+                         SeqNum producer, Cycle now)
+{
+    std::int32_t slot = wait_head_[phys];
+    wait_head_[phys] = -1;
+    const std::size_t head = cs.slotOf(cs.robBase);
+    while (slot >= 0) {
+        const std::int32_t next = cs.waitNext[slot];
+        const std::size_t off =
+            (static_cast<std::size_t>(slot) - head) & cs.slotMask;
+        const DynInst &w = robEntry(cs, cs.robBase + off);
+        assert(w.seq > producer && "wake made an older entry ready");
+        (void)producer;
+        indexEntry(c, cs, w, now);
+        slot = next;
+    }
+}
+
+void
+CoProcessor::drainTimed(CoreState &cs, Cycle now)
+{
+    for (unsigned k = 0; k < kNumIssueClasses; ++k) {
+        auto &heap = cs.timed[k];
+        while (!heap.empty() && heap.front().at <= now) {
+            const SeqNum seq = heap.front().seq;
+            std::pop_heap(heap.begin(), heap.end(),
+                          std::greater<TimedEntry>());
+            heap.pop_back();
+            const std::size_t slot = cs.slotOf(seq);
+            cs.readyWord(slot, static_cast<IssueClass>(k)) |=
+                std::uint64_t{1} << (slot & 63);
+        }
+    }
+}
+
+unsigned
+CoProcessor::openClasses(const CoreState &cs, unsigned compute_budget,
+                         unsigned mem_budget)
+{
+    unsigned open = compute_budget > 0 ? 1u << kCompute : 0u;
+    if (mem_budget > 0) {
+        if (cs.lsu.canIssueLoad())
+            open |= 1u << kLoad;
+        if (cs.lsu.canIssueStore())
+            open |= 1u << kStore;
+    }
+    return open;
+}
+
+std::size_t
+CoProcessor::nextReady(const CoreState &cs, std::size_t from,
+                       unsigned classes)
+{
+    // Slots run circularly from the ROB head; every set bit belongs to
+    // an unissued ROB entry, so the first one met walking forward from
+    // offset `from` is the answer unless the walk wrapped past the
+    // head (its offset is then below `from`).
+    if (classes == 0)
+        return kNoEntry;
+    const std::size_t words = cs.readyWords;
+    const std::size_t head = cs.slotOf(cs.robBase);
+    std::size_t slot = (head + from) & cs.slotMask;
+    std::size_t w = slot >> 6;
+    // All-ones for each requested class, so a word costs no branches.
+    std::array<std::uint64_t, kNumIssueClasses> keep;
+    for (unsigned k = 0; k < kNumIssueClasses; ++k)
+        keep[k] = std::uint64_t{0} - ((classes >> k) & 1u);
+    auto word = [&](std::size_t i) {
+        const std::uint64_t *r = &cs.ready[i * kNumIssueClasses];
+        return (r[kCompute] & keep[kCompute]) | (r[kLoad] & keep[kLoad]) |
+               (r[kStore] & keep[kStore]);
+    };
+    std::uint64_t bits = word(w) & (~std::uint64_t{0} << (slot & 63));
+    for (std::size_t i = 0; i <= words; ++i) {
+        if (bits) {
+            const std::size_t s =
+                (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
+            const std::size_t off = (s - head) & cs.slotMask;
+            return off >= from ? off : kNoEntry;
+        }
+        w = w + 1 == words ? 0 : w + 1;
+        bits = word(w);
+    }
+    return kNoEntry;
+}
+
+bool
+CoProcessor::anyReady(const CoreState &cs, IssueClass k)
+{
+    for (std::size_t w = 0; w < cs.readyWords; ++w)
+        if (cs.ready[w * kNumIssueClasses + k])
+            return true;
+    return false;
+}
+
+void
+CoProcessor::rebuildIssueIndex()
+{
+    std::fill(wait_head_.begin(), wait_head_.end(), -1);
+    for (unsigned c = 0; c < cores_.size(); ++c) {
+        CoreState &cs = cores_[c];
+        std::fill(cs.ready.begin(), cs.ready.end(), 0);
+        std::fill(cs.waitNext.begin(), cs.waitNext.end(), -1);
+        for (auto &heap : cs.timed)
+            heap.clear();
+        // Cycle 0: an entry whose operands are ready at a known cycle
+        // lands on its heap and moves to the ready set at the first
+        // issue stage at or past that cycle, as it would have.
+        for (const DynInst &d : cs.rob)
+            if (!d.issued)
+                indexEntry(static_cast<CoreId>(c), cs, d, 0);
+    }
+}
+
 Lsu &
 CoProcessor::lsuFor(CoreId c)
 {
@@ -168,7 +338,7 @@ CoProcessor::iqLoad(CoreId c) const
     // Issue queues stay per core even under FTS (each core keeps its
     // own dispatch window); sharing them starves the faster core
     // outright instead of merely slowing it.
-    return cores_[c].iq.size();
+    return cores_[c].iqCount;
 }
 
 void
@@ -279,41 +449,29 @@ CoProcessor::nextEventAt(Cycle now) const
         if (!cs.rob.empty() && cs.rob.front().issued)
             consider(cs.rob.front().readyCycle);
 
-        // IQ entries: earliest cycle each could leave. With vl == 0
+        // IQ entries: earliest cycle each class could issue one — now
+        // + 1 with a ready entry, else its heap's soonest operand-ready
+        // cycle, held back to the next queue release while the class's
+        // LSU queue is full. Entries parked on an unissued producer
+        // are governed by that producer's own entry. With vl == 0
         // (non-FTS) the issue stage skips this core entirely until a
         // reconfiguration — which is itself a wake event — grants
         // lanes again.
-        if (model_.issueEligible(rt_, c)) {
-            for (SeqNum seq : cs.iq) {
-                const DynInst &inst =
-                    cs.rob[static_cast<std::size_t>(seq - cs.robBase)];
-                Cycle earliest = now + 1;
-                bool src_pending = false;
-                if (inst.isCompute() || inst.isStore()) {
-                    for (unsigned i = 0; i < inst.nsrc; ++i) {
-                        if (inst.srcPhys[i] < 0)
-                            continue;
-                        const Cycle r = regfile_.readyAt(inst.srcPhys[i]);
-                        if (r == kCycleNever)
-                            // Producer not issued yet: its own IQ entry
-                            // (or vl/plan wake) governs this one.
-                            src_pending = true;
-                        else if (r > earliest)
-                            earliest = r;
-                    }
-                }
-                if (inst.isMem()) {
-                    const bool full = inst.isStore()
-                                          ? !cs.lsu.canIssueStore()
-                                          : !cs.lsu.canIssueLoad();
-                    if (full)
-                        earliest = std::max(earliest,
-                                            cs.lsu.nextRelease());
-                }
-                if (!src_pending)
-                    consider(earliest);
-                if (next == now + 1)
-                    break;      // Cannot do better; stop scanning.
+        if (cs.iqCount > 0 && model_.issueEligible(rt_, c)) {
+            for (unsigned k = 0; k < kNumIssueClasses; ++k) {
+                const IssueClass cls = static_cast<IssueClass>(k);
+                Cycle earliest = anyReady(cs, cls) ? now + 1
+                                 : cs.timed[k].empty()
+                                     ? kCycleNever
+                                     : cs.timed[k].front().at;
+                if (earliest == kCycleNever)
+                    continue;
+                const bool full = cls == kLoad    ? !cs.lsu.canIssueLoad()
+                                  : cls == kStore ? !cs.lsu.canIssueStore()
+                                                  : false;
+                if (full)
+                    earliest = std::max(earliest, cs.lsu.nextRelease());
+                consider(earliest);
             }
         }
 
@@ -373,6 +531,8 @@ CoProcessor::tryIssue(CoreId c, SeqNum seq, Cycle now,
     DynInst &inst = robEntry(cs, seq);
     assert(!inst.issued);
 
+    // The walk offers only ready entries of open classes (fact 2 keeps
+    // the ready bits true); check that the index agrees.
     auto operandsReady = [&](const DynInst &di) {
         for (unsigned i = 0; i < di.nsrc; ++i) {
             if (di.srcPhys[i] >= 0 &&
@@ -382,58 +542,56 @@ CoProcessor::tryIssue(CoreId c, SeqNum seq, Cycle now,
         }
         return true;
     };
+    const IssueClass k = issueClass(inst);
+    assert(openClasses(cs, compute_budget, mem_budget) & (1u << k));
+    assert(k == kLoad || operandsReady(inst));
+    (void)operandsReady;
 
-    if (inst.isCompute()) {
-        if (compute_budget == 0 || !operandsReady(inst))
-            return false;
+    // Gathers/scatters crack into address-generation micro-ops and
+    // consume the core's full ld/st issue bandwidth for the cycle. The
+    // one rejection left, and it precedes every side effect (fact 1).
+    const bool strided = inst.isMem() && inst.stride != 1;
+    if (strided && mem_budget < cfg_.memIssueWidth)
+        return false;
+
+    const std::size_t slot = cs.slotOf(seq);
+    cs.readyWord(slot, k) &= ~(std::uint64_t{1} << (slot & 63));
+    --cs.iqCount;
+    inst.issued = true;
+
+    if (k == kCompute) {
         --compute_budget;
-        inst.issued = true;
         inst.readyCycle = now + computeLatency(inst.op, cfg_.fpLatency);
-        if (inst.dstPhys >= 0)
-            regfile_.setReadyAt(inst.dstPhys, inst.readyCycle);
         busy_lanes_[c] += inst.activeLanes;
         ++cs.computeIssued;
         if (inst.phaseId >= cs.phaseCompute.size())
             cs.phaseCompute.resize(inst.phaseId + 1, 0);
         ++cs.phaseCompute[inst.phaseId];
-        if (sink_ && sink_->wants(obs::EventKind::Issue))
-            sink_->record(pipeEvent(now, obs::EventKind::Issue, inst));
-        return true;
-    }
-
-    assert(inst.isMem());
-    if (mem_budget == 0)
-        return false;
-    Lsu &lsu = lsuFor(c);
-    const bool strided = inst.stride != 1;
-    // Gathers/scatters crack into address-generation micro-ops and
-    // consume the core's full ld/st issue bandwidth for the cycle.
-    if (strided && mem_budget < cfg_.memIssueWidth)
-        return false;
-    if (inst.isStore()) {
-        if (!lsu.canIssueStore() || !operandsReady(inst))
-            return false;
-        mem_budget -= strided ? cfg_.memIssueWidth : 1;
-        inst.issued = true;
-        inst.readyCycle =
-            strided ? lsu.issueScatter(mem_, inst.addr, inst.elemBytes,
-                                       inst.stride, inst.activeElems,
-                                       now)
-                    : lsu.issueStore(mem_, inst.addr, inst.bytes, now);
     } else {
-        if (!lsu.canIssueLoad())
-            return false;
+        Lsu &lsu = lsuFor(c);
         mem_budget -= strided ? cfg_.memIssueWidth : 1;
-        inst.issued = true;
-        inst.readyCycle =
-            strided ? lsu.issueGather(mem_, inst.addr, inst.elemBytes,
-                                      inst.stride, inst.activeElems,
-                                      now)
-                    : lsu.issueLoad(mem_, inst.addr, inst.bytes, now);
-        if (inst.dstPhys >= 0)
-            regfile_.setReadyAt(inst.dstPhys, inst.readyCycle);
+        if (k == kStore)
+            inst.readyCycle =
+                strided ? lsu.issueScatter(mem_, inst.addr, inst.elemBytes,
+                                           inst.stride, inst.activeElems,
+                                           now)
+                        : lsu.issueStore(mem_, inst.addr, inst.bytes, now);
+        else
+            inst.readyCycle =
+                strided ? lsu.issueGather(mem_, inst.addr, inst.elemBytes,
+                                          inst.stride, inst.activeElems,
+                                          now)
+                        : lsu.issueLoad(mem_, inst.addr, inst.bytes, now);
+        ++cs.memIssued;
     }
-    ++cs.memIssued;
+    // Stores write no register. A producer's readiness moves once
+    // (fact 2); its waiters, all younger (fact 3), wake now, so a
+    // 0-latency consumer still issues later in this same walk.
+    if (k != kStore && inst.dstPhys >= 0) {
+        assert(regfile_.readyAt(inst.dstPhys) == kCycleNever);
+        regfile_.setReadyAt(inst.dstPhys, inst.readyCycle);
+        wakeWaiters(c, cs, inst.dstPhys, seq, now);
+    }
     if (sink_ && sink_->wants(obs::EventKind::Issue))
         sink_->record(pipeEvent(now, obs::EventKind::Issue, inst));
     return true;
@@ -442,27 +600,34 @@ CoProcessor::tryIssue(CoreId c, SeqNum seq, Cycle now,
 void
 CoProcessor::issueStage(Cycle now)
 {
+    for (CoreState &cs : cores_)
+        drainTimed(cs, now);
+
     if (model_.sharedIssueBudgets()) {
         // One full-width unit: issue budgets shared by all cores,
-        // arbitrated round-robin for fairness.
+        // arbitrated round-robin for fairness: each round, every core
+        // in turn issues its oldest issueable entry past its cursor.
         unsigned compute_budget = cfg_.computeIssueWidth;
         unsigned mem_budget = cfg_.memIssueWidth;
         const unsigned n = static_cast<unsigned>(cores_.size());
+        std::fill(fts_cursor_.begin(), fts_cursor_.end(), 0);
         bool progress = true;
-        std::vector<std::size_t> cursor(n, 0);
         while (progress && (compute_budget > 0 || mem_budget > 0)) {
             progress = false;
             for (unsigned i = 0; i < n; ++i) {
                 const CoreId c =
                     static_cast<CoreId>((rr_start_ + i) % n);
                 CoreState &cs = cores_[c];
-                // Find the next issueable entry for this core.
-                for (std::size_t k = cursor[c]; k < cs.iq.size(); ++k) {
-                    if (tryIssue(c, cs.iq[k], now, compute_budget,
+                std::size_t &cursor = fts_cursor_[c];
+                for (;;) {
+                    const std::size_t off = nextReady(
+                        cs, cursor,
+                        openClasses(cs, compute_budget, mem_budget));
+                    if (off == kNoEntry)
+                        break;
+                    cursor = off + 1;
+                    if (tryIssue(c, cs.robBase + off, now, compute_budget,
                                  mem_budget)) {
-                        cs.iq.erase(cs.iq.begin() +
-                                    static_cast<std::ptrdiff_t>(k));
-                        cursor[c] = k;
                         progress = true;
                         break;
                     }
@@ -473,20 +638,20 @@ CoProcessor::issueStage(Cycle now)
     } else {
         for (unsigned c = 0; c < cores_.size(); ++c) {
             CoreState &cs = cores_[c];
-            if (!model_.issueEligible(rt_, static_cast<CoreId>(c)))
+            if (cs.iqCount == 0 ||
+                !model_.issueEligible(rt_, static_cast<CoreId>(c)))
                 continue;
             unsigned compute_budget = cfg_.computeIssueWidth;
             unsigned mem_budget = cfg_.memIssueWidth;
-            for (std::size_t k = 0; k < cs.iq.size();) {
-                if (compute_budget == 0 && mem_budget == 0)
+            std::size_t from = 0;
+            for (;;) {
+                const std::size_t off = nextReady(
+                    cs, from, openClasses(cs, compute_budget, mem_budget));
+                if (off == kNoEntry)
                     break;
-                if (tryIssue(static_cast<CoreId>(c), cs.iq[k], now,
-                             compute_budget, mem_budget)) {
-                    cs.iq.erase(cs.iq.begin() +
-                                static_cast<std::ptrdiff_t>(k));
-                } else {
-                    ++k;
-                }
+                tryIssue(static_cast<CoreId>(c), cs.robBase + off, now,
+                         compute_budget, mem_budget);
+                from = off + 1;
             }
         }
     }
@@ -526,14 +691,17 @@ CoProcessor::renameStage(Cycle now)
                     reg_stall = true;
                     break;
                 }
+                assert(wait_head_[phys] < 0 &&
+                       "register freed with entries still parked on it");
                 inst.dstPhys = phys;
                 regfile_.setReadyAt(phys, kCycleNever);
                 inst.prevPhys = regfile_.rename(c, inst.dstArch, phys);
             }
             const SeqNum seq = cs.robBase + cs.rob.size();
             inst.seq = seq;
-            cs.iq.push_back(seq);
             cs.rob.push_back(inst);
+            ++cs.iqCount;
+            indexEntry(c, cs, cs.rob.back(), now);
             if (sink_ && sink_->wants(obs::EventKind::Dispatch))
                 sink_->record(pipeEvent(now, obs::EventKind::Dispatch,
                                         cs.rob.back()));
@@ -559,6 +727,10 @@ CoProcessor::renameStage(Cycle now)
 void
 CoProcessor::applyVl(CoreId c, unsigned target, Cycle now)
 {
+    // resetCore below drops the core's register readiness; the wakeup
+    // index relies on no unissued entry reading it (fact 2).
+    assert(cores_[c].iqCount == 0 &&
+           "vector-length change with unissued IQ entries");
     dispatch_cfg_.release(c);
     regfile_cfg_.release(c);
     if (target > 0) {
@@ -931,9 +1103,10 @@ CoProcessor::save(ckpt::Writer &w) const
         saveInstSeq(w, cs.pool);
         saveInstSeq(w, cs.rob);
         w.u64(cs.robBase);
-        w.u64(cs.iq.size());
-        for (SeqNum s : cs.iq)
-            w.u64(s);
+        w.u64(cs.iqCount);
+        for (const DynInst &d : cs.rob)
+            if (!d.issued)
+                w.u64(d.seq);
         cs.lsu.save(w);
         saveInstSeq(w, cs.emq);
         w.b(cs.vlReq.resolved);
@@ -975,9 +1148,23 @@ CoProcessor::load(ckpt::Reader &r)
         loadInstSeq(r, cs.pool);
         loadInstSeq(r, cs.rob);
         cs.robBase = r.u64();
-        cs.iq.resize(r.arr());
-        for (SeqNum &s : cs.iq)
-            s = r.u64();
+        // The IQ is derived from the ROB; a saved seq list that does
+        // not match its unissued entries is a corrupt checkpoint.
+        cs.iqCount = r.arr(cs.rob.capacity());
+        std::size_t unissued = 0;
+        for (std::size_t i = 0; i < cs.rob.size(); ++i) {
+            if (cs.rob[i].issued)
+                continue;
+            ckpt::Reader::check(
+                unissued < cs.iqCount &&
+                    r.u64() == cs.rob[i].seq &&
+                    cs.rob[i].seq == cs.robBase + i,
+                "checkpoint IQ does not match the ROB's unissued entries");
+            ++unissued;
+        }
+        ckpt::Reader::check(
+            unissued == cs.iqCount,
+            "checkpoint IQ does not match the ROB's unissued entries");
         cs.lsu.load(r);
         loadInstSeq(r, cs.emq);
         cs.vlReq.resolved = r.b();
@@ -1002,6 +1189,8 @@ CoProcessor::load(ckpt::Reader &r)
     em_insts_.set(r.u64());
     plans_published_.set(r.u64());
     lane_faults_.set(r.u64());
+
+    rebuildIssueIndex();
 }
 
 void
@@ -1043,7 +1232,7 @@ CoProcessor::printState(std::ostream &os, const std::string &what) const
         os << "pool " << cs.pool.size() << '\n'
            << "rob " << cs.rob.size() << '\n'
            << "rob_base " << cs.robBase << '\n'
-           << "iq " << cs.iq.size() << '\n'
+           << "iq " << cs.iqCount << '\n'
            << "emq " << cs.emq.size() << '\n'
            << "lq " << cs.lsu.loadQueueOccupancy() << '\n'
            << "sq " << cs.lsu.storeQueueOccupancy() << '\n'

@@ -25,6 +25,10 @@
 #ifndef OCCAMY_COPROC_COPROC_HH
 #define OCCAMY_COPROC_COPROC_HH
 
+#include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -173,23 +177,62 @@ class CoProcessor
     /** EM-SIMD queue depth (Fig. 5's small in-order buffer). */
     static constexpr std::size_t kEmqDepth = 8;
 
+    /** Issue classes of the wakeup index: each has its own issue
+     *  budget (compute) or LSU queue (load, store) that can close for
+     *  the rest of a cycle independently of the others. */
+    enum IssueClass : unsigned
+    {
+        kCompute = 0,
+        kLoad = 1,
+        kStore = 2,
+        kNumIssueClasses = 3
+    };
+
+    /** "No entry" result of nextReady(). */
+    static constexpr std::size_t kNoEntry = ~std::size_t{0};
+
+    /** A known future operand-ready cycle of an IQ entry. */
+    struct TimedEntry
+    {
+        Cycle at;
+        SeqNum seq;
+        bool operator>(const TimedEntry &o) const { return at > o.at; }
+    };
+
     /** Per-core pipeline state. The in-flight instruction queues are
      *  arena-backed rings (coproc/inst_ring.hh): each is bounded by
      *  configuration, so one contiguous allocation at construction
      *  serves the machine's lifetime and the per-cycle stage walks
-     *  touch consecutive cache lines instead of chasing deque chunks. */
+     *  touch consecutive cache lines instead of chasing deque chunks.
+     *
+     *  The issue queue is the ROB's unissued entries plus a count.
+     *  Which of them can issue is kept by the wakeup index (DESIGN.md
+     *  §8, "Issue stage: wakeup index"), over ROB slots
+     *  `seq & slotMask` (the ROB capacity rounded up to a power of
+     *  two, at least 64): a ready bitset per issue class, a
+     *  min-heap per class of entries whose operands become ready at a
+     *  known later cycle, and a waiter-list link per slot for entries
+     *  parked on a source whose producer has not issued. The index is
+     *  derived state: never serialized, rebuilt on restore. */
     struct CoreState
     {
         explicit CoreState(const MachineConfig &cfg)
             : pool(cfg.instPoolEntries), rob(cfg.robEntries), lsu(cfg),
-              emq(kEmqDepth)
+              emq(kEmqDepth),
+              slotMask(std::bit_ceil(std::max<std::size_t>(
+                           rob.capacity(), 64)) - 1),
+              readyWords((slotMask + 1) / 64),
+              ready(readyWords * kNumIssueClasses, 0),
+              waitNext(readyWords * 64, -1)
         {
+            for (auto &h : timed)
+                h.reserve(rob.capacity());
         }
 
         InstRing pool;                  ///< Instruction pool (FIFO).
         InstRing rob;                   ///< Renamed, program order.
         SeqNum robBase = 0;             ///< seq of rob.front().
-        std::vector<SeqNum> iq;         ///< Awaiting issue.
+        std::size_t iqCount = 0;        ///< Unissued ROB entries.
         Lsu lsu;
         InstRing emq;                   ///< EM-SIMD in-order queue.
 
@@ -204,9 +247,73 @@ class CoProcessor
         std::vector<std::uint64_t> phaseCompute;  ///< By phaseId.
         std::uint64_t regStallCycles = 0;
         std::uint64_t otherStallCycles = 0;
+
+        // --- Wakeup index (derived state). ---
+        std::size_t slotMask;           ///< Slot count (a power of two) - 1.
+        std::size_t readyWords;         ///< 64-slot words per class.
+        /** Ready bits, word-interleaved: [word * classes + class]. */
+        std::vector<std::uint64_t> ready;
+        /** Per class: entries waiting for a known operand-ready cycle. */
+        std::array<std::vector<TimedEntry>, kNumIssueClasses> timed;
+        /** Per slot: next slot on the same waiter list (-1 ends it). */
+        std::vector<std::int32_t> waitNext;
+
+        std::size_t slotOf(SeqNum seq) const
+        {
+            return static_cast<std::size_t>(seq) & slotMask;
+        }
+
+        /** Ready-bit word of class @p k holding @p slot's bit
+         *  (`1 << (slot & 63)`). */
+        std::uint64_t &readyWord(std::size_t slot, IssueClass k)
+        {
+            return ready[(slot >> 6) * kNumIssueClasses + k];
+        }
     };
 
     DynInst &robEntry(CoreState &cs, SeqNum seq);
+
+    static IssueClass issueClass(const DynInst &inst)
+    {
+        return inst.isCompute() ? kCompute
+                                : inst.isStore() ? kStore : kLoad;
+    }
+
+    /** Place unissued entry @p inst of core @p c in the wakeup index:
+     *  the ready set if its operands are ready at @p now, its class
+     *  heap if they become ready at a known later cycle, or the waiter
+     *  list of its first source whose producer has not issued. Loads
+     *  issue without an operand check, so they are always ready. */
+    void indexEntry(CoreId c, CoreState &cs, const DynInst &inst,
+                    Cycle now);
+
+    /** Re-index the entries parked on @p phys, whose producer (seq
+     *  @p producer of core @p c) just issued. */
+    void wakeWaiters(CoreId c, CoreState &cs, std::int32_t phys,
+                     SeqNum producer, Cycle now);
+
+    /** Move the heap entries of core @p cs that are due by @p now to
+     *  the ready sets. */
+    void drainTimed(CoreState &cs, Cycle now);
+
+    /** Classes core @p cs can still issue this cycle: compute while
+     *  the compute budget lasts, loads/stores while the ld/st budget
+     *  lasts and their LSU queue has room. Bit i = IssueClass i. */
+    static unsigned openClasses(const CoreState &cs,
+                                unsigned compute_budget,
+                                unsigned mem_budget);
+
+    /** ROB offset (seq - robBase) of core @p cs's oldest ready entry
+     *  at offset >= @p from in a class of @p classes, or kNoEntry. */
+    static std::size_t nextReady(const CoreState &cs, std::size_t from,
+                                 unsigned classes);
+
+    /** @return true if core @p cs has a ready entry of class @p k. */
+    static bool anyReady(const CoreState &cs, IssueClass k);
+
+    /** Rebuild every core's wakeup index from the ROBs and the
+     *  register file (checkpoint restore). */
+    void rebuildIssueIndex();
 
     /** The LSU serving core @p c (one shared LSU under FTS). */
     Lsu &lsuFor(CoreId c);
@@ -222,8 +329,10 @@ class CoProcessor
     void renameStage(Cycle now);
     void managerStage(Cycle now);
 
-    /** Try to issue ROB entry @p seq of core @p c. @return true if it
-     *  left the IQ this cycle. */
+    /** Try to issue ready ROB entry @p seq of core @p c, whose class is
+     *  open. @return true if it left the IQ this cycle. The only
+     *  rejection left is a gather/scatter that needs the full ld/st
+     *  width; it returns before touching any state. */
     bool tryIssue(CoreId c, SeqNum seq, Cycle now, unsigned &compute_budget,
                   unsigned &mem_budget);
 
@@ -258,6 +367,12 @@ class CoProcessor
     std::vector<CoreState> cores_;
     std::vector<unsigned> busy_lanes_;  ///< Per core, this cycle.
     unsigned rr_start_ = 0;             ///< FTS round-robin pointer.
+    std::vector<std::size_t> fts_cursor_;  ///< FTS issue scratch.
+
+    /** Per physical register: head ROB slot of the waiter list of its
+     *  holder core (-1 = none). Derived state, like the per-core
+     *  index. */
+    std::vector<std::int32_t> wait_head_;
 
     stats::Counter vl_switches_;
     stats::Counter em_insts_;

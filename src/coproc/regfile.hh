@@ -66,6 +66,12 @@ class RegFileModel
     /** Free rows currently available to core @p c. */
     unsigned freeCount(CoreId c) const;
 
+    /** Core holding physical row @p phys (kNoCore when free). */
+    CoreId holder(std::int32_t phys) const { return held_by_.at(phys); }
+
+    /** Number of physical rows across every pool. */
+    std::size_t physRegs() const { return ready_.size(); }
+
     /** True when the file is one shared full-width pool (FTS). */
     bool shared() const { return shared_; }
 

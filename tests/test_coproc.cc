@@ -9,6 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <tuple>
+#include <vector>
+
+#include "ckpt/ckpt.hh"
 #include "coproc/coproc.hh"
 
 namespace occamy
@@ -24,8 +29,31 @@ class CoprocTest : public ::testing::Test
     {
         cfg = MachineConfig::forPolicy(policy, cores);
         cfg.prefetchDegree = 0;
+        boot();
+    }
+
+    /** (Re)create the machine from the current cfg, at cycle 0. */
+    void
+    boot()
+    {
+        cp.reset();
         mem = std::make_unique<MemSystem>(cfg);
         cp = std::make_unique<CoProcessor>(cfg, *mem);
+        now = 0;
+    }
+
+    /** (cycle, core, seq) of one Issue event. */
+    using IssueAt = std::tuple<Cycle, CoreId, SeqNum>;
+
+    /** The Issue events @p sink recorded, in order. */
+    static std::vector<IssueAt>
+    issues(const obs::RingSink &sink)
+    {
+        std::vector<IssueAt> out;
+        for (const obs::Event &ev : sink.snapshot().events)
+            if (ev.kind == obs::EventKind::Issue)
+                out.emplace_back(ev.cycle, ev.core, ev.b);
+        return out;
     }
 
     /** Run the co-processor for @p n cycles. */
@@ -61,6 +89,21 @@ class CoprocTest : public ::testing::Test
         d.op = Opcode::VLoad;
         d.core = core;
         d.dstArch = dst;
+        d.addr = addr;
+        d.bytes = 64;
+        d.vlBus = static_cast<std::uint16_t>(cp->currentVl(core));
+        d.activeLanes = 16;
+        d.enqueueCycle = now;
+        return d;
+    }
+
+    DynInst
+    store(CoreId core, std::int16_t src, Addr addr)
+    {
+        DynInst d;
+        d.op = Opcode::VStore;
+        d.core = core;
+        d.srcArch[d.nsrc++] = src;
         d.addr = addr;
         d.bytes = 64;
         d.vlBus = static_cast<std::uint16_t>(cp->currentVl(core));
@@ -286,6 +329,142 @@ TEST_F(CoprocTest, IssueRespectsComputeWidth)
     EXPECT_GE(cycles_to_drain,
               12u / cfg.computeIssueWidth + cfg.retireDelay);
     EXPECT_EQ(cp->computeIssued(0), 12u);
+}
+
+TEST_F(CoprocTest, ConsumerIssuesAsSoonAsItsProducerResultIsReady)
+{
+    // z1 = z0 + z0 after z0's producer. Both rename at cycle 4 (the
+    // retire delay); the producer issues at 5 and wakes the consumer
+    // for cycle 5 + fpLatency — with latency 0 later in the very same
+    // issue stage.
+    for (unsigned lat : {0u, 4u}) {
+        build(SharingPolicy::Private);
+        cfg.fpLatency = lat;
+        boot();
+        obs::RingSink sink;
+        cp->setEventSink(&sink);
+        cp->enqueue(compute(0, 0));
+        cp->enqueue(compute(0, 1, 0, 0));
+        run(40);
+        EXPECT_EQ(issues(sink),
+                  (std::vector<IssueAt>{{5, 0, 0}, {5 + lat, 0, 1}}))
+            << "fpLatency " << lat;
+    }
+}
+
+TEST_F(CoprocTest, FullLoadQueueDoesNotBlockYoungerComputesAndStores)
+{
+    build(SharingPolicy::Private);
+    cfg.loadQueueEntries = 1;
+    boot();
+    obs::RingSink sink;
+    cp->setEventSink(&sink);
+    cp->enqueue(load(0, 0, 0x100000));      // seq 0: fills the LQ
+    cp->enqueue(load(0, 1, 0x200000));      // seq 1: blocked on the LQ
+    cp->enqueue(compute(0, 2));             // seq 2
+    cp->enqueue(store(0, 3, 0x300000));     // seq 3
+    cp->enqueue(store(0, 4, 0x400000));     // seq 4
+    run(400);
+    const std::vector<IssueAt> got = issues(sink);
+    ASSERT_EQ(got.size(), 5u);
+    // Cycle 5: the first load takes the only LQ entry and one ld/st
+    // slot; the compute and the oldest store issue past the blocked
+    // load, oldest first; the second store waits for next cycle's
+    // ld/st budget (2 per cycle).
+    EXPECT_EQ(got[0], IssueAt(5, 0, 0));
+    EXPECT_EQ(got[1], IssueAt(5, 0, 2));
+    EXPECT_EQ(got[2], IssueAt(5, 0, 3));
+    EXPECT_EQ(got[3], IssueAt(6, 0, 4));
+    // The blocked load leaves only once the first one's LQ entry frees.
+    EXPECT_EQ(std::get<2>(got[4]), 1u);
+    EXPECT_GT(std::get<0>(got[4]), 6u);
+    EXPECT_TRUE(cp->coreDrained(0));
+}
+
+TEST_F(CoprocTest, TemporalSharingIssuesRoundRobinFromSharedBudgets)
+{
+    build(SharingPolicy::Temporal);
+    obs::RingSink sink;
+    cp->setEventSink(&sink);
+    cp->enqueue(compute(0, 0));             // core 0, seq 0
+    cp->enqueue(compute(0, 1));             // core 0, seq 1
+    cp->enqueue(compute(0, 2));             // core 0, seq 2
+    cp->enqueue(load(1, 0, 0x100000));      // core 1, seq 0
+    cp->enqueue(compute(1, 1));             // core 1, seq 1
+    cp->enqueue(store(1, 5, 0x200000));     // core 1, seq 2
+    run(20);
+    // Both cores rename at cycle 4. The round-robin pointer advances
+    // once per cycle, so cycle 5 starts at core 1. Each round every
+    // core issues its oldest entry that still fits the shared 2
+    // compute + 2 ld/st budget:
+    //  cycle 5, round 1: core 1 load, core 0 compute (1 + 1 left);
+    //           round 2: core 1 compute (compute spent), core 0 none;
+    //           round 3: core 1 store (ld/st spent).
+    //  cycle 6, round 1: core 0 compute; round 2: core 0 compute.
+    EXPECT_EQ(issues(sink), (std::vector<IssueAt>{{5, 1, 0},
+                                                  {5, 0, 0},
+                                                  {5, 1, 1},
+                                                  {5, 1, 2},
+                                                  {6, 0, 1},
+                                                  {6, 0, 2}}));
+}
+
+TEST_F(CoprocTest, RestoreRebuildsIssueStateAndRejectsAForeignIq)
+{
+    build(SharingPolicy::Private);
+    cp->enqueue(compute(0, 0));             // seq 0
+    cp->enqueue(compute(0, 1, 0, 0));       // seq 1: ready 4 cycles later
+    cp->enqueue(compute(0, 2, 1, 1));       // seq 2: waits for seq 1
+    run(6);                                 // seq 0 issued at cycle 5
+    std::ostringstream os;
+    ckpt::Writer w(os);
+    cp->save(w);
+    const std::string bytes = os.str();
+
+    auto restore = [&](const std::string &b) {
+        auto fresh = std::make_unique<CoProcessor>(cfg, *mem);
+        std::istringstream is(b);
+        ckpt::Reader r(is);
+        fresh->load(r);
+        return fresh;
+    };
+
+    // The restored twin issues the waiting entries on the same cycles.
+    obs::RingSink want, got;
+    std::unique_ptr<CoProcessor> twin = restore(bytes);
+    cp->setEventSink(&want);
+    twin->setEventSink(&got);
+    for (Cycle t = now; t < now + 40; ++t) {
+        cp->tick(t);
+        twin->tick(t);
+    }
+    EXPECT_EQ(issues(got), issues(want));
+    EXPECT_EQ(issues(want),
+              (std::vector<IssueAt>{{9, 0, 1}, {13, 0, 2}}));
+
+    // Core 0's saved IQ: robBase 0, then 2 entries, seqs 1 and 2. Name
+    // the issued seq 0 instead of seq 2: the file is self-inconsistent.
+    auto u64s = [](std::initializer_list<std::uint64_t> vs) {
+        std::string out;
+        for (std::uint64_t v : vs)
+            for (int i = 0; i < 8; ++i)
+                out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+        return out;
+    };
+    const std::string iq = u64s({0, 2, 1, 2});
+    const std::size_t at = bytes.find(iq);
+    ASSERT_NE(at, std::string::npos);
+    ASSERT_EQ(bytes.find(iq, at + 1), std::string::npos);
+    std::string bad = bytes;
+    bad.replace(at, iq.size(), u64s({0, 2, 1, 0}));
+    try {
+        restore(bad);
+        FAIL() << "restore accepted an IQ that disagrees with the ROB";
+    } catch (const ckpt::Error &e) {
+        EXPECT_NE(std::string(e.what()).find("IQ does not match"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST_F(CoprocTest, BusyLanesTrackActiveLanes)

@@ -18,6 +18,7 @@
 #include "golden_matrix.hh"
 #include "mem/memsystem.hh"
 #include "obs/export.hh"
+#include "obs/sink.hh"
 #include "runner/runner.hh"
 #include "sim/trace.hh"
 #include "workloads/phases.hh"
@@ -292,22 +293,58 @@ TEST(NextEventAt, CoprocDrainedIsNeverAndWakesNeverLate)
     EXPECT_EQ(ticked.nextEventAt(0), kCycleNever);
     EXPECT_EQ(ticked.nextEventAt(9'999), kCycleNever);
 
-    auto compute = [](CoProcessor &cp) {
+    auto inst = [](CoProcessor &cp, Opcode op, std::int16_t dst,
+                   std::int16_t src, Addr addr, Cycle at) {
         DynInst d;
-        d.op = Opcode::VFAdd;
+        d.op = op;
         d.core = 0;
-        d.dstArch = 1;
+        d.dstArch = dst;
+        if (src >= 0) {
+            d.srcArch[0] = src;
+            d.nsrc = 1;
+        }
         d.vlBus = static_cast<std::uint16_t>(cp.currentVl(0));
         d.activeLanes =
             static_cast<std::uint16_t>(d.vlBus * kLanesPerBu);
-        d.enqueueCycle = 0;
+        d.addr = addr;
+        d.bytes = 64;
+        d.enqueueCycle = at;
         return d;
     };
-    ticked.enqueue(compute(ticked));
-    probed.enqueue(compute(probed));
+    constexpr Addr kHot = 0x100000, kCold = 0x800000, kOut = 0x900000;
+
+    // Warm one line in both twins, so the chain below can hit it.
+    Cycle start = 0;
+    for (CoProcessor *cp : {&ticked, &probed})
+        cp->enqueue(inst(*cp, Opcode::VLoad, 7, -1, kHot, start));
+    while (!ticked.coreDrained(0) || !probed.coreDrained(0)) {
+        ticked.tick(start);
+        probed.tick(start);
+        ++start;
+        ASSERT_LT(start, 10'000u);
+    }
+
+    // An independent compute; a cold load that holds the ROB head for
+    // a DRAM round trip; then a load -> compute -> store chain on the
+    // warm line. The chain's compute parks on its unissued load (the
+    // waiter path) and moves to the load's known return cycle (the
+    // heap path); the store follows the compute the same way. With the
+    // cold load at the ROB head, no retire or LSU release coincides
+    // with the store's operand-ready cycle: only the heap top wakes
+    // the probe for it.
+    for (CoProcessor *cp : {&ticked, &probed}) {
+        cp->enqueue(inst(*cp, Opcode::VFAdd, 1, -1, 0, start));
+        cp->enqueue(inst(*cp, Opcode::VLoad, 4, -1, kCold, start));
+        cp->enqueue(inst(*cp, Opcode::VLoad, 2, -1, kHot, start));
+        cp->enqueue(inst(*cp, Opcode::VFAdd, 3, 2, 0, start));
+        cp->enqueue(inst(*cp, Opcode::VStore, -1, 3, kOut, start));
+    }
+    obs::RingSink ticked_sink, probed_sink;
+    ticked.setEventSink(&ticked_sink);
+    probed.setEventSink(&probed_sink);
 
     // Reference: tick every cycle, note when the pipeline drains.
-    Cycle drain = 0;
+    Cycle drain = start;
     while (!ticked.coreDrained(0)) {
         ticked.tick(drain);
         if (ticked.coreDrained(0))
@@ -319,8 +356,8 @@ TEST(NextEventAt, CoprocDrainedIsNeverAndWakesNeverLate)
     // Probe-driven twin: tick only at suggested cycles. The probe may
     // wake early (a no-op tick) but never late, so the drain tick must
     // land on exactly the same cycle.
-    probed.tick(0);
-    Cycle last = 0;
+    probed.tick(start);
+    Cycle last = start;
     for (;;) {
         const Cycle next = probed.nextEventAt(last);
         if (next == kCycleNever)
@@ -332,6 +369,18 @@ TEST(NextEventAt, CoprocDrainedIsNeverAndWakesNeverLate)
     }
     EXPECT_TRUE(probed.coreDrained(0));
     EXPECT_EQ(last, drain);
+    // A late wake would also shift an issue or retire cycle.
+    const obs::TraceBuffer want = ticked_sink.snapshot();
+    const obs::TraceBuffer got = probed_sink.snapshot();
+    ASSERT_EQ(got.events.size(), want.events.size());
+    std::size_t issued = 0;
+    for (std::size_t i = 0; i < want.events.size(); ++i) {
+        EXPECT_EQ(got.events[i].cycle, want.events[i].cycle) << i;
+        EXPECT_EQ(got.events[i].kind, want.events[i].kind) << i;
+        EXPECT_EQ(got.events[i].b, want.events[i].b) << i;
+        issued += want.events[i].kind == obs::EventKind::Issue;
+    }
+    EXPECT_EQ(issued, 5u);
 }
 
 } // namespace
