@@ -8,10 +8,12 @@
 #ifndef OCCAMY_BENCH_BENCH_UTIL_HH
 #define OCCAMY_BENCH_BENCH_UTIL_HH
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "runner/runner.hh"
@@ -19,8 +21,24 @@
 #include "sim/system.hh"
 #include "workloads/suite.hh"
 
+#ifndef OCCAMY_BUILD_TYPE
+#define OCCAMY_BUILD_TYPE "unknown"
+#endif
+
 namespace occamy::bench
 {
+
+/** `"host_cores":N,"build_type":"T",` — the host fields every BENCH
+ *  report carries, since wall-clock figures only compare within one
+ *  host class and build type. */
+inline std::string
+hostFieldsJson()
+{
+    return "\"host_cores\":" +
+           std::to_string(
+               std::max(1u, std::thread::hardware_concurrency())) +
+           ",\"build_type\":\"" OCCAMY_BUILD_TYPE "\",";
+}
 
 /** The four architectures, in the paper's presentation order. */
 inline const std::vector<SharingPolicy> kPolicies = {

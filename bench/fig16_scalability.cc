@@ -139,8 +139,8 @@ main(int argc, char **argv)
     const std::vector<SharingPolicy> archs = {SharingPolicy::Private,
                                               SharingPolicy::Elastic};
 
-    std::string json =
-        "{\"bench\":\"fig16_scalability\",\"scenarios\":[";
+    std::string json = "{\"bench\":\"fig16_scalability\"," +
+                       hostFieldsJson() + "\"scenarios\":[";
     bool first = true;
     for (const Topo &t : topos) {
         for (SharingPolicy p : archs) {

@@ -29,17 +29,13 @@
 #include <chrono>
 #include <cstdio>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench_util.hh"
 #include "sim/system.hh"
 #include "sim/trace.hh"
 #include "workloads/phases.hh"
 #include "workloads/suite.hh"
-
-#ifndef OCCAMY_BUILD_TYPE
-#define OCCAMY_BUILD_TYPE "unknown"
-#endif
 
 using namespace occamy;
 
@@ -194,13 +190,8 @@ main(int argc, char **argv)
 
     // Wall-clock fields only compare within one host class and build
     // type, so the report records both.
-    char head[160];
-    std::snprintf(head, sizeof(head),
-                  "{\"bench\":\"micro_ticks\",\"host_cores\":%u,"
-                  "\"build_type\":\"%s\",\"scenarios\":[",
-                  std::max(1u, std::thread::hardware_concurrency()),
-                  OCCAMY_BUILD_TYPE);
-    std::string json = head;
+    std::string json = "{\"bench\":\"micro_ticks\"," +
+                       bench::hostFieldsJson() + "\"scenarios\":[";
     bool all_match = true;
     bool first = true;
 

@@ -13,6 +13,7 @@
  */
 
 #include <cstdio>
+#include <string_view>
 
 #include "bench_util.hh"
 #include "workloads/suite.hh"
@@ -24,11 +25,10 @@ namespace
 {
 
 RunResult
-drainBatch(SchedPolicy sched, SharingPolicy policy)
+drainBatch(const traffic::Dispatcher *sched, SharingPolicy policy)
 {
-    const MachineConfig cfg =
-        MachineConfig::Builder(policy).cores(2).sched(sched).build();
-    System sys(cfg);
+    System sys(MachineConfig::Builder(policy).cores(2).build());
+    sys.setDispatcher(sched);
     sys.setWorkload(0, "idle0", {});
     sys.setWorkload(1, "idle1", {});
     // Adversarial order: all memory workloads first, then all compute.
@@ -58,20 +58,18 @@ main()
     Cycle fcfs_makespan = 0;
     for (SharingPolicy arch :
          {SharingPolicy::StaticSpatial, SharingPolicy::Elastic}) {
-        for (SchedPolicy sched :
-             {SchedPolicy::Fcfs, SchedPolicy::OiAware}) {
-            const RunResult r = drainBatch(sched, arch);
-            const char *sched_name =
-                sched == SchedPolicy::Fcfs ? "FCFS" : "OI-aware";
+        for (const char *key : {"fcfs", "oi"}) {
+            const bool oi = key == std::string_view("oi");
+            const RunResult r =
+                drainBatch(traffic::dispatcherByName(key), arch);
+            const char *sched_name = oi ? "OI-aware" : "FCFS";
             std::printf("%-10s %-10s %12llu %9.1f%%\n", sched_name,
                         policyName(arch),
                         static_cast<unsigned long long>(r.cycles),
                         100.0 * r.simdUtil);
-            if (arch == SharingPolicy::Elastic &&
-                sched == SchedPolicy::Fcfs)
+            if (arch == SharingPolicy::Elastic && !oi)
                 fcfs_makespan = r.cycles;
-            if (arch == SharingPolicy::Elastic &&
-                sched == SchedPolicy::OiAware) {
+            if (arch == SharingPolicy::Elastic && oi) {
                 std::printf("\nOI-aware makespan gain on Occamy: "
                             "%.2fx\n",
                             static_cast<double>(fcfs_makespan) /

@@ -193,7 +193,8 @@ main(int argc, char **argv)
     std::printf("%-28s %9s %6s %5s %6s %8s %9s\n",
                 "admission/scheduler/load", "makespan", "done", "shed",
                 "defer", "goodput", "slo_viol");
-    std::string json = "{\"bench\":\"traffic_admission\",\"scenarios\":[";
+    std::string json = "{\"bench\":\"traffic_admission\"," +
+                       hostFieldsJson() + "\"scenarios\":[";
     bool adm_first = true;
     for (const auto &j : adm_sweep.jobs) {
         if (!j.ok()) {

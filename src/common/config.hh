@@ -43,21 +43,6 @@ enum class SharingPolicy
  *  (Private/FTS/VLS/Occamy/VLS-WC). */
 const char *policyName(SharingPolicy p);
 
-/**
- * Batch-queue dispatch discipline (Section 5 discusses FCFS and
- * suggests, as future work, letting lane partitioning and OS
- * scheduling work together -- OiAware implements that suggestion).
- */
-enum class SchedPolicy
-{
-    /** First-come-first-serve: the queue head goes to the idle core. */
-    Fcfs,
-    /** Pick the queued workload whose first-phase operational
-     *  intensity maximizes the roofline-estimated machine throughput
-     *  given what the other cores are currently running. */
-    OiAware,
-};
-
 /** Cache parameters for one level of the hierarchy. */
 struct CacheConfig
 {
@@ -171,9 +156,6 @@ struct MachineConfig
      *  VecCache plus cross-cluster state movement). */
     unsigned clusterMigrationCycles = 400;
 
-    /** Batch-queue dispatch discipline. */
-    SchedPolicy schedPolicy = SchedPolicy::Fcfs;
-
     /**
      * Boot-time lane-partition plan in ExeBUs per core, used by the
      * Private and VLS architectures (empty = equal split). For VLS the
@@ -227,8 +209,7 @@ struct MachineConfig
  * Named, chainable MachineConfig construction:
  *
  *     auto cfg = MachineConfig::Builder(SharingPolicy::Elastic)
- *                    .cores(4)
- *                    .sched(SchedPolicy::OiAware)
+ *                    .topology(2, 4)
  *                    .build();
  *
  * Unless exeBUs() is called, build() sizes the machine at the paper's
@@ -282,12 +263,6 @@ class MachineConfig::Builder
     {
         cfg_.numExeBUs = n;
         bus_set_ = true;
-        return *this;
-    }
-
-    Builder &sched(SchedPolicy s)
-    {
-        cfg_.schedPolicy = s;
         return *this;
     }
 

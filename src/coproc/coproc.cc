@@ -389,24 +389,11 @@ CoProcessor::applyFaults(Cycle now)
                    "ExeBU %u hard fault (owner=%d, usable=%u)", u,
                    owner == kNoCore ? -1 : static_cast<int>(owner),
                    rt_.usableBus());
-        if (sink_ && sink_->wants(obs::EventKind::FaultInject)) {
-            obs::Event ev;
-            ev.cycle = now;
-            ev.kind = obs::EventKind::FaultInject;
-            ev.core = owner;
-            ev.a = static_cast<std::uint64_t>(fault::FaultKind::LaneFault);
-            ev.b = u;
-            sink_->record(ev);
-        }
-        if (sink_ && sink_->wants(obs::EventKind::PartitionDegrade)) {
-            obs::Event ev;
-            ev.cycle = now;
-            ev.kind = obs::EventKind::PartitionDegrade;
-            ev.core = owner;
-            ev.a = rt_.usableBus();
-            ev.b = cfg_.numExeBUs;
-            sink_->record(ev);
-        }
+        obs::emit(sink_, obs::EventKind::FaultInject, now, owner,
+                  static_cast<std::uint64_t>(fault::FaultKind::LaneFault),
+                  u);
+        obs::emit(sink_, obs::EventKind::PartitionDegrade, now, owner,
+                  rt_.usableBus(), cfg_.numExeBUs);
     }
 }
 
@@ -712,15 +699,9 @@ CoProcessor::renameStage(Cycle now)
             ++cs.regStallCycles;
         else if (other_stall)
             ++cs.otherStallCycles;
-        if ((reg_stall || other_stall) && sink_ &&
-            sink_->wants(obs::EventKind::RenameStall)) {
-            obs::Event ev;
-            ev.cycle = now;
-            ev.kind = obs::EventKind::RenameStall;
-            ev.core = c;
-            ev.a = reg_stall ? 1 : 0;
-            sink_->record(ev);
-        }
+        if (reg_stall || other_stall)
+            obs::emit(sink_, obs::EventKind::RenameStall, now, c,
+                      reg_stall ? 1 : 0);
     }
 }
 
@@ -747,15 +728,7 @@ CoProcessor::applyVl(CoreId c, unsigned target, Cycle now)
     // Ownership changed: rule-based policies refresh <decision> here,
     // eagerly, so skipped (fast-forwarded) cycles never miss one.
     model_.updateDecisions(cfg_, rt_);
-    if (sink_ && sink_->wants(obs::EventKind::VlApply)) {
-        obs::Event ev;
-        ev.cycle = now;
-        ev.kind = obs::EventKind::VlApply;
-        ev.core = c;
-        ev.a = target;
-        ev.b = rt_.al();
-        sink_->record(ev);
-    }
+    obs::emit(sink_, obs::EventKind::VlApply, now, c, target, rt_.al());
 }
 
 bool

@@ -20,15 +20,7 @@ void
 ScalarCore::recordVl(Cycle now, obs::EventKind kind, std::uint64_t a,
                      std::uint64_t b) const
 {
-    if (!sink_ || !sink_->wants(kind))
-        return;
-    obs::Event ev;
-    ev.cycle = now;
-    ev.kind = kind;
-    ev.core = id_;
-    ev.a = a;
-    ev.b = b;
-    sink_->record(ev);
+    obs::emit(sink_, kind, now, id_, a, b);
 }
 
 void
@@ -128,15 +120,9 @@ ScalarCore::enterLoop(Cycle now)
     elems_done_ = 0;
     iter_index_ = 0;
     state_ = State::Prologue;
-    if (sink_ && sink_->wants(obs::EventKind::PhaseBegin)) {
-        obs::Event ev;
-        ev.cycle = now;
-        ev.kind = obs::EventKind::PhaseBegin;
-        ev.core = id_;
-        ev.a = sink_->internString(t.name);
-        ev.b = t.phaseId;
-        sink_->record(ev);
-    }
+    if (sink_ && sink_->wants(obs::EventKind::PhaseBegin))
+        obs::emit(sink_, obs::EventKind::PhaseBegin, now, id_,
+                  sink_->internString(t.name), t.phaseId);
     OCCAMY_LOG(now, "Core", "core%u enters phase %s", id_, t.name.c_str());
 }
 
@@ -146,15 +132,10 @@ ScalarCore::finishLoop(Cycle now)
     phases_.back().end = now;
     if (phases_.back().lastVl == 0)
         phases_.back().lastVl = current_vl_;
-    if (sink_ && sink_->wants(obs::EventKind::PhaseEnd)) {
-        obs::Event ev;
-        ev.cycle = now;
-        ev.kind = obs::EventKind::PhaseEnd;
-        ev.core = id_;
-        ev.a = sink_->internString(phases_.back().name);
-        ev.b = phases_.back().phaseId;
-        sink_->record(ev);
-    }
+    if (sink_ && sink_->wants(obs::EventKind::PhaseEnd))
+        obs::emit(sink_, obs::EventKind::PhaseEnd, now, id_,
+                  sink_->internString(phases_.back().name),
+                  phases_.back().phaseId);
     ++loop_idx_;
     state_ = State::Idle;
 }

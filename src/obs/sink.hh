@@ -85,6 +85,16 @@ class EventSink
     EventMask mask_;
 };
 
+/** Record the (cycle, kind, core, a, b) event on @p sink, if any: one
+ *  branch when tracing is off, and the sink's mask check when on. */
+inline void
+emit(EventSink *sink, EventKind k, Cycle cycle, CoreId core,
+     std::uint64_t a = 0, std::uint64_t b = 0)
+{
+    if (sink)
+        sink->record({cycle, k, core, a, b});
+}
+
 /** Fixed-capacity drop-oldest ring sink. */
 class RingSink : public EventSink
 {

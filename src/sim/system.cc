@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <charconv>
 #include <chrono>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "ckpt/ckpt.hh"
 #include "fault/injector.hh"
@@ -17,6 +19,7 @@
 #include "sim/cluster_engine.hh"
 #include "sim/tick_pool.hh"
 #include "sim/wake_table.hh"
+#include "traffic/session.hh"
 
 namespace occamy
 {
@@ -27,14 +30,11 @@ namespace
 /**
  * The flat view cluster @p k of @p cfg is built from: K local cores,
  * the per-cluster ExeBU count, this cluster's initial DRAM grant, and
- * a 1/C slice of the shared L2. numClusters == 1 returns the config
- * unchanged.
+ * a 1/C slice of the shared L2.
  */
 MachineConfig
 clusterView(const MachineConfig &cfg, unsigned initial_dram_bpc)
 {
-    if (cfg.numClusters == 1)
-        return cfg;
     MachineConfig v = cfg;
     v.numClusters = 1;
     v.numCores = cfg.coresPerCluster();
@@ -111,6 +111,7 @@ struct System::Ctx
     std::vector<bool> done;
 
     // Batch dispatch state (Section 5).
+    const traffic::Dispatcher *dispatcher = nullptr;    ///< Never null.
     std::vector<bool> dispatched;
     std::size_t undispatched = 0;
     std::vector<PhaseOI> queue_oi;
@@ -119,53 +120,10 @@ struct System::Ctx
     std::vector<Cycle> dispatch_at;
     std::vector<std::size_t> pending_wl;
 
-    // Multi-tenant traffic state (src/traffic). Inert unless arrivals
-    // were enqueued: has_traffic gates every tick-loop branch, event,
-    // and exported artifact, keeping traffic-off runs byte-identical.
-    const traffic::Dispatcher *dispatcher = nullptr;
-    bool has_traffic = false;
-    std::vector<Cycle> eff_arrive;  ///< kCycleNever = not yet resolvable.
-    std::vector<bool> arrived;      ///< Entry is dispatchable.
-    std::size_t unarrived = 0;
-    Cycle next_arrival = kCycleNever;   ///< Min eff_arrive, unarrived.
-    std::vector<Cycle> admit_at;    ///< Dispatch decision cycle.
-    std::vector<Cycle> done_at;     ///< Completion cycle.
-    std::vector<std::size_t> dependent;  ///< q -> its closed-loop successor.
-    std::vector<std::size_t> core_job;   ///< Traffic entry running per core.
-    std::uint64_t slo_violations = 0;
-
-    // Admission-control state (src/traffic/admission). Inert unless a
-    // policy is installed: `admission` gates every branch, event,
-    // checkpoint section and exported artifact, so admission-off runs
-    // stay byte-identical. All of it is simulated state (checkpointed
-    // in the "admit" section) except the borrowed policy pointer.
-    const traffic::AdmissionPolicy *admission = nullptr;
-    unsigned admission_cap = 4;
-    std::vector<bool> adm_latched;      ///< Admission granted (one-time).
-    std::vector<bool> adm_shed;         ///< Rejected permanently.
-    std::vector<Cycle> adm_defer_until; ///< Backoff expiry per entry.
-    std::vector<std::uint32_t> adm_defer_count;
-    std::vector<unsigned> adm_inflight; ///< Per tenant: latched, unfinished.
-    std::vector<std::uint64_t> adm_tokens;      ///< Per tenant.
-    std::vector<Cycle> adm_last_refill;         ///< Per tenant.
-    Cycle adm_refill_period = 0;    ///< Cycles per token (from config
-                                    ///< mean gap; 0 = no token state).
-    std::uint64_t adm_shed_total = 0;
-    std::uint64_t adm_defer_total = 0;
-    std::size_t adm_ready = 0;      ///< Arrived, not dispatched/shed.
-    bool adm_overloaded = false;
-    std::uint64_t adm_overload_enters = 0;
-    /** Ring of the last 32 queueing delays (p95 detector input). */
-    std::array<Cycle, 32> adm_delay_ring{};
-    std::uint32_t adm_delay_n = 0;  ///< Total delays ever pushed.
-    /** Per-workload-class service EMA, sorted by class name for
-     *  deterministic checkpoint order. */
-    std::vector<std::pair<std::string, Cycle>> adm_class_ema;
-    Cycle adm_mean_ema = 0;
-    /** Earliest cycle an admission verdict can change without any
-     *  other wake (backoff expiry / token refill); recomputed from
-     *  scratch on every admission-aware selection scan. */
-    Cycle next_admission = kCycleNever;
+    /** Arrival and admission lifecycle of the queue; exists only when
+     *  traffic arrivals were enqueued, so its presence gates every
+     *  traffic-side branch, event, checkpoint section and export. */
+    std::unique_ptr<traffic::Session> traffic;
 
     FastForwardStats ff;
     std::uint64_t watchdog_trips = 0;
@@ -212,15 +170,19 @@ System::setWorkload(CoreId core, std::string name,
 void
 System::enqueueWorkload(std::string name, std::vector<kir::Loop> loops)
 {
+    // Plain entry: available at cycle 0, its own workload class.
+    traffic::Arrival m;
+    m.workload = name;
+    queue_meta_.push_back(std::move(m));
     queue_.emplace_back(std::move(name), std::move(loops));
-    queue_meta_.emplace_back();     // Plain entry: available at cycle 0.
 }
 
 void
 System::enqueueArrival(const traffic::Arrival &a)
 {
-    queue_.emplace_back(a.workload, a.loops);
-    queue_meta_.push_back(a);
+    // The loops live in queue_ only; the metadata copy drops them.
+    traffic::Arrival &m = queue_meta_.emplace_back(a);
+    queue_.emplace_back(m.workload, std::exchange(m.loops, {}));
     has_traffic_ = true;
 }
 
@@ -257,53 +219,52 @@ System::boot(const RunOptions &opt)
 
     // Per-cluster flat views, each with its own offline static lane
     // plan (Section 7.1's static spatial sharing, and work-conserving
-    // variants entitled by the same plan). On a flat machine the one
-    // view is the config itself and the legacy resolution path runs
-    // unchanged; on a clustered machine each cluster resolves a plan
-    // over its own K local cores.
+    // variants entitled by the same plan), resolved over the cluster's
+    // own K local cores. A flat machine is the one-cluster case: its
+    // view is the config itself, and the resolved plan is its plan.
     std::unique_ptr<ClusterArbiter> arbiter;
-    std::vector<MachineConfig> views;
-    if (cfg.numClusters == 1) {
-        if (model.wantsOfflineStaticPlan() && cfg.staticPlan.empty()) {
-            std::vector<std::vector<PhaseOI>> phase_ois(cfg.numCores);
-            std::vector<bool> will_run(cfg.numCores, false);
-            for (unsigned c = 0; c < cfg.numCores; ++c) {
-                for (const auto &loop : loops_[c])
-                    phase_ois[c].push_back(kir::phaseOI(
-                        loop, cfg.vecCache.sizeBytes, cfg.l2.sizeBytes));
-                will_run[c] = !loops_[c].empty() || !queue_.empty();
-            }
-            model.resolveStaticPlan(cfg, phase_ois, will_run);
-        }
-        views.push_back(cfg);
-    } else {
+    if (cfg.numClusters > 1)
         arbiter = std::make_unique<ClusterArbiter>(
             cfg.numClusters, cfg.dramBytesPerCycle,
             cfg.interArbiterPeriod);
-        const unsigned K = cfg.coresPerCluster();
-        for (unsigned k = 0; k < cfg.numClusters; ++k) {
-            MachineConfig v = clusterView(cfg, arbiter->shares()[k]);
-            if (model.wantsOfflineStaticPlan() && v.staticPlan.empty()) {
-                std::vector<std::vector<PhaseOI>> phase_ois(K);
-                std::vector<bool> will_run(K, false);
-                for (unsigned i = 0; i < K; ++i) {
-                    const unsigned g = k * K + i;
-                    for (const auto &loop : loops_[g])
-                        phase_ois[i].push_back(kir::phaseOI(
-                            loop, v.vecCache.sizeBytes,
-                            v.l2.sizeBytes));
-                    will_run[i] =
-                        !loops_[g].empty() || !queue_.empty();
-                }
-                model.resolveStaticPlan(v, phase_ois, will_run);
+    std::vector<MachineConfig> views;
+    const unsigned K = cfg.coresPerCluster();
+    for (unsigned k = 0; k < cfg.numClusters; ++k) {
+        MachineConfig v =
+            arbiter ? clusterView(cfg, arbiter->shares()[k]) : cfg;
+        if (model.wantsOfflineStaticPlan() && v.staticPlan.empty()) {
+            std::vector<std::vector<PhaseOI>> phase_ois(K);
+            std::vector<bool> will_run(K, false);
+            for (unsigned i = 0; i < K; ++i) {
+                const unsigned g = k * K + i;
+                for (const auto &loop : loops_[g])
+                    phase_ois[i].push_back(kir::phaseOI(
+                        loop, v.vecCache.sizeBytes, v.l2.sizeBytes));
+                will_run[i] = !loops_[g].empty() || !queue_.empty();
             }
-            views.push_back(std::move(v));
+            model.resolveStaticPlan(v, phase_ois, will_run);
         }
+        views.push_back(std::move(v));
     }
+    if (!arbiter)
+        cfg = views[0];
 
+    // Traffic arrivals make entries wait for their effective arrival
+    // cycle (and for admission, if a policy is installed); a plain
+    // batch queue has no session and every entry is available at once.
+    // Built before the machine, like the arbiter: its job table then
+    // sits below the large cache arrays on the heap, so tearing a run
+    // down does not return those pages to the OS for the next boot to
+    // fault in again (which doubled boot time when built after).
+    std::unique_ptr<traffic::Session> session;
+    if (has_traffic_)
+        session = std::make_unique<traffic::Session>(
+            queue_meta_, cfg.numCores, admission_, admission_cap_,
+            admission_refill_, opt.sink);
     ctx_ = std::make_unique<Ctx>(cfg, views, opt);
     Ctx &x = *ctx_;
     x.arbiter = std::move(arbiter);
+    x.traffic = std::move(session);
 
     // Fault injection (src/fault): the injector's consumable plan is a
     // single stateful stream, so it attaches to cluster 0's components
@@ -350,84 +311,21 @@ System::boot(const RunOptions &opt)
     x.finish.assign(x.cfg.numCores, 0);
     x.done.assign(x.cfg.numCores, false);
 
-    // For the OI-aware discipline we pre-analyze each queued
-    // workload's first-phase behaviour.
+    // Every selection goes through a dispatcher; FCFS unless one was
+    // installed. Disciplines that score co-placement get each queued
+    // workload's first-phase behaviour pre-analyzed.
+    x.dispatcher =
+        dispatcher_ ? dispatcher_ : traffic::dispatcherByName("fcfs");
     x.dispatched.assign(queue_.size(), false);
     x.undispatched = queue_.size();
     x.queue_oi.resize(queue_.size());
-    if (x.cfg.schedPolicy == SchedPolicy::OiAware ||
-        (dispatcher_ && dispatcher_->wantsOiScore())) {
+    if (x.dispatcher->wantsOiScore()) {
         const MachineConfig &view = x.engines[0]->view();
         for (std::size_t q = 0; q < queue_.size(); ++q)
             if (!queue_[q].second.empty())
                 x.queue_oi[q] = kir::phaseOI(queue_[q].second.front(),
                                              view.vecCache.sizeBytes,
                                              view.l2.sizeBytes);
-    }
-
-    // Traffic state: every queue entry is immediately available unless
-    // arrivals were enqueued, in which case each entry waits for its
-    // effective arrival cycle (closed-loop entries resolve theirs when
-    // the predecessor completes).
-    x.dispatcher = dispatcher_;
-    x.has_traffic = has_traffic_;
-    x.eff_arrive.assign(queue_.size(), 0);
-    x.arrived.assign(queue_.size(), true);
-    x.admit_at.assign(queue_.size(), kCycleNever);
-    x.done_at.assign(queue_.size(), kCycleNever);
-    x.dependent.assign(queue_.size(), traffic::kNoJob);
-    x.core_job.assign(x.cfg.numCores, traffic::kNoJob);
-    if (x.has_traffic) {
-        x.arrived.assign(queue_.size(), false);
-        x.unarrived = queue_.size();
-        x.next_arrival = kCycleNever;
-        for (std::size_t q = 0; q < queue_.size(); ++q) {
-            const traffic::Arrival &m = queue_meta_[q];
-            if (m.dependsOn == traffic::kNoJob) {
-                x.eff_arrive[q] = m.arriveAt;
-                x.next_arrival = std::min(x.next_arrival, m.arriveAt);
-            } else {
-                x.eff_arrive[q] = kCycleNever;
-                x.dependent[m.dependsOn] = q;
-            }
-        }
-    }
-
-    // Admission-control state: active only for traffic runs with a
-    // policy installed; otherwise none of it exists, so admission-off
-    // runs (the default) carry zero admission state anywhere.
-    x.admission = x.has_traffic ? admission_ : nullptr;
-    x.admission_cap = admission_cap_;
-    if (x.admission) {
-        const std::size_t n = queue_.size();
-        x.adm_latched.assign(n, false);
-        x.adm_shed.assign(n, false);
-        x.adm_defer_until.assign(n, 0);
-        x.adm_defer_count.assign(n, 0);
-        unsigned tenants = 1;
-        for (const traffic::Arrival &m : queue_meta_)
-            tenants = std::max(tenants, m.tenant + 1);
-        x.adm_inflight.assign(tenants, 0);
-        x.adm_tokens.assign(tenants, 0);
-        x.adm_last_refill.assign(tenants, 0);
-        if (x.admission->wantsTokens()) {
-            x.adm_refill_period =
-                admission_refill_ ? admission_refill_ : 100'000;
-            // Buckets start full: a tenant may burst up to `cap` jobs
-            // before the per-period refill becomes the binding rate.
-            x.adm_tokens.assign(tenants, x.admission_cap);
-        }
-        // Per-class service-EMA table, sorted by class name so the
-        // checkpoint order is deterministic.
-        std::vector<std::string> classes;
-        for (const auto &[wl_name, wl_loops] : queue_)
-            classes.push_back(wl_name);
-        std::sort(classes.begin(), classes.end());
-        classes.erase(std::unique(classes.begin(), classes.end()),
-                      classes.end());
-        for (const std::string &cls : classes)
-            x.adm_class_ema.emplace_back(cls, 0);
-        x.next_admission = kCycleNever;
     }
 
     // What each core is running or about to run, for placement
@@ -440,13 +338,8 @@ System::boot(const RunOptions &opt)
     // Boot beacon: engine category, so kEvAll artifacts are untouched.
     // A serve daemon counts these to prove a warm-pool request paid no
     // boot cost on the request path.
-    if (opt.sink && opt.sink->wants(obs::EventKind::SystemBoot)) {
-        obs::Event ev;
-        ev.kind = obs::EventKind::SystemBoot;
-        ev.a = x.cfg.numCores;
-        ev.b = x.cfg.numExeBUs;
-        opt.sink->record(ev);
-    }
+    obs::emit(opt.sink, obs::EventKind::SystemBoot, 0, kNoCore,
+              x.cfg.numCores, x.cfg.numExeBUs);
 }
 
 Cycle
@@ -464,7 +357,7 @@ System::finished() const
 bool
 System::overloaded() const
 {
-    return ctx_ && ctx_->admission && ctx_->adm_overloaded;
+    return ctx_ && ctx_->traffic && ctx_->traffic->overloaded();
 }
 
 bool
@@ -487,6 +380,11 @@ System::advance(Cycle stop_at)
     Cycle &now = x.now;
     Cycle &last_finish = x.last_finish;
 
+    auto emit = [&](obs::EventKind k, CoreId core, std::uint64_t a,
+                    std::uint64_t b) {
+        obs::emit(opt.sink, k, now, core, a, b);
+    };
+
     // Periodic checkpointing: pause at every multiple of the period
     // and overwrite the target file. Derived, not stored: resuming at
     // cycle N computes the same next boundary a straight run uses.
@@ -502,13 +400,8 @@ System::advance(Cycle stop_at)
             throw ckpt::Error("cannot open checkpoint file: " +
                               opt.checkpointOut);
         saveCheckpoint(os);
-        if (opt.sink && opt.sink->wants(obs::EventKind::CheckpointSave)) {
-            obs::Event ev;
-            ev.cycle = now;
-            ev.kind = obs::EventKind::CheckpointSave;
-            ev.a = static_cast<std::uint64_t>(os.tellp());
-            opt.sink->record(ev);
-        }
+        emit(obs::EventKind::CheckpointSave, kNoCore,
+             static_cast<std::uint64_t>(os.tellp()), 0);
     };
 
     // Estimate the machine's *normalized progress* (the classic
@@ -567,146 +460,42 @@ System::advance(Cycle stop_at)
         return total;
     };
 
-    // A queue entry is dispatchable once undispatched, (under
-    // traffic) arrived, and (under admission control) admitted. Shed
-    // entries are marked dispatched, so they are excluded implicitly.
-    auto available = [&](std::size_t q) {
-        return !x.dispatched[q] && (!x.has_traffic || x.arrived[q]) &&
-               (!x.admission || x.adm_latched[q]);
-    };
-
-    // p95 queueing delay over the sliding ring of recent admits
-    // (0 until any sample) — the overload detector's latency signal.
-    auto admDelayP95 = [&]() -> Cycle {
-        const std::size_t n = std::min<std::size_t>(
-            x.adm_delay_n, x.adm_delay_ring.size());
-        if (n == 0)
-            return 0;
-        std::array<Cycle, 32> tmp{};
-        std::copy_n(x.adm_delay_ring.begin(), n, tmp.begin());
-        std::sort(tmp.begin(), tmp.begin() + n);
-        std::size_t rank = (95 * n + 99) / 100;     // ceil(0.95 n).
-        if (rank < 1)
-            rank = 1;
-        return tmp[rank - 1];
-    };
-
-    // Overload detector with enter/exit hysteresis: trip when the
-    // ready backlog reaches 4x the core count or the p95 queueing
-    // delay reaches 4x the mean observed service time; exit only once
-    // the backlog drains to <= cores AND the p95 falls back under 2x
-    // — the asymmetric thresholds prevent enter/exit flapping.
-    auto updateOverload = [&]() {
-        if (!x.admission)
-            return;
-        const Cycle p95 = admDelayP95();
-        if (!x.adm_overloaded) {
-            const bool deep =
-                x.adm_ready >= 4ull * cfg.numCores;
-            const bool slow =
-                x.adm_mean_ema > 0 && p95 > 4 * x.adm_mean_ema;
-            if (!deep && !slow)
-                return;
-            x.adm_overloaded = true;
-            ++x.adm_overload_enters;
-            if (opt.sink &&
-                opt.sink->wants(obs::EventKind::OverloadEnter)) {
-                obs::Event ev;
-                ev.cycle = now;
-                ev.kind = obs::EventKind::OverloadEnter;
-                ev.a = x.adm_ready;
-                ev.b = p95;
-                opt.sink->record(ev);
-            }
-        } else if (x.adm_ready <= cfg.numCores &&
-                   (x.adm_mean_ema == 0 ||
-                    p95 <= 2 * x.adm_mean_ema)) {
-            x.adm_overloaded = false;
-            if (opt.sink &&
-                opt.sink->wants(obs::EventKind::OverloadExit)) {
-                obs::Event ev;
-                ev.cycle = now;
-                ev.kind = obs::EventKind::OverloadExit;
-                ev.a = x.adm_ready;
-                ev.b = p95;
-                opt.sink->record(ev);
-            }
-        }
-    };
-
     // Choose which queued workload an idle core picks up next; returns
     // queue_.size() when nothing is dispatchable yet (the core idles
-    // until the next arrival).
+    // until the next arrival or admission). The traffic session
+    // supplies the candidates when there is one; otherwise every
+    // undispatched entry is a candidate, except that a clustered
+    // machine prefers work whose home cluster (entry q's is
+    // q % numClusters) is the idle core's own. Adopting a foreign entry
+    // — the work-migration path — costs clusterMigrationCycles and is
+    // only taken when no home entry is left.
+    std::vector<traffic::PendingJob> pending;
     auto selectNext = [&](CoreId core) -> std::size_t {
-        if (x.dispatcher) {
-            std::vector<traffic::PendingJob> pending;
-            for (std::size_t q = 0; q < queue_.size(); ++q) {
-                if (!available(q))
-                    continue;
-                traffic::PendingJob pj;
-                pj.queueIdx = q;
-                pj.arrived = x.has_traffic ? x.eff_arrive[q] : 0;
-                pj.tenant = queue_meta_[q].tenant;
-                pj.estCost = queue_meta_[q].estCost;
-                if (queue_meta_[q].sloBudget != kCycleNever)
-                    pj.deadline =
-                        x.eff_arrive[q] + queue_meta_[q].sloBudget;
-                pending.push_back(pj);
-            }
-            if (pending.empty())
-                return queue_.size();
-            traffic::DispatchContext dc{now, core, pending, {}};
-            if (x.dispatcher->wantsOiScore())
-                dc.progressScore = [&](std::size_t i) {
-                    return progressWith(x.queue_oi[pending[i].queueIdx],
-                                        core);
-                };
-            const std::size_t sel = x.dispatcher->select(dc);
-            if (sel >= pending.size())
-                return queue_.size();   // kDefer: leave the core idle.
-            return pending[sel].queueIdx;
-        }
-        // Clustered machines prefer work whose home cluster is the
-        // idle core's own (queue entry q's home is q % numClusters):
-        // adopting a foreign entry is still allowed — that is the
-        // work-migration path — but costs clusterMigrationCycles and
-        // is only taken when the home clusters have nothing ready.
-        const unsigned here = x.clusterOf(core);
-        auto isHome = [&](std::size_t q) {
-            return static_cast<unsigned>(q % x.ncl) == here;
-        };
-        if (cfg.schedPolicy == SchedPolicy::Fcfs) {
-            if (x.ncl > 1) {
-                for (std::size_t q = 0; q < queue_.size(); ++q)
-                    if (available(q) && isHome(q))
-                        return q;
-            }
-            for (std::size_t q = 0; q < queue_.size(); ++q)
-                if (available(q))
-                    return q;
+        if (x.traffic) {
+            x.traffic->pending(pending);
         } else {
-            bool home_only = false;
-            if (x.ncl > 1) {
-                for (std::size_t q = 0; q < queue_.size(); ++q)
-                    if (available(q) && isHome(q)) {
-                        home_only = true;
-                        break;
-                    }
-            }
-            std::size_t best = queue_.size();
-            double best_tp = -1.0;
-            for (std::size_t q = 0; q < queue_.size(); ++q) {
-                if (!available(q) || (home_only && !isHome(q)))
-                    continue;
-                const double tp = progressWith(x.queue_oi[q], core);
-                if (tp > best_tp + 1e-9) {
-                    best_tp = tp;
-                    best = q;
-                }
-            }
-            return best;
+            pending.clear();
+            for (std::size_t q = 0; q < queue_.size(); ++q)
+                if (!x.dispatched[q])
+                    pending.push_back(traffic::PendingJob{.queueIdx = q});
+            auto foreign = [&](const traffic::PendingJob &p) {
+                return p.queueIdx % x.ncl != x.clusterOf(core);
+            };
+            if (x.ncl > 1 &&
+                !std::all_of(pending.begin(), pending.end(), foreign))
+                std::erase_if(pending, foreign);
         }
-        return queue_.size();
+        if (pending.empty())
+            return queue_.size();
+        traffic::DispatchContext dc{now, core, pending, {}};
+        if (x.dispatcher->wantsOiScore())
+            dc.progressScore = [&](std::size_t i) {
+                return progressWith(x.queue_oi[pending[i].queueIdx], core);
+            };
+        const std::size_t sel = x.dispatcher->select(dc);
+        if (sel >= pending.size())
+            return queue_.size();       // kDefer: leave the core idle.
+        return pending[sel].queueIdx;
     };
 
     // The parallel tick phase: engines are ticked concurrently (or in
@@ -771,28 +560,23 @@ System::advance(Cycle stop_at)
                                   : kCycleNever;
                    });
     }
-    // A pending traffic arrival is a state change no component probe
-    // can see: an all-idle machine waiting for work must wake exactly
-    // at the next effective arrival. Unresolved closed-loop arrivals
-    // (next_arrival == kCycleNever) need no candidate — their
+    // A pending traffic arrival, and an admission re-evaluation
+    // boundary (a deferred job's backoff expiry, or a fresh arrival's
+    // first verdict), are state changes no component probe can see: an
+    // all-idle machine waiting for work must wake exactly there.
+    // Unresolved closed-loop arrivals need no candidate — their
     // predecessor is still running, so a component event precedes
     // their resolution.
-    if (x.has_traffic)
-        wt.add(2, WakeSource::Arrival, [&x](Cycle at) {
-            return x.unarrived > 0
-                       ? std::max(x.next_arrival, at + 1)
-                       : kCycleNever;
+    if (x.traffic) {
+        wt.add(2, WakeSource::Arrival, [s = x.traffic.get()](Cycle at) {
+            return s->arrivalWake(at);
         });
-    // Admission re-evaluation boundaries (a deferred job's backoff
-    // expiry, or a fresh arrival's first verdict) change scheduling
-    // state no component probe can see. next_admission is recomputed
-    // from scratch by every admission pass, so it is never stale.
-    if (x.admission)
-        wt.add(2, WakeSource::Admission, [&x](Cycle at) {
-            return x.next_admission != kCycleNever
-                       ? std::max(x.next_admission, at + 1)
-                       : kCycleNever;
-        });
+        if (x.traffic->hasAdmission())
+            wt.add(2, WakeSource::Admission,
+                   [s = x.traffic.get()](Cycle at) {
+                       return s->admissionWake(at);
+                   });
+    }
 
     // --- Cycle loop. ---
     for (; now < max_cycles; ++now) {
@@ -881,202 +665,35 @@ System::advance(Cycle stop_at)
                 if (st.resolved && st.ok)
                     continue;   // Grant landed; the spin ends next step.
                 ++x.watchdog_trips;
-                if (opt.sink &&
-                    opt.sink->wants(obs::EventKind::WatchdogTrip)) {
-                    obs::Event ev;
-                    ev.cycle = now;
-                    ev.kind = obs::EventKind::WatchdogTrip;
-                    ev.core = static_cast<CoreId>(c);
-                    ev.a = cp.currentVl(core.id());
-                    ev.b = now - core.spinSince();
-                    opt.sink->record(ev);
-                }
+                emit(obs::EventKind::WatchdogTrip, static_cast<CoreId>(c),
+                     cp.currentVl(core.id()), now - core.spinSince());
                 core.watchdogEscalate(now);
             }
         }
 
-        // Traffic arrivals whose effective cycle has come become
-        // dispatchable this cycle (before any dispatch decision, so a
-        // job arriving at `now` is immediately schedulable).
-        if (x.has_traffic && x.next_arrival <= now) {
-            Cycle next = kCycleNever;
-            for (std::size_t q = 0; q < queue_.size(); ++q) {
-                if (x.arrived[q])
-                    continue;
-                if (x.eff_arrive[q] <= now) {
-                    x.arrived[q] = true;
-                    --x.unarrived;
-                    if (x.admission) {
-                        ++x.adm_ready;
-                        x.next_admission = now; // Evaluate on sight.
-                    }
-                    if (opt.sink &&
-                        opt.sink->wants(obs::EventKind::JobArrival)) {
-                        obs::Event ev;
-                        ev.cycle = now;
-                        ev.kind = obs::EventKind::JobArrival;
-                        ev.a = opt.sink->internString(queue_[q].first);
-                        ev.b = (static_cast<std::uint64_t>(
-                                    queue_meta_[q].tenant)
-                                << 32) |
-                               static_cast<std::uint64_t>(q);
-                        opt.sink->record(ev);
-                    }
-                } else {
-                    next = std::min(next, x.eff_arrive[q]);
-                }
-            }
-            x.next_arrival = next;
-        }
-
-        // Admission verdicts for arrived-but-unlatched candidates
-        // whose backoff has expired. Runs at arrival instants and at
-        // deferred re-evaluation boundaries, before any dispatch
-        // decision, so an admitted job is dispatchable the same cycle
-        // it would have been without admission control. Recomputes
-        // next_admission from scratch so the fast-forward wake above
-        // is never stale.
-        if (x.admission && x.next_admission <= now) {
-            Cycle next = kCycleNever;
-            for (std::size_t q = 0; q < queue_.size(); ++q) {
-                if (x.dispatched[q] || !x.arrived[q] ||
-                    x.adm_latched[q])
-                    continue;
-                if (x.adm_defer_until[q] > now) {
-                    next = std::min(next, x.adm_defer_until[q]);
-                    continue;
-                }
-                const traffic::Arrival &m = queue_meta_[q];
-                const unsigned t = m.tenant;
-                // Deterministic lazy token refill: one token per
-                // tenant per period, capped at the bucket size.
-                if (x.adm_refill_period) {
-                    const Cycle elapsed = now - x.adm_last_refill[t];
-                    const std::uint64_t add =
-                        elapsed / x.adm_refill_period;
-                    if (add) {
-                        x.adm_tokens[t] = std::min<std::uint64_t>(
-                            x.adm_tokens[t] + add, x.admission_cap);
-                        x.adm_last_refill[t] +=
-                            add * x.adm_refill_period;
-                    }
-                }
-                traffic::AdmissionContext ac;
-                ac.now = now;
-                ac.tenant = t;
-                ac.sloBudget = m.sloBudget;
-                if (m.sloBudget != kCycleNever)
-                    ac.deadline = x.eff_arrive[q] + m.sloBudget;
-                ac.estCost = static_cast<Cycle>(m.estCost);
-                {
-                    const std::string &cls = queue_[q].first;
-                    auto it = std::lower_bound(
-                        x.adm_class_ema.begin(), x.adm_class_ema.end(),
-                        cls,
-                        [](const std::pair<std::string, Cycle> &e,
-                           const std::string &k) { return e.first < k; });
-                    if (it != x.adm_class_ema.end() && it->first == cls)
-                        ac.classServiceEma = it->second;
-                }
-                ac.meanServiceEma = x.adm_mean_ema;
-                ac.readyJobs = x.adm_ready;
-                ac.inFlight = x.adm_inflight[t];
-                ac.tokens = x.adm_tokens[t];
-                ac.overloaded = x.adm_overloaded;
-                ac.cores = cfg.numCores;
-                ac.deferCount = x.adm_defer_count[q];
-                ac.cap = x.admission_cap;
-
-                switch (x.admission->decide(ac)) {
-                  case traffic::AdmissionDecision::Admit:
-                    // One-time latch; tokens are consumed here, at
-                    // admission, never at dispatch.
-                    x.adm_latched[q] = true;
-                    ++x.adm_inflight[t];
-                    if (x.admission->wantsTokens() &&
-                        x.adm_tokens[t] > 0)
-                        --x.adm_tokens[t];
-                    break;
-                  case traffic::AdmissionDecision::Defer: {
-                    const Cycle backoff =
-                        traffic::admissionBackoff(x.adm_defer_count[q]);
-                    ++x.adm_defer_count[q];
-                    ++x.adm_defer_total;
-                    x.adm_defer_until[q] = now + backoff;
-                    next = std::min(next, x.adm_defer_until[q]);
-                    if (opt.sink &&
-                        opt.sink->wants(obs::EventKind::JobDefer)) {
-                        obs::Event ev;
-                        ev.cycle = now;
-                        ev.kind = obs::EventKind::JobDefer;
-                        ev.a = q;
-                        ev.b = backoff;
-                        opt.sink->record(ev);
-                    }
-                    break;
-                  }
-                  case traffic::AdmissionDecision::Shed: {
-                    x.adm_shed[q] = true;
-                    x.dispatched[q] = true;
-                    --x.undispatched;
-                    --x.adm_ready;
-                    ++x.adm_shed_total;
-                    if (opt.sink &&
-                        opt.sink->wants(obs::EventKind::JobShed)) {
-                        obs::Event ev;
-                        ev.cycle = now;
-                        ev.kind = obs::EventKind::JobShed;
-                        ev.a = q;
-                        ev.b = (static_cast<std::uint64_t>(t) << 32) |
-                               x.adm_defer_count[q];
-                        opt.sink->record(ev);
-                    }
-                    // Release the closed-loop successor exactly as a
-                    // completion would: the simulated client carries
-                    // on after a rejection, so no chain (and no run)
-                    // ever hangs on a shed predecessor.
-                    const std::size_t dep = x.dependent[q];
-                    if (dep != traffic::kNoJob) {
-                        x.eff_arrive[dep] =
-                            now + queue_meta_[dep].thinkGap;
-                        x.next_arrival = std::min(x.next_arrival,
-                                                  x.eff_arrive[dep]);
-                    }
-                    break;
-                  }
-                }
-            }
-            x.next_admission = next;
-            updateOverload();
-        }
+        // Traffic arrivals and admission verdicts due this cycle, before
+        // any dispatch decision; an inline compare on quiet cycles.
+        if (x.traffic && x.traffic->due(now))
+            x.undispatched -= x.traffic->admitArrivals(now, x.dispatched);
 
         // Dispatch queued workloads onto cores whose context switch
         // completed.
         for (unsigned c = 0; c < cfg.numCores; ++c) {
-            if (x.dispatch_at[c] != kCycleNever &&
-                now >= x.dispatch_at[c]) {
-                const auto &[wl_name, wl_loops] = queue_[x.pending_wl[c]];
-                x.compile_log.emplace_back(static_cast<CoreId>(c),
-                                           x.pending_wl[c]);
-                x.core(c).setProgram(compileAndBind(
-                    x, static_cast<CoreId>(c), wl_name, wl_loops));
-                x.core_prog[c] = x.programs.size() - 1;
-                if (x.has_traffic)
-                    x.core_job[c] = x.pending_wl[c];
-                result.batch.push_back(BatchCompletion{
-                    wl_name, static_cast<CoreId>(c), now, 0});
-                if (opt.sink &&
-                    opt.sink->wants(obs::EventKind::BatchDispatch)) {
-                    obs::Event ev;
-                    ev.cycle = now;
-                    ev.kind = obs::EventKind::BatchDispatch;
-                    ev.core = static_cast<CoreId>(c);
-                    ev.a = opt.sink->internString(wl_name);
-                    ev.b = x.pending_wl[c];
-                    opt.sink->record(ev);
-                }
-                x.dispatch_at[c] = kCycleNever;
-            }
+            if (x.dispatch_at[c] == kCycleNever || now < x.dispatch_at[c])
+                continue;
+            const CoreId cid = static_cast<CoreId>(c);
+            const std::size_t q = x.pending_wl[c];
+            const auto &[wl_name, wl_loops] = queue_[q];
+            x.compile_log.emplace_back(cid, q);
+            x.core(c).setProgram(compileAndBind(x, cid, wl_name, wl_loops));
+            x.core_prog[c] = x.programs.size() - 1;
+            if (x.traffic)
+                x.traffic->started(cid, q);
+            result.batch.push_back(BatchCompletion{wl_name, cid, now, 0});
+            if (opt.sink && opt.sink->wants(obs::EventKind::BatchDispatch))
+                emit(obs::EventKind::BatchDispatch, cid,
+                     opt.sink->internString(wl_name), q);
+            x.dispatch_at[c] = kCycleNever;
         }
 
         // Lane accounting (FTS scaling, bucket sums, busy integral)
@@ -1085,174 +702,56 @@ System::advance(Cycle stop_at)
         // and batch dispatch.
         bool all_done = true;
         for (unsigned c = 0; c < cfg.numCores; ++c) {
-            if (!x.done[c]) {
-                const bool idle =
-                    x.core(c).doneEmitting() &&
-                    x.eng(c).coproc().coreDrained(x.lc(c)) &&
-                    x.dispatch_at[c] == kCycleNever;
-                if (idle) {
-                    // Close the traffic lifecycle of the job that just
-                    // completed here: completion record, SLO check, and
-                    // resolution of its closed-loop successor's
-                    // effective arrival.
-                    if (x.core_job[c] != traffic::kNoJob) {
-                        const std::size_t q = x.core_job[c];
-                        x.core_job[c] = traffic::kNoJob;
-                        x.done_at[q] = now;
-                        const Cycle lat = now - x.eff_arrive[q];
-                        if (opt.sink &&
-                            opt.sink->wants(obs::EventKind::JobComplete)) {
-                            obs::Event ev;
-                            ev.cycle = now;
-                            ev.kind = obs::EventKind::JobComplete;
-                            ev.core = static_cast<CoreId>(c);
-                            ev.a = q;
-                            ev.b = lat;
-                            opt.sink->record(ev);
-                        }
-                        const Cycle budget = queue_meta_[q].sloBudget;
-                        if (budget != kCycleNever && lat > budget) {
-                            ++x.slo_violations;
-                            if (opt.sink &&
-                                opt.sink->wants(
-                                    obs::EventKind::SloViolation)) {
-                                obs::Event ev;
-                                ev.cycle = now;
-                                ev.kind = obs::EventKind::SloViolation;
-                                ev.core = static_cast<CoreId>(c);
-                                ev.a = q;
-                                ev.b = lat - budget;
-                                opt.sink->record(ev);
-                            }
-                        }
-                        const std::size_t dep = x.dependent[q];
-                        if (dep != traffic::kNoJob) {
-                            x.eff_arrive[dep] =
-                                now + queue_meta_[dep].thinkGap;
-                            x.next_arrival = std::min(x.next_arrival,
-                                                      x.eff_arrive[dep]);
-                        }
-                        // Admission bookkeeping: the tenant's slot
-                        // frees, and the observed service time
-                        // (dispatch decision to completion) feeds the
-                        // per-class and mean EMAs the slo-aware
-                        // policy predicts with. Integer EMA,
-                        // alpha = 1/4.
-                        if (x.admission) {
-                            const unsigned t = queue_meta_[q].tenant;
-                            if (x.adm_inflight[t] > 0)
-                                --x.adm_inflight[t];
-                            const Cycle service = now - x.admit_at[q];
-                            const std::string &cls = queue_[q].first;
-                            auto it = std::lower_bound(
-                                x.adm_class_ema.begin(),
-                                x.adm_class_ema.end(), cls,
-                                [](const std::pair<std::string,
-                                                   Cycle> &e,
-                                   const std::string &k) {
-                                    return e.first < k;
-                                });
-                            if (it != x.adm_class_ema.end() &&
-                                it->first == cls)
-                                it->second =
-                                    it->second
-                                        ? (3 * it->second + service) / 4
-                                        : service;
-                            x.adm_mean_ema =
-                                x.adm_mean_ema
-                                    ? (3 * x.adm_mean_ema + service) / 4
-                                    : service;
-                        }
-                    }
-                    // Close the batch record of the workload that just
-                    // completed on this core, if any.
-                    for (auto it = result.batch.rbegin();
-                         it != result.batch.rend(); ++it) {
-                        if (it->core == c && it->finished == 0) {
-                            it->finished = now;
-                            break;
-                        }
-                    }
-                    if (x.undispatched > 0) {
-                        // Grab the next workload (per the dispatch
-                        // discipline) after the OS context-switch cost.
-                        // Under traffic nothing may have arrived yet;
-                        // the core then idles until the next arrival.
-                        const std::size_t q =
-                            selectNext(static_cast<CoreId>(c));
-                        if (q < queue_.size()) {
-                            x.pending_wl[c] = q;
-                            x.dispatched[q] = true;
-                            x.sched_oi[c] = x.queue_oi[q];
-                            --x.undispatched;
-                            x.dispatch_at[c] =
-                                now + cfg.contextSwitchCycles;
-                            // Cross-cluster adoption (work migration)
-                            // pays the extra state-movement cost and
-                            // is accounted by the arbiter.
-                            if (x.ncl > 1) {
-                                const unsigned home =
-                                    static_cast<unsigned>(q % x.ncl);
-                                const unsigned here = x.clusterOf(c);
-                                if (home != here) {
-                                    x.dispatch_at[c] +=
-                                        cfg.clusterMigrationCycles;
-                                    x.arbiter->noteMigration(home,
-                                                             here);
-                                    if (opt.sink &&
-                                        opt.sink->wants(
-                                            obs::EventKind::
-                                                ClusterArbiterMigrate)) {
-                                        obs::Event ev;
-                                        ev.cycle = now;
-                                        ev.kind = obs::EventKind::
-                                            ClusterArbiterMigrate;
-                                        ev.core =
-                                            static_cast<CoreId>(c);
-                                        ev.a = q;
-                                        ev.b =
-                                            (static_cast<std::uint64_t>(
-                                                 home)
-                                             << 32) |
-                                            here;
-                                        opt.sink->record(ev);
-                                    }
-                                }
-                            }
-                            if (x.has_traffic) {
-                                x.admit_at[q] = now;
-                                if (opt.sink &&
-                                    opt.sink->wants(
-                                        obs::EventKind::JobAdmit)) {
-                                    obs::Event ev;
-                                    ev.cycle = now;
-                                    ev.kind = obs::EventKind::JobAdmit;
-                                    ev.core = static_cast<CoreId>(c);
-                                    ev.a = q;
-                                    ev.b = now - x.eff_arrive[q];
-                                    opt.sink->record(ev);
-                                }
-                                if (x.admission) {
-                                    --x.adm_ready;
-                                    x.adm_delay_ring
-                                        [x.adm_delay_n %
-                                         x.adm_delay_ring.size()] =
-                                        now - x.eff_arrive[q];
-                                    ++x.adm_delay_n;
-                                    updateOverload();
-                                }
-                            }
-                        }
-                        all_done = false;
-                    } else {
-                        x.done[c] = true;
-                        x.finish[c] = now;
-                        last_finish = std::max(last_finish, now);
-                    }
-                } else {
-                    all_done = false;
+            if (x.done[c])
+                continue;
+            const CoreId cid = static_cast<CoreId>(c);
+            if (!x.core(c).doneEmitting() ||
+                !x.eng(c).coproc().coreDrained(x.lc(c)) ||
+                x.dispatch_at[c] != kCycleNever) {
+                all_done = false;
+                continue;
+            }
+            // Close the traffic lifecycle and the batch record of the
+            // workload that just completed on this core, if any.
+            if (x.traffic)
+                x.traffic->completed(cid, now);
+            for (auto it = result.batch.rbegin(); it != result.batch.rend();
+                 ++it) {
+                if (it->core == c && it->finished == 0) {
+                    it->finished = now;
+                    break;
                 }
             }
+            if (x.undispatched == 0) {
+                x.done[c] = true;
+                x.finish[c] = now;
+                last_finish = std::max(last_finish, now);
+                continue;
+            }
+            all_done = false;
+            // Grab the next workload (per the dispatch discipline) after
+            // the OS context-switch cost. Under traffic nothing may have
+            // arrived yet; the core then idles until the next arrival.
+            const std::size_t q = selectNext(cid);
+            if (q == queue_.size())
+                continue;
+            x.pending_wl[c] = q;
+            x.dispatched[q] = true;
+            x.sched_oi[c] = x.queue_oi[q];
+            --x.undispatched;
+            x.dispatch_at[c] = now + cfg.contextSwitchCycles;
+            // Cross-cluster adoption (work migration) pays the extra
+            // state-movement cost and is accounted by the arbiter.
+            const unsigned home = static_cast<unsigned>(q % x.ncl);
+            const unsigned here = x.clusterOf(c);
+            if (home != here) {
+                x.dispatch_at[c] += cfg.clusterMigrationCycles;
+                x.arbiter->noteMigration(home, here);
+                emit(obs::EventKind::ClusterArbiterMigrate, cid, q,
+                     (static_cast<std::uint64_t>(home) << 32) | here);
+            }
+            if (x.traffic)
+                x.traffic->selected(q, cid, now);
         }
         if (opt.snapshotEvery && now > 0 &&
             now % opt.snapshotEvery == 0) {
@@ -1312,15 +811,8 @@ System::advance(Cycle stop_at)
         if (span == 0)
             continue;
 
-        if (opt.sink &&
-            opt.sink->wants(obs::EventKind::SchedFastForward)) {
-            obs::Event ev;
-            ev.cycle = now;
-            ev.kind = obs::EventKind::SchedFastForward;
-            ev.a = span;
-            ev.b = static_cast<std::uint64_t>(why);
-            opt.sink->record(ev);
-        }
+        emit(obs::EventKind::SchedFastForward, kNoCore, span,
+             static_cast<std::uint64_t>(why));
         for (auto &eng : x.engines)
             eng->synthesizeSkipped(now + 1, target - 1, bucket);
         for (auto &eng : x.engines)
@@ -1428,26 +920,12 @@ System::finalize()
         }
     }
 
-    if (x.has_traffic) {
-        result.sloViolations = x.slo_violations;
-        result.trafficJobs.resize(queue_.size());
-        for (std::size_t q = 0; q < queue_.size(); ++q) {
-            traffic::JobRecord &jr = result.trafficJobs[q];
-            jr.tenant = queue_meta_[q].tenant;
-            jr.arrive = x.eff_arrive[q];
-            jr.admit = x.admit_at[q];
-            jr.finish = x.done_at[q];
-            jr.sloBudget = queue_meta_[q].sloBudget;
-            if (x.admission) {
-                jr.shed = x.adm_shed[q];
-                jr.defers = x.adm_defer_count[q];
-            }
-        }
-        if (x.admission) {
-            result.jobsShed = x.adm_shed_total;
-            result.jobDeferrals = x.adm_defer_total;
-            result.overloadEnters = x.adm_overload_enters;
-        }
+    if (x.traffic) {
+        result.trafficJobs = x.traffic->records();
+        result.sloViolations = x.traffic->sloViolations();
+        result.jobsShed = x.traffic->jobsShed();
+        result.jobDeferrals = x.traffic->jobDeferrals();
+        result.overloadEnters = x.traffic->overloadEnters();
     }
 
     // gem5-style stats dump (same groups the snapshots sampled).
@@ -1478,40 +956,8 @@ System::finalize()
                 "cluster_migrations", [mig] { return mig; },
                 "queued workloads adopted across clusters");
         }
-        if (x.has_traffic) {
-            double completed = 0.0;
-            for (Cycle d : x.done_at)
-                if (d != kCycleNever)
-                    completed += 1.0;
-            const double jobs = static_cast<double>(queue_.size());
-            const double viol = static_cast<double>(x.slo_violations);
-            run_group.addFormula(
-                "traffic_jobs", [jobs] { return jobs; },
-                "traffic arrivals enqueued");
-            run_group.addFormula(
-                "traffic_completed", [completed] { return completed; },
-                "traffic jobs that ran to completion");
-            run_group.addFormula(
-                "slo_violations", [viol] { return viol; },
-                "completions whose latency exceeded the SLO budget");
-            if (x.admission) {
-                const double shed =
-                    static_cast<double>(x.adm_shed_total);
-                const double defers =
-                    static_cast<double>(x.adm_defer_total);
-                const double enters =
-                    static_cast<double>(x.adm_overload_enters);
-                run_group.addFormula(
-                    "jobs_shed", [shed] { return shed; },
-                    "arrivals rejected by admission control");
-                run_group.addFormula(
-                    "job_deferrals", [defers] { return defers; },
-                    "admission defer verdicts issued");
-                run_group.addFormula(
-                    "overload_enters", [enters] { return enters; },
-                    "times the overload detector tripped");
-            }
-        }
+        if (x.traffic)
+            x.traffic->regStats(run_group);
         run_group.dump(os);
         result.statsText = os.str();
     }
@@ -1565,6 +1011,10 @@ System::fingerprint(const Ctx &x) const
 {
     std::ostringstream os;
     const MachineConfig &c = x.cfg;
+    // The slot the retired batch-discipline config field held: 1 for a
+    // plain batch under OI-aware selection, the only discipline that
+    // can order such a queue differently from FCFS.
+    const bool oi_batch = !has_traffic_ && x.dispatcher->wantsOiScore();
     os << c.numCores << '|' << static_cast<int>(c.policy) << '|'
        << c.ghz << '|' << c.numExeBUs << '|' << c.vregsPerBlk << '|'
        << c.pregsPerBlk << '|' << c.computeIssueWidth << '|'
@@ -1576,7 +1026,7 @@ System::fingerprint(const Ctx &x) const
        << c.retireDelay << '|' << c.dramLatency << '|'
        << c.dramBytesPerCycle << '|' << c.prefetchDegree << '|'
        << c.monitorPeriod << '|' << c.contextSwitchCycles << '|'
-       << static_cast<int>(c.schedPolicy) << '|';
+       << (oi_batch ? 1 : 0) << '|';
     describeCache(os, c.vecCache);
     describeCache(os, c.l2);
     for (unsigned u : c.staticPlan)
@@ -1598,9 +1048,9 @@ System::fingerprint(const Ctx &x) const
        << x.opt.snapshotEvery << '|' << x.opt.watchdogCycles << '|'
        << (x.opt.faultPlan ? x.opt.faultPlan->describe() : "");
     // Traffic metadata and the dispatch discipline are determinism-
-    // relevant. Appended only when configured so traffic-free
+    // relevant. Appended only for traffic runs so traffic-free
     // fingerprints — and every existing checkpoint — are unchanged.
-    if (has_traffic_ || dispatcher_) {
+    if (has_traffic_) {
         os << '#' << (dispatcher_ ? dispatcher_->key() : "") << '|';
         for (const traffic::Arrival &m : queue_meta_)
             os << m.arriveAt << ',' << m.tenant << ',' << m.sloBudget
@@ -1746,60 +1196,13 @@ System::saveCheckpoint(std::ostream &os) const
     if (x.injector)
         x.injector->save(w);
 
-    // Traffic lifecycle state. The section exists only when arrivals
-    // were enqueued, so traffic-free checkpoints keep their exact byte
-    // layout (and fingerprints) from before the traffic subsystem.
-    if (x.has_traffic) {
-        w.section("traffic");
-        w.u64(queue_.size());
-        for (std::size_t q = 0; q < queue_.size(); ++q) {
-            w.u64(x.eff_arrive[q]);
-            w.b(x.arrived[q]);
-            w.u64(x.admit_at[q]);
-            w.u64(x.done_at[q]);
-        }
-        w.u64(x.unarrived);
-        w.u64(x.next_arrival);
-        w.u64(x.slo_violations);
-        for (std::size_t j : x.core_job)
-            w.u64(j);
-    }
-
-    // Admission-control state. Like the traffic section, it exists
-    // only when a policy is installed, so admission-off checkpoints
-    // keep their exact byte layout. Presence mismatches are caught by
-    // the fingerprint (the policy key and knobs are part of it).
-    if (x.admission) {
-        w.section("admit");
-        w.u64(queue_.size());
-        for (std::size_t q = 0; q < queue_.size(); ++q) {
-            w.b(x.adm_latched[q]);
-            w.b(x.adm_shed[q]);
-            w.u64(x.adm_defer_until[q]);
-            w.u32(x.adm_defer_count[q]);
-        }
-        w.u64(x.adm_inflight.size());
-        for (std::size_t t = 0; t < x.adm_inflight.size(); ++t) {
-            w.u32(x.adm_inflight[t]);
-            w.u64(x.adm_tokens[t]);
-            w.u64(x.adm_last_refill[t]);
-        }
-        for (Cycle d : x.adm_delay_ring)
-            w.u64(d);
-        w.u32(x.adm_delay_n);
-        w.u64(x.adm_class_ema.size());
-        for (const auto &[cls, ema] : x.adm_class_ema) {
-            w.str(cls);
-            w.u64(ema);
-        }
-        w.u64(x.adm_mean_ema);
-        w.u64(x.adm_ready);
-        w.b(x.adm_overloaded);
-        w.u64(x.adm_overload_enters);
-        w.u64(x.adm_shed_total);
-        w.u64(x.adm_defer_total);
-        w.u64(x.next_admission);
-    }
+    // Traffic (and admission) lifecycle state. The sections exist only
+    // when arrivals were enqueued, so traffic-free checkpoints keep
+    // their exact byte layout (and fingerprints) from before the
+    // traffic subsystem; presence mismatches are caught by the
+    // fingerprint.
+    if (x.traffic)
+        x.traffic->save(w);
 
     // Inter-cluster arbiter grants and accounting. Like the traffic
     // section, it exists only on clustered machines, so flat-machine
@@ -1947,63 +1350,8 @@ System::restoreCheckpoint(std::istream &is, const RunOptions &opt)
         if (x.injector)
             x.injector->load(r);
 
-        if (x.has_traffic) {
-            r.expectSection("traffic");
-            ckpt::Reader::check(r.u64() == queue_.size(),
-                                "checkpoint traffic queue length "
-                                "mismatch");
-            for (std::size_t q = 0; q < queue_.size(); ++q) {
-                x.eff_arrive[q] = r.u64();
-                x.arrived[q] = r.b();
-                x.admit_at[q] = r.u64();
-                x.done_at[q] = r.u64();
-            }
-            x.unarrived = r.u64();
-            x.next_arrival = r.u64();
-            x.slo_violations = r.u64();
-            for (std::size_t &j : x.core_job)
-                j = r.u64();
-        }
-
-        if (x.admission) {
-            r.expectSection("admit");
-            ckpt::Reader::check(r.u64() == queue_.size(),
-                                "checkpoint admission queue length "
-                                "mismatch");
-            for (std::size_t q = 0; q < queue_.size(); ++q) {
-                x.adm_latched[q] = r.b();
-                x.adm_shed[q] = r.b();
-                x.adm_defer_until[q] = r.u64();
-                x.adm_defer_count[q] = r.u32();
-            }
-            ckpt::Reader::check(r.u64() == x.adm_inflight.size(),
-                                "checkpoint admission tenant count "
-                                "mismatch");
-            for (std::size_t t = 0; t < x.adm_inflight.size(); ++t) {
-                x.adm_inflight[t] = r.u32();
-                x.adm_tokens[t] = r.u64();
-                x.adm_last_refill[t] = r.u64();
-            }
-            for (Cycle &d : x.adm_delay_ring)
-                d = r.u64();
-            x.adm_delay_n = r.u32();
-            ckpt::Reader::check(r.u64() == x.adm_class_ema.size(),
-                                "checkpoint admission class table "
-                                "mismatch");
-            for (auto &[cls, ema] : x.adm_class_ema) {
-                ckpt::Reader::check(r.str() == cls,
-                                    "checkpoint admission class name "
-                                    "mismatch");
-                ema = r.u64();
-            }
-            x.adm_mean_ema = r.u64();
-            x.adm_ready = r.u64();
-            x.adm_overloaded = r.b();
-            x.adm_overload_enters = r.u64();
-            x.adm_shed_total = r.u64();
-            x.adm_defer_total = r.u64();
-            x.next_admission = r.u64();
-        }
+        if (x.traffic)
+            x.traffic->load(r);
 
         if (x.arbiter) {
             r.expectSection("cluster");
@@ -2029,13 +1377,8 @@ System::restoreCheckpoint(std::istream &is, const RunOptions &opt)
         // The wall-clock budget restarts at restore time; it is host
         // time, not simulated state.
         x.wall_start = std::chrono::steady_clock::now();
-        if (opt.sink &&
-            opt.sink->wants(obs::EventKind::CheckpointRestore)) {
-            obs::Event ev;
-            ev.cycle = x.now;
-            ev.kind = obs::EventKind::CheckpointRestore;
-            opt.sink->record(ev);
-        }
+        obs::emit(opt.sink, obs::EventKind::CheckpointRestore, x.now,
+                  kNoCore);
     } catch (...) {
         // Never leave a half-restored machine behind.
         ctx_.reset();
@@ -2056,6 +1399,26 @@ System::inspect(const std::string &path) const
         const std::size_t n = std::string_view(prefix).size();
         return path.compare(0, n, prefix) == 0 ? path.c_str() + n
                                                : nullptr;
+    };
+    auto unknown = [&path] {
+        return std::invalid_argument("unknown component path: " + path);
+    };
+    // The decimal index leading @p spec, below @p bound. Without @p rest
+    // it must span all of @p spec; with it, the remainder goes there.
+    auto pathIndex = [&](std::string_view spec, unsigned bound,
+                     const char *what,
+                     std::string_view *rest = nullptr) -> unsigned {
+        unsigned v = 0;
+        const char *end = spec.data() + spec.size();
+        const auto [p, ec] = std::from_chars(spec.data(), end, v);
+        if (ec != std::errc{} || (!rest && p != end))
+            throw unknown();
+        if (v >= bound)
+            throw std::out_of_range(std::string("no such ") + what +
+                                    ": " + path);
+        if (rest)
+            *rest = std::string_view(p, end - p);
+        return v;
     };
     // Un-prefixed component paths address cluster 0 — the whole
     // machine on a flat config, and a convenient alias on a clustered
@@ -2078,19 +1441,10 @@ System::inspect(const std::string &path) const
                << '\n'
                << "cluster_migrations " << x.arbiter->migrations()
                << '\n';
-        if (x.has_traffic)
-            os << "traffic_dispatcher "
-               << (x.dispatcher ? x.dispatcher->key() : "legacy") << '\n'
-               << "traffic_unarrived " << x.unarrived << '\n'
-               << "slo_violations " << x.slo_violations << '\n';
-        if (x.admission)
-            os << "admission " << x.admission->key() << '\n'
-               << "admission_cap " << x.admission_cap << '\n'
-               << "admission_ready " << x.adm_ready << '\n'
-               << "overloaded " << (x.adm_overloaded ? 1 : 0) << '\n'
-               << "jobs_shed " << x.adm_shed_total << '\n'
-               << "job_deferrals " << x.adm_defer_total << '\n'
-               << "overload_enters " << x.adm_overload_enters << '\n';
+        if (x.traffic) {
+            os << "traffic_dispatcher " << x.dispatcher->key() << '\n';
+            x.traffic->printState(os);
+        }
     } else if (path == "system.arbiter" && x.arbiter) {
         os << "clusters " << x.ncl << '\n'
            << "total_dram_bpc " << x.arbiter->totalBpc() << '\n'
@@ -2114,29 +1468,24 @@ System::inspect(const std::string &path) const
         cl0.coproc().printState(os, "lanemgr");
     } else if (path == "system.coproc.regfile") {
         cl0.coproc().printState(os, "regfile");
-    } else if (const char *rest = strip("system.coproc.core")) {
-        cl0.coproc().printState(os, rest);
+    } else if (const char *spec = strip("system.coproc.core")) {
+        // Global core N lives on cluster N / K as local core N % K.
+        const unsigned c = pathIndex(spec, x.cfg.numCores, "core");
+        x.eng(c).coproc().printState(os, std::to_string(x.lc(c)));
     } else if (const char *spec = strip("system.cluster")) {
-        std::size_t pos = 0;
-        const unsigned long k = std::stoul(spec, &pos);
-        if (k >= x.ncl)
-            throw std::out_of_range("no such cluster: " + path);
-        const ClusterEngine &cl = *x.engines[k];
-        const std::string sub(spec + pos);
+        std::string_view sub;
+        const ClusterEngine &cl =
+            *x.engines[pathIndex(spec, x.ncl, "cluster", &sub)];
         if (sub == ".mem")
             cl.mem().printState(os);
         else if (sub == ".coproc")
             cl.coproc().printState(os, "");
         else
-            throw std::invalid_argument("unknown component path: " +
-                                        path);
-    } else if (const char *core = strip("system.core")) {
-        const std::size_t c = std::stoul(core);
-        if (c >= x.cfg.numCores)
-            throw std::out_of_range("no such core: " + path);
-        x.core(static_cast<unsigned>(c)).printState(os);
+            throw unknown();
+    } else if (const char *spec = strip("system.core")) {
+        x.core(pathIndex(spec, x.cfg.numCores, "core")).printState(os);
     } else {
-        throw std::invalid_argument("unknown component path: " + path);
+        throw unknown();
     }
     return os.str();
 }

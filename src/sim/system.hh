@@ -302,7 +302,8 @@ class System
 
     /**
      * Select the dispatch discipline for queued work (default: the
-     * legacy MachineConfig::schedPolicy behaviour). Borrowed — must
+     * "fcfs" registry object). A plain batch wanting OI-aware
+     * co-placement passes dispatcherByName("oi"). Borrowed — must
      * outlive the System. Registry objects (traffic::dispatcherByName)
      * are immortal singletons, so those are always safe.
      */
@@ -413,9 +414,11 @@ class System
     std::vector<std::vector<kir::Loop>> loops_;
     std::vector<std::pair<std::string, std::vector<kir::Loop>>> queue_;
 
-    /** Traffic metadata parallel to queue_ (default entries for plain
-     *  enqueueWorkload calls). has_traffic_ gates every traffic-side
-     *  artifact so traffic-off runs stay byte-identical. */
+    /** Traffic metadata parallel to queue_, without the loops (plain
+     *  enqueueWorkload entries carry only their name). has_traffic_
+     *  decides whether a booted run gets a traffic::Session, which
+     *  gates every traffic-side artifact so traffic-off runs stay
+     *  byte-identical. */
     std::vector<traffic::Arrival> queue_meta_;
     bool has_traffic_ = false;
     const traffic::Dispatcher *dispatcher_ = nullptr;

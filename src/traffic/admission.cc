@@ -81,7 +81,7 @@ class StaticCapAdmission final : public AdmissionPolicy
     }
 };
 
-/** Per-tenant rate cap: admission consumes one token; the System
+/** Per-tenant rate cap: admission consumes one token; the Session
  *  refills one token per tenant mean-gap period (deterministic lazy
  *  integer refill), capping each tenant at its configured arrival
  *  rate with bucket-sized bursts. A candidate already past its

@@ -22,15 +22,15 @@
  *
  * Policies are stateless singletons: every mutable quantity a decision
  * needs (token balances, in-flight counts, service-time EMAs, the
- * overload flag) is owned by the System and passed in through
+ * overload flag) is owned by the traffic::Session and passed in through
  * AdmissionContext. That keeps the registry shape identical to the
  * PR-4 sharing-model and PR-7 dispatcher registries, and keeps
  * decisions pure functions — same context, same verdict — which is
  * what makes checkpoint/restore equivalence hold mid-overload.
  *
- * Determinism contract: admission decisions happen only inside the
- * dispatcher's selection scan (core-idle boundaries), use only
- * simulated state, and never read the host clock or a PRNG, so a sweep
+ * Determinism contract: admission decisions happen only in the
+ * Session's admission pass (arrival instants and backoff expiries),
+ * use only simulated state, and never read the host clock or a PRNG, so a sweep
  * with admission enabled is byte-identical across runner thread counts
  * and fast-forward settings — and with the default "none" policy, the
  * whole layer is absent from checkpoints, fingerprints and exports.
@@ -63,7 +63,7 @@ const char *admissionDecisionName(AdmissionDecision d);
 
 /**
  * Everything a policy may consult for one decision. All simulated
- * state; populated by the System at evaluation time.
+ * state; populated by the traffic::Session at evaluation time.
  */
 struct AdmissionContext
 {
@@ -115,12 +115,12 @@ class AdmissionPolicy
     /** One-line human description for --list-admission. */
     const std::string &summary() const { return summary_; }
 
-    /** True if the System must maintain per-tenant token balances
+    /** True if the Session must maintain per-tenant token balances
      *  (deterministic lazy refill) for this policy. */
     virtual bool wantsTokens() const { return false; }
 
     /** Decide the candidate's fate. Pure: no side effects, no host
-     *  state. The System applies the verdict (latching, backoff
+     *  state. The Session applies the verdict (latching, backoff
      *  scheduling, shed bookkeeping, token consumption). */
     virtual AdmissionDecision decide(const AdmissionContext &ctx)
         const = 0;

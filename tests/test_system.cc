@@ -274,9 +274,8 @@ TEST(System, BatchMixesWithPinnedWorkloads)
 
 TEST(System, OiAwareSchedulerPairsComplementaryWorkloads)
 {
-    MachineConfig cfg = MachineConfig::forPolicy(SharingPolicy::Elastic, 2);
-    cfg.schedPolicy = SchedPolicy::OiAware;
-    System sys(cfg);
+    System sys(MachineConfig::forPolicy(SharingPolicy::Elastic, 2));
+    sys.setDispatcher(traffic::dispatcherByName("oi"));
     sys.setWorkload(0, "idle0", {});
     sys.setWorkload(1, "idle1", {});
     // Adversarial order: memory, memory, compute, compute.
@@ -294,9 +293,8 @@ TEST(System, OiAwareSchedulerPairsComplementaryWorkloads)
 
 TEST(System, OiAwareNeverLosesWorkloads)
 {
-    MachineConfig cfg = MachineConfig::forPolicy(SharingPolicy::Elastic, 2);
-    cfg.schedPolicy = SchedPolicy::OiAware;
-    System sys(cfg);
+    System sys(MachineConfig::forPolicy(SharingPolicy::Elastic, 2));
+    sys.setDispatcher(traffic::dispatcherByName("oi"));
     sys.setWorkload(0, "idle0", {});
     sys.setWorkload(1, "idle1", {});
     for (int i = 0; i < 6; ++i)
@@ -311,11 +309,9 @@ TEST(System, OiAwareNeverLosesWorkloads)
 
 TEST(System, OiAwareBeatsAdversarialFcfsOnOccamy)
 {
-    auto drain = [](SchedPolicy sched) {
-        MachineConfig cfg =
-            MachineConfig::forPolicy(SharingPolicy::Elastic, 2);
-        cfg.schedPolicy = sched;
-        System sys(cfg);
+    auto drain = [](const char *sched) {
+        System sys(MachineConfig::forPolicy(SharingPolicy::Elastic, 2));
+        sys.setDispatcher(traffic::dispatcherByName(sched));
         sys.setWorkload(0, "idle0", {});
         sys.setWorkload(1, "idle1", {});
         sys.enqueueWorkload("m0", memWorkload());
@@ -324,8 +320,7 @@ TEST(System, OiAwareBeatsAdversarialFcfsOnOccamy)
         sys.enqueueWorkload("c1", compWorkload(131072));
         return sys.run({.maxCycles = 60'000'000}).cycles;
     };
-    EXPECT_LT(drain(SchedPolicy::OiAware),
-              drain(SchedPolicy::Fcfs) * 101 / 100);
+    EXPECT_LT(drain("oi"), drain("fcfs") * 101 / 100);
 }
 
 TEST(System, VlsBatchGetsEqualStaticShares)
@@ -491,6 +486,23 @@ TEST(System, ClusteredComponentPathsAreInspectable)
     EXPECT_NE(sys.inspect("system.cluster1.coproc").size(), 0u);
     // Un-prefixed paths stay valid as cluster-0 aliases.
     EXPECT_NE(sys.inspect("system.mem").size(), 0u);
+    // Every advertised path inspects, including cores on cluster 1.
+    for (const std::string &p : paths)
+        EXPECT_NO_THROW(sys.inspect(p)) << p;
+    // Malformed numeric components are rejected, not half-parsed.
+    for (const char *bad :
+         {"system.core1zzz", "system.corex", "system.coproc.core1x",
+          "system.cluster1x.mem", "system.core", "system.core-1"}) {
+        try {
+            sys.inspect(bad);
+            ADD_FAILURE() << bad << " was accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_EQ(std::string(e.what()),
+                      std::string("unknown component path: ") + bad);
+        }
+    }
+    EXPECT_THROW(sys.inspect("system.core4"), std::out_of_range);
+    EXPECT_THROW(sys.inspect("system.coproc.core4"), std::out_of_range);
     sys.finalize();
 }
 

@@ -27,6 +27,7 @@
 #include "traffic/arrival.hh"
 #include "traffic/metrics.hh"
 #include "traffic/scheduler.hh"
+#include "traffic/session.hh"
 #include "traffic/traffic.hh"
 
 namespace occamy
@@ -820,6 +821,166 @@ TEST(TrafficEndToEnd, AdmissionRunsAreDeterministic)
         EXPECT_EQ(a.trafficMetrics.goodput, b.trafficMetrics.goodput)
             << adm;
     }
+}
+
+// ------------------------------------------ session, no simulator
+
+/** Test-only policy returning one fixed verdict. */
+class FixedVerdict final : public traffic::AdmissionPolicy
+{
+  public:
+    explicit FixedVerdict(traffic::AdmissionDecision d)
+        : AdmissionPolicy("fixed", "test-only: one verdict"), d_(d)
+    {
+    }
+
+    traffic::AdmissionDecision
+    decide(const traffic::AdmissionContext &) const override
+    {
+        return d_;
+    }
+
+  private:
+    traffic::AdmissionDecision d_;
+};
+
+const FixedVerdict kAdmitAll(traffic::AdmissionDecision::Admit);
+
+traffic::Arrival
+arrivalAt(Cycle at, unsigned tenant = 0)
+{
+    traffic::Arrival a;
+    a.arriveAt = at;
+    a.tenant = tenant;
+    a.workload = "A";
+    return a;
+}
+
+/** Backlog depth trips the detector at ready >= 4 x cores; it exits
+ *  only once ready <= cores, and a backlog between the two thresholds
+ *  neither exits nor re-enters. */
+TEST(TrafficSession, OverloadHysteresisOnBacklogDepth)
+{
+    std::vector<traffic::Arrival> q(6, arrivalAt(0));
+    q.push_back(arrivalAt(100));
+    q.push_back(arrivalAt(100));
+    q.push_back(arrivalAt(200));
+    traffic::Session s(q, 1, &kAdmitAll, 4, 0, nullptr);
+    std::vector<bool> dispatched(q.size(), false);
+
+    s.admitArrivals(0, dispatched);
+    EXPECT_EQ(s.readyJobs(), 6u);
+    EXPECT_TRUE(s.overloaded());
+    EXPECT_EQ(s.overloadEnters(), 1u);
+    for (std::size_t j = 0; j < 4; ++j) {
+        s.selected(j, 0, 10);   // Ready 5, 4, 3, 2: still > cores.
+        EXPECT_TRUE(s.overloaded()) << "ready " << s.readyJobs();
+    }
+    s.selected(4, 0, 10);       // Ready 1 <= cores: exit.
+    EXPECT_FALSE(s.overloaded());
+
+    s.admitArrivals(100, dispatched);   // Ready 3: below the entry bar.
+    EXPECT_EQ(s.readyJobs(), 3u);
+    EXPECT_FALSE(s.overloaded());
+    s.admitArrivals(200, dispatched);   // Ready 4 = 4 x cores: re-enter.
+    EXPECT_TRUE(s.overloaded());
+    EXPECT_EQ(s.overloadEnters(), 2u);
+}
+
+/** Latency trips the detector at p95 > 4 x mean service EMA; it exits
+ *  only once p95 <= 2 x EMA (and the backlog is drained), holding its
+ *  state anywhere in between. */
+TEST(TrafficSession, OverloadHysteresisOnQueueingDelay)
+{
+    std::vector<traffic::Arrival> q(4, arrivalAt(0));
+    q.push_back(arrivalAt(20'000));
+    q.push_back(arrivalAt(20'000));
+    traffic::Session s(q, 4, &kAdmitAll, 4, 0, nullptr);
+    std::vector<bool> dispatched(q.size(), false);
+
+    s.admitArrivals(0, dispatched);
+    s.selected(0, 0, 0);
+    s.started(0, 0);
+    s.completed(0, 1'000);      // Mean service EMA = 1000.
+    s.selected(1, 1, 3'000);    // p95 3000: inside the band.
+    EXPECT_FALSE(s.overloaded());
+    s.selected(2, 2, 4'001);    // p95 4001 > 4 x 1000: enter.
+    EXPECT_TRUE(s.overloaded());
+
+    s.started(1, 1);
+    s.completed(1, 4'400);      // Service 1400: EMA = 1100.
+    s.selected(3, 1, 4'400);    // p95 4400: inside the band, hold.
+    EXPECT_TRUE(s.overloaded());
+
+    s.started(2, 2);
+    s.completed(2, 20'000);     // Service 15999: EMA = 4824.
+    s.admitArrivals(20'000, dispatched);   // p95 4400 <= 2 x EMA: exit.
+    EXPECT_FALSE(s.overloaded());
+    EXPECT_EQ(s.overloadEnters(), 1u);
+}
+
+/** Token buckets start full, refill lazily (one token per tenant per
+ *  period, capped at `cap`, only when that tenant's candidate is
+ *  evaluated), and are spent at admission, never at dispatch. */
+TEST(TrafficSession, LazyTokenRefillSpendsAtAdmission)
+{
+    std::vector<traffic::Arrival> q(5, arrivalAt(0, 0));
+    q.push_back(arrivalAt(0, 1));
+    traffic::Session s(q, 2, traffic::admissionByName("token-bucket"), 2,
+                       1'000, nullptr);
+    std::vector<bool> dispatched(q.size(), false);
+
+    s.admitArrivals(0, dispatched);
+    EXPECT_TRUE(s.job(0).latched);
+    EXPECT_TRUE(s.job(1).latched);
+    EXPECT_FALSE(s.job(2).latched);     // Bucket empty: deferred.
+    EXPECT_EQ(s.job(2).defers, 1u);
+    EXPECT_EQ(s.tokens(0), 0u);
+    EXPECT_EQ(s.tokens(1), 1u);
+
+    s.selected(0, 0, 10);
+    EXPECT_EQ(s.tokens(0), 0u);         // Dispatch spends nothing.
+
+    ASSERT_TRUE(s.due(2'500));          // Backoff expired long ago.
+    s.admitArrivals(2'500, dispatched); // Two periods: two tokens.
+    EXPECT_TRUE(s.job(2).latched);
+    EXPECT_TRUE(s.job(3).latched);
+    EXPECT_FALSE(s.job(4).latched);
+    EXPECT_EQ(s.tokens(0), 0u);
+
+    s.admitArrivals(100'000, dispatched);   // 98 periods, capped at 2.
+    EXPECT_TRUE(s.job(4).latched);
+    EXPECT_EQ(s.tokens(0), 1u);
+    EXPECT_EQ(s.tokens(1), 1u);         // Never evaluated: no refill.
+}
+
+/** A shed releases the closed-loop successor at now + thinkGap, the
+ *  same release a completion performs. */
+TEST(TrafficSession, ShedReleasesSuccessorLikeCompletion)
+{
+    std::vector<traffic::Arrival> q{arrivalAt(100), arrivalAt(100)};
+    q[1].dependsOn = 0;
+    q[1].thinkGap = 500;
+
+    const FixedVerdict shed_all(traffic::AdmissionDecision::Shed);
+    traffic::Session shed(q, 1, &shed_all, 4, 0, nullptr);
+    std::vector<bool> dispatched(q.size(), false);
+    EXPECT_EQ(shed.arrivalWake(0), 100u);
+    EXPECT_EQ(shed.admitArrivals(100, dispatched), 1u);
+    EXPECT_TRUE(shed.job(0).shed);
+    EXPECT_TRUE(dispatched[0]);
+    EXPECT_EQ(shed.job(1).arrive, 600u);
+    EXPECT_EQ(shed.arrivalWake(100), 600u);
+
+    traffic::Session done(q, 1, nullptr, 4, 0, nullptr);
+    std::fill(dispatched.begin(), dispatched.end(), false);
+    EXPECT_EQ(done.admitArrivals(100, dispatched), 0u);
+    done.selected(0, 0, 100);
+    done.started(0, 0);
+    EXPECT_EQ(done.job(1).arrive, kCycleNever);  // Unresolved.
+    done.completed(0, 900);
+    EXPECT_EQ(done.job(1).arrive, 1'400u);
+    EXPECT_EQ(done.arrivalWake(900), 1'400u);
 }
 
 } // namespace

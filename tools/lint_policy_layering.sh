@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Layering lint for the SharingModel policy layer: no code outside
+# Layering lint. (1) The SharingModel policy layer: no code outside
 # src/policy/ (and the display-name map in src/common/config.cc) may
 # branch on the SharingPolicy enum. Storing or forwarding an enum value
 # is fine — switching or comparing on it is the smell this guards
 # against, because such logic belongs in a policy::SharingModel hook.
+# (2) No file under src/traffic/ includes a src/sim/ header.
 #
 # Usage: lint_policy_layering.sh [repo-root]   (exit 0 = clean)
 
@@ -40,3 +41,15 @@ if [ "$fail" -ne 0 ]; then
     exit 1
 fi
 echo "policy layering: clean"
+
+# src/traffic sits below the simulator: System drives traffic::Session,
+# dispatchers and admission policies through callbacks and plain data,
+# so no file under src/traffic/ may include a src/sim header.
+hits=$(grep -rnE '^[[:space:]]*#[[:space:]]*include[[:space:]]*[<"]sim/' \
+           src/traffic --include='*.cc' --include='*.hh')
+if [ -n "$hits" ]; then
+    echo "traffic layering violation (src/traffic includes src/sim):"
+    echo "$hits"
+    exit 1
+fi
+echo "traffic layering: clean"
