@@ -15,12 +15,12 @@
  *    co-processor drained while cores grind through stall cycles.
  *  - drained_partner: a classic compute+memory co-run where one core
  *    finishes long before the other and sits drained.
- *  - parallel_clusters_4x4: a 16-core clustered machine ticked with 1
- *    vs 4 cycle-loop worker threads (RunOptions::simThreads, DESIGN.md
- *    §15). Here "off" is the serial loop and "on" the worker pool; the
- *    results must be byte-identical and the speedup tracks the host's
- *    free cores (~1x on a single-core host, where the barrier only
- *    adds overhead).
+ *  - parallel_clusters_4x4 / parallel_clusters_16x4: 16- and 64-core
+ *    clustered machines ticked with 1 vs 4 cycle-loop worker threads
+ *    (RunOptions::simThreads, DESIGN.md §15). Here "off" is the serial
+ *    loop and "on" the worker pool; the results must be byte-identical
+ *    and the speedup tracks the host's free cores (~1x on a
+ *    single-core host).
  *
  * Usage: micro_ticks [OUT.json]   (default BENCH_ticks.json)
  */
@@ -107,26 +107,27 @@ drainedPartner()
     return s;
 }
 
-/** The fig16 scale-out shape: even clusters lean memory, odd clusters
- *  lean compute, 2*C batch jobs drain through work migration. All four
- *  engines stay busy most of the run, which is exactly the load the
- *  worker pool parallelizes. */
+/** The fig16 scale-out shape on @p clusters clusters of @p k cores:
+ *  even clusters lean memory, odd clusters lean compute, 2*C batch
+ *  jobs drain through work migration. All engines stay busy most of
+ *  the run, which is exactly the load the worker pool parallelizes. */
 Scenario
-parallelClusters()
+parallelClusters(unsigned clusters, unsigned k)
 {
     Scenario s;
-    s.name = "parallel_clusters_4x4";
+    s.name = "parallel_clusters_" + std::to_string(clusters) + "x" +
+             std::to_string(k);
     s.cfg = MachineConfig::Builder(SharingPolicy::Elastic)
-                .topology(4, 4)
+                .topology(clusters, k)
                 .build();
-    for (unsigned c = 0; c < 16; ++c) {
-        const bool mem = (c / 4) % 2 == 0;
+    for (unsigned c = 0; c < clusters * k; ++c) {
+        const bool mem = (c / k) % 2 == 0;
         s.pinned.push_back(
             {mem ? "mem" : "comp",
              {workloads::makeNamedPhase(mem ? "rho_eos1" : "wsm51",
                                         mem ? 2048 : 8192)}});
     }
-    for (unsigned q = 0; q < 8; ++q)
+    for (unsigned q = 0; q < 2 * clusters; ++q)
         s.batch.push_back(
             {"q" + std::to_string(q),
              {workloads::makeNamedPhase(q % 2 ? "wsm51" : "rho_eos1",
@@ -186,7 +187,7 @@ main(int argc, char **argv)
 
     const std::vector<Scenario> scenarios = {
         batchIdleHeavy(), scalarFallback(), drainedPartner(),
-        parallelClusters()};
+        parallelClusters(4, 4), parallelClusters(16, 4)};
 
     // Wall-clock fields only compare within one host class and build
     // type, so the report records both.
@@ -209,7 +210,7 @@ main(int argc, char **argv)
                       static_cast<double>(on.ff.cyclesSimulated)
                 : 1.0;
 
-        std::printf("%-18s %12llu cycles | off %8.0fk cyc/s | "
+        std::printf("%-22s %12llu cycles | off %8.0fk cyc/s | "
                     "on %8.0fk cyc/s | ticked %5.1f%% | %5.2fx %s\n",
                     s.name.c_str(),
                     static_cast<unsigned long long>(

@@ -97,7 +97,7 @@ MemSystem::maybePrefetch(Addr trigger_line, Cycle now)
         dram_bytes_ += line;
         ++prefetches_;
         line_ready_[pf] = start + dramLatencyAt(now);
-        pending_fills_.push(start + dramLatencyAt(now));
+        pushFill(start + dramLatencyAt(now));
         recordDram(now, obs::EventKind::DramRead, pf, line,
                    start + dramLatencyAt(now));
         // Prefetch into L2 only: demand accesses pull lines into the
@@ -152,7 +152,7 @@ MemSystem::accessLine(Addr line_addr, bool is_write, Cycle now,
     dram_bytes_ += line;
     const Cycle ready = dram_start + dramLatencyAt(now);
     line_ready_[line_addr] = ready;
-    pending_fills_.push(ready);
+    pushFill(ready);
     recordDram(now, obs::EventKind::DramRead, line_addr, line, ready);
     maybePrefetch(line_addr, now);
     return ready;
@@ -249,15 +249,47 @@ MemSystem::reset()
     dram_busy_until_ = 0;
     line_ready_.clear();
     frontier_.clear();
-    pending_fills_ = {};
+    pending_fills_.clear();
+    fills_head_ = 0;
+}
+
+void
+MemSystem::pushFill(Cycle ready)
+{
+    if (pending_fills_.empty() || ready >= pending_fills_.back())
+        pending_fills_.push_back(ready);
+    else
+        pending_fills_.insert(
+            std::upper_bound(pending_fills_.begin() + fills_head_,
+                             pending_fills_.end(), ready),
+            ready);
 }
 
 Cycle
 MemSystem::nextEventAt(Cycle now)
 {
-    while (!pending_fills_.empty() && pending_fills_.top() <= now)
-        pending_fills_.pop();
-    return pending_fills_.empty() ? kCycleNever : pending_fills_.top();
+    while (fills_head_ < pending_fills_.size() &&
+           pending_fills_[fills_head_] <= now)
+        ++fills_head_;
+    if (fills_head_ == pending_fills_.size()) {
+        pending_fills_.clear();
+        fills_head_ = 0;
+        return kCycleNever;
+    }
+    if (fills_head_ > 4096 && 2 * fills_head_ > pending_fills_.size()) {
+        pending_fills_.erase(pending_fills_.begin(),
+                             pending_fills_.begin() + fills_head_);
+        fills_head_ = 0;
+    }
+    return pending_fills_[fills_head_];
+}
+
+Cycle
+MemSystem::peekEventAt(Cycle now)
+{
+    const auto it = std::upper_bound(pending_fills_.begin() + fills_head_,
+                                     pending_fills_.end(), now);
+    return it == pending_fills_.end() ? kCycleNever : *it;
 }
 
 void
@@ -290,13 +322,10 @@ MemSystem::save(ckpt::Writer &w) const
         w.u64(at);
     }
 
-    // Drain a copy of the min-heap: pops come out already sorted.
-    auto fills = pending_fills_;
-    w.u64(fills.size());
-    while (!fills.empty()) {
-        w.u64(fills.top());
-        fills.pop();
-    }
+    // Fills still in flight (or not yet dropped), ascending.
+    w.u64(pending_fills_.size() - fills_head_);
+    for (std::size_t i = fills_head_; i < pending_fills_.size(); ++i)
+        w.u64(pending_fills_[i]);
 
     std::vector<std::pair<Addr, Addr>> fr(frontier_.begin(),
                                           frontier_.end());
@@ -332,10 +361,11 @@ MemSystem::load(ckpt::Reader &r)
         line_ready_.emplace(line, at);
     }
 
-    pending_fills_ = {};
+    pending_fills_.clear();
+    fills_head_ = 0;
     const std::size_t nfills = r.arr();
     for (std::size_t i = 0; i < nfills; ++i)
-        pending_fills_.push(r.u64());
+        pushFill(r.u64());
 
     frontier_.clear();
     const std::size_t nfr = r.arr();

@@ -21,7 +21,6 @@
 #ifndef OCCAMY_MEM_MEMSYSTEM_HH
 #define OCCAMY_MEM_MEMSYSTEM_HH
 
-#include <queue>
 #include <unordered_map>
 #include <vector>
 
@@ -93,6 +92,15 @@ class MemSystem
      * consumer's world change without that consumer acting first.
      */
     Cycle nextEventAt(Cycle now);
+
+    /**
+     * The same answer as nextEventAt(), without its side effect on the
+     * checkpointed fill list. A cluster engine probes itself with this
+     * inside a tick window; the coordinator replays the machine-wide
+     * nextEventAt() calls of a lock-step run afterwards, so the saved
+     * list depends only on those calls, never on the window shape.
+     */
+    Cycle peekEventAt(Cycle now);
 
     const Cache &vecCache() const { return vec_cache_; }
     const Cache &l2() const { return l2_; }
@@ -189,10 +197,15 @@ class MemSystem
     std::unordered_map<Addr, Cycle> line_ready_;
 
     /** Ready cycles of fills still in flight, mirroring line_ready_
-     *  inserts; heads <= now are lazily popped by nextEventAt() so the
-     *  probe stays O(log n) instead of scanning the map. */
-    std::priority_queue<Cycle, std::vector<Cycle>, std::greater<Cycle>>
-        pending_fills_;
+     *  inserts, ascending from fills_head_ (fills complete in nearly
+     *  issue order, so an insert is almost always an append). Heads
+     *  <= now are dropped lazily by nextEventAt(), so the probe stays
+     *  cheap instead of scanning the map; peekEventAt() searches past
+     *  them without dropping any. */
+    std::vector<Cycle> pending_fills_;
+    std::size_t fills_head_ = 0;    ///< First entry not yet dropped.
+
+    void pushFill(Cycle ready);
 
     /** 4 KB region -> highest line prefetched for that stream. */
     std::unordered_map<Addr, Addr> frontier_;

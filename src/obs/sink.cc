@@ -179,24 +179,33 @@ BufferSink::internString(std::string_view s)
         return it->second;
     const std::uint64_t id = strings_.size();
     strings_.emplace_back(s);
+    string_cycles_.push_back(cycle_);
     string_ids_.emplace(strings_.back(), id);
     return id;
 }
 
 void
-BufferSink::drain()
+BufferSink::drainUpTo(Cycle upto)
 {
-    // Intern new local strings downstream first, in local-id order, so
-    // the downstream table grows in the deterministic merge order.
-    while (remap_.size() < strings_.size())
+    // Intern this prefix's new local strings downstream first, in
+    // local-id order, so the downstream table grows in the
+    // deterministic merge order. Engines tick cycles in order, so the
+    // strings of cycles <= upto are a prefix of the local table.
+    while (remap_.size() < strings_.size() &&
+           string_cycles_[remap_.size()] <= upto)
         remap_.push_back(
             downstream_.internString(strings_[remap_.size()]));
-    for (Event e : events_) {
+    for (; head_ < events_.size() && events_[head_].first <= upto;
+         ++head_) {
+        Event e = events_[head_].second;
         if (kindHasStringPayload(e.kind))
             e.a = remap_[static_cast<std::size_t>(e.a)];
         downstream_.record(e);
     }
-    events_.clear();
+    if (head_ == events_.size()) {
+        events_.clear();
+        head_ = 0;
+    }
 }
 
 } // namespace occamy::obs

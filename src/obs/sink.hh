@@ -155,9 +155,18 @@ class RingSink : public EventSink
  * sink's table at drain time — only the event kinds for which
  * kindHasStringPayload() holds carry such ids.
  *
- * The buffer is transient: it is drained at every cycle's merge point,
- * so it never appears in checkpoints (the downstream sink's intern
- * table is always complete at any pause boundary).
+ * Each event is tagged with the cycle its engine was ticking when it
+ * was recorded (setCycle()), and each local string with the cycle it
+ * was interned at. An engine may tick a window of cycles before the
+ * coordinator drains it, so drainUpTo() forwards one cycle prefix at a
+ * time: draining every buffer cycle by cycle in cluster order yields
+ * the stream a per-cycle drain would have produced, string ids
+ * included.
+ *
+ * The buffer is transient: the coordinator drains it to the current
+ * cycle before every pause boundary, so it never appears in
+ * checkpoints (the downstream sink's intern table is always complete
+ * at any pause boundary).
  */
 class BufferSink : public EventSink
 {
@@ -171,20 +180,33 @@ class BufferSink : public EventSink
 
     std::uint64_t internString(std::string_view s) override;
 
-    /** Forward every buffered event downstream (remapping string
-     *  payloads) and clear the buffer. Coordinator thread only. */
-    void drain();
+    /** The cycle the recording engine is ticking (tags what follows). */
+    void setCycle(Cycle c) { cycle_ = c; }
 
-    std::size_t pending() const { return events_.size(); }
+    /** Forward, in recording order, every buffered event tagged with a
+     *  cycle <= @p upto (remapping string payloads), interning the
+     *  strings of those cycles downstream first. Coordinator only. */
+    void drainUpTo(Cycle upto);
+
+    /** Tag of the oldest undrained event; kCycleNever when empty. */
+    Cycle nextCycle() const
+    {
+        return head_ < events_.size() ? events_[head_].first : kCycleNever;
+    }
+
+    std::size_t pending() const { return events_.size() - head_; }
 
   protected:
-    void push(const Event &e) override { events_.push_back(e); }
+    void push(const Event &e) override { events_.emplace_back(cycle_, e); }
 
   private:
     EventSink &downstream_;
-    std::vector<Event> events_;
+    Cycle cycle_ = 0;
+    std::vector<std::pair<Cycle, Event>> events_;
+    std::size_t head_ = 0;      ///< First undrained entry of events_.
 
     std::vector<std::string> strings_;
+    std::vector<Cycle> string_cycles_;  ///< Intern cycle per local id.
     std::unordered_map<std::string, std::uint64_t> string_ids_;
     /** Local string id -> downstream id; extended lazily at drain. */
     std::vector<std::uint64_t> remap_;

@@ -1,6 +1,7 @@
 #include "sim/cluster_engine.hh"
 
 #include <algorithm>
+#include <cassert>
 
 namespace occamy
 {
@@ -18,6 +19,7 @@ void
 ClusterEngine::addCore(std::unique_ptr<ScalarCore> core)
 {
     cores_.push_back(std::move(core));
+    live_.push_back(false);
     busy_buckets_.emplace_back();
     alloc_buckets_.emplace_back();
 }
@@ -83,13 +85,6 @@ ClusterEngine::tickCycle(Cycle now, bool full_width, unsigned bucket)
 }
 
 void
-ClusterEngine::drainEvents()
-{
-    if (buffer_)
-        buffer_->drain();
-}
-
-void
 ClusterEngine::synthesizeSkipped(Cycle from, Cycle to, unsigned bucket)
 {
     const std::size_t last_b = static_cast<std::size_t>(to / bucket);
@@ -121,6 +116,171 @@ ClusterEngine::coreWake(Cycle now) const
     for (const auto &core : cores_)
         wake = std::min(wake, core->nextEventAt(now));
     return wake;
+}
+
+ClusterEngine::State
+ClusterEngine::classify(const Probe &p, Cycle t)
+{
+    if (p.coproc <= t + 1 || p.core <= t + 1)
+        return State::Busy;
+    return p.mem <= t + 1 ? State::MemOnly : State::Quiet;
+}
+
+void
+ClusterEngine::skipTo(Cycle to, unsigned bucket)
+{
+    if (at_ >= to)
+        return;
+    assert(quiet_ && to <= qwake_);
+    synthesizeSkipped(at_, to - 1, bucket);
+    coproc_.skipCycles(to - at_);
+    at_ = to;
+}
+
+void
+ClusterEngine::beginWindow(Cycle now, const Knobs &k)
+{
+    skipTo(now, k.bucket);
+    assert(at_ == now);
+    quiet_ = false;
+    rq_ = false;
+    mem_only_.clear();
+    stopped_ = false;
+    edges_.clear();
+    live_count_ = 0;
+    for (unsigned i = 0; i < numCores(); ++i) {
+        const CoreId c = static_cast<CoreId>(i);
+        live_[i] = !cores_[i]->doneEmitting() || !coproc_.coreDrained(c);
+        live_count_ += live_[i];
+    }
+}
+
+void
+ClusterEngine::resume()
+{
+    assert(stopped());
+    rq_ = stop_state_ == State::Quiet;
+    rq_probe_ = stop_probe_;
+    rq_to_ = qwake_;
+    mem_only_.clear();
+    stopped_ = false;
+    edges_.clear();
+}
+
+void
+ClusterEngine::tickWindow(Cycle limit, const Knobs &k)
+{
+    while (!stopped() && at_ < limit) {
+        if (quiet_ && at_ < qwake_) {
+            skipTo(std::min(qwake_, limit), k.bucket);
+            continue;
+        }
+        const Cycle t = at_++;
+        quiet_ = false;
+        if (buffer_)
+            buffer_->setCycle(t);
+        tickCycle(t, k.fullWidth, k.bucket);
+
+        for (unsigned i = 0; live_count_ > 0 && i < numCores(); ++i) {
+            const CoreId c = static_cast<CoreId>(i);
+            if (live_[i] && cores_[i]->doneEmitting() &&
+                coproc_.coreDrained(c)) {
+                live_[i] = false;
+                --live_count_;
+                edges_.push_back(c);
+            }
+        }
+        if (!k.fastForward) {
+            if (!edges_.empty()) {
+                stopped_ = true;
+                stop_at_ = t;
+                stop_state_ = State::Busy;
+            }
+            continue;
+        }
+
+        // The lock-step wake ladder, for this engine alone: a later
+        // tier is only probed while every earlier one is beyond t + 1.
+        Probe p;
+        p.coproc = coproc_.nextEventAt(t);
+        if (p.coproc > t + 1) {
+            p.core = coreWake(t);
+            if (p.core > t + 1)
+                p.mem = mem_.peekEventAt(t);
+        }
+        const State st = classify(p, t);
+        if (st == State::Quiet) {
+            quiet_ = true;
+            qwake_ = std::min({p.coproc, p.core, p.mem});
+        }
+        if (st == State::Quiet || !edges_.empty()) {
+            stopped_ = true;
+            stop_at_ = t;
+            stop_probe_ = p;
+            stop_state_ = st;
+        } else if (st == State::MemOnly) {
+            mem_only_.push_back(t);
+        }
+    }
+}
+
+Cycle
+ClusterEngine::knownUntil() const
+{
+    if (quiet_ && (!stopped() || stop_state_ == State::Quiet))
+        return std::max(at_, qwake_);
+    return at_;
+}
+
+ClusterEngine::State
+ClusterEngine::stateAt(Cycle t, Probe *probe) const
+{
+    if (rq_ && t < rq_to_) {
+        *probe = rq_probe_;
+        return State::Quiet;
+    }
+    if (stopped() && t >= stop_at_) {
+        *probe = stop_probe_;
+        return t == stop_at_ ? stop_state_ : State::Quiet;
+    }
+    return std::binary_search(mem_only_.begin(), mem_only_.end(), t)
+               ? State::MemOnly
+               : State::Busy;
+}
+
+Cycle
+ClusterEngine::nextCalm(Cycle c) const
+{
+    if (rq_ && c < rq_to_)
+        return c;
+    const Cycle busy_end = stopped() ? stop_at_ : at_;
+    if (c < busy_end) {
+        const auto it =
+            std::lower_bound(mem_only_.begin(), mem_only_.end(), c);
+        if (it != mem_only_.end())
+            return *it;
+        c = busy_end;
+    }
+    if (stopped() && c == stop_at_ && stop_state_ == State::Busy)
+        ++c;
+    return c < knownUntil() ? c : kCycleNever;
+}
+
+bool
+ClusterEngine::probeLive(Cycle t, Probe *probe) const
+{
+    *probe = Probe{};
+    probe->coproc = coproc_.nextEventAt(t);
+    if (probe->coproc > t + 1)
+        probe->core = coreWake(t);
+    return probe->coproc > t + 1 && probe->core > t + 1;
+}
+
+void
+ClusterEngine::markQuiet(const Probe &p)
+{
+    quiet_ = true;
+    qwake_ = std::min({p.coproc, p.core, p.mem});
 }
 
 } // namespace occamy

@@ -12,14 +12,17 @@
  * 0 alone — so independent engines can tick the same cycle on separate
  * threads with no locks at all. System::advance is the coordinator: it
  * runs every serial, cross-cluster step (arbiter rebalance, batch-queue
- * and traffic admission, watchdog, fast-forward) between the parallel
- * tick phases, and merges engine-buffered events in cluster-id order so
- * the run's artifacts are byte-identical for 1 vs N worker threads
- * (DESIGN.md §15).
+ * and traffic admission, watchdog, fast-forward accounting) and merges
+ * engine-buffered events in cluster-id order so the run's artifacts
+ * are byte-identical for 1 vs N worker threads (DESIGN.md §15).
  *
- * The engine also owns the quiescence probes of its components
- * (coproc/core/mem nextEventAt) that System's wake-candidate table
- * evaluates, and the accounting synthesis for skipped spans.
+ * Engines tick in windows: tickWindow() runs this cluster's own cycle
+ * loop — ticks, its own fast-forward over quiescent stretches, and
+ * completion detection — until a stop the coordinator must see (a core
+ * finishing, or the engine turning quiescent) or the window limit. It
+ * records just enough (stateAt()) for the coordinator to replay the
+ * machine-wide fast-forward decision a lock-step run would have taken
+ * at every cycle of the window.
  */
 
 #ifndef OCCAMY_SIM_CLUSTER_ENGINE_HH
@@ -91,41 +94,124 @@ class ClusterEngine
     /** Register component stats into the per-cluster groups. */
     void regStats();
 
-    // --- The parallel phase (worker or coordinator thread). ---
+    // --- Tick windows (worker or coordinator thread). ---
+
+    /** Run-wide knobs of tickWindow(). */
+    struct Knobs
+    {
+        bool fullWidth = false;     ///< FTS busy-lane capping.
+        unsigned bucket = 1000;     ///< Timeline bucket, cycles.
+        bool fastForward = true;    ///< Skip quiescent stretches.
+    };
 
     /**
-     * Tick one cycle: co-processor first, then the local cores (their
-     * construction order — the global tick order restricted to this
-     * cluster), then the cycle's lane accounting (FTS busy-lane
-     * scaling, busy/allocated bucket sums, the busy-lane integral).
-     * Touches only this cluster's state.
+     * Start a window at @p now: skip forward to it if behind (the
+     * machine-wide run skipped those cycles, so this engine is
+     * quiescent there), forget the previous window's records, and make
+     * the next tickWindow() tick @p now itself — the coordinator's
+     * pre-tick actions may have changed what this engine's probes say.
+     * Also re-reads which local cores are live (not yet done and
+     * drained). Coordinator only, between rounds.
      */
-    void tickCycle(Cycle now, bool full_width, unsigned bucket);
-
-    /** Flush buffered events downstream (coordinator, cluster order).
-     *  No-op when unbuffered. */
-    void drainEvents();
-
-    // --- Fast-forward support (coordinator). ---
+    void beginWindow(Cycle now, const Knobs &k);
 
     /**
-     * Account a skipped quiescent span [from, to]: busy adds 0.0 per
-     * cycle (exact — nothing issues while quiescent) and alloc adds
-     * the lanes currently allocated, which cannot change mid-span.
+     * Tick and fast-forward from at() until @p limit (exclusive) or a
+     * stop: the first cycle at which a live core becomes done and
+     * drained (an edge), or the first tick after which the engine is
+     * quiescent (every probe > cycle + 1). Touches only this cluster.
      */
-    void synthesizeSkipped(Cycle from, Cycle to, unsigned bucket);
+    void tickWindow(Cycle limit, const Knobs &k);
 
-    /** Advance skip-invariant co-processor state (FTS round-robin). */
-    void skipCycles(Cycle span) { coproc_.skipCycles(span); }
+    /** Next cycle this engine will tick or skip. */
+    Cycle at() const { return at_; }
 
-    // --- Quiescence probes (System's wake-candidate table). ---
+    /** Restored state is exactly "about to tick @p now". */
+    void restoredAt(Cycle now)
+    {
+        at_ = now;
+        quiet_ = false;
+    }
 
-    Cycle coprocWake(Cycle now) const { return coproc_.nextEventAt(now); }
-    /** Non-const: the mem probe lazily pops expired wake entries. */
-    Cycle memWake(Cycle now) { return mem_.nextEventAt(now); }
+    /** A stop awaits the coordinator (set by tickWindow). */
+    bool stopped() const { return stopped_; }
+    /** Cycle of the pending stop. */
+    Cycle stopCycle() const { return stop_at_; }
+    /** Local cores that became done and drained at the pending stop. */
+    const std::vector<CoreId> &edges() const { return edges_; }
 
-    /** Earliest wake over the local cores. */
-    Cycle coreWake(Cycle now) const;
+    /** The coordinator processed the stop; the next tickWindow() may
+     *  run on. */
+    void resume();
+
+    /** Some local core is still running (or owed) work. */
+    bool hasLiveCore() const { return live_count_ > 0; }
+
+    /** First cycle whose post-tick probes the coordinator cannot yet
+     *  read with stateAt(): every earlier one was ticked, or lies in a
+     *  recorded quiescent stretch. */
+    Cycle knownUntil() const;
+
+    /** First cycle >= @p c (and < knownUntil()) whose recorded state
+     *  is not Busy; kCycleNever when there is none yet. */
+    Cycle nextCalm(Cycle c) const;
+
+    /** Quiescence probes after a tick: the three engine tiers of the
+     *  fast-forward wake, in their tie-breaking order. */
+    struct Probe
+    {
+        Cycle coproc = kCycleNever;
+        Cycle core = kCycleNever;
+        Cycle mem = kCycleNever;
+    };
+
+    /** What the probes said after cycle t. */
+    enum class State : std::uint8_t
+    {
+        Busy,       ///< Co-processor or a core acts at t + 1.
+        MemOnly,    ///< Only a line fill lands at t + 1.
+        Quiet,      ///< Nothing before probe.wake; probe is valid.
+    };
+
+    /**
+     * Post-tick state at cycle @p t, for t from the coordinator's
+     * replay cursor up to knownUntil(). A quiescent stretch keeps
+     * the probe values of the tick that started it: each probe is
+     * an absolute cycle (> t + 1) of unchanged state.
+     */
+    State stateAt(Cycle t, Probe *probe) const;
+
+    /** Live co-processor and core probes at @p t (engine synchronized
+     *  just past @p t); mem is left to the caller, which must probe it
+     *  (MemSystem::nextEventAt) only when every engine returned true:
+     *  both tiers beyond t + 1. */
+    bool probeLive(Cycle t, Probe *probe) const;
+
+    /** Record live probes @p p (every tier beyond its cycle + 1) as the
+     *  pending quiescent stretch. The coordinator's serial step at a
+     *  window's last cycle (watchdog escalation, dispatch) may change
+     *  what this engine's own last tick recorded, so a machine-wide
+     *  skip decided on live state is bounded by these instead. */
+    void markQuiet(const Probe &p);
+
+    /** Skip forward to @p to (exclusive) across a quiescent stretch:
+     *  synthesize the bucket accounting and advance skip-invariant
+     *  co-processor state. Coordinator only. */
+    void skipTo(Cycle to, unsigned bucket);
+
+    /** Flush buffered events of cycles <= @p upto downstream
+     *  (coordinator, cluster order). No-op when unbuffered. */
+    void drainEventsUpTo(Cycle upto)
+    {
+        if (buffer_)
+            buffer_->drainUpTo(upto);
+    }
+    /** Cycle of the oldest undrained buffered event (kCycleNever if
+     *  none or unbuffered). */
+    Cycle nextEventCycle() const
+    {
+        return buffer_ ? buffer_->nextCycle() : kCycleNever;
+    }
 
     // --- Accounting access (finalize and checkpointing). ---
 
@@ -141,6 +227,9 @@ class ClusterEngine
     }
 
   private:
+    /** Earliest wake over the local cores. */
+    Cycle coreWake(Cycle now) const;
+
     unsigned id_;
     MachineConfig view_;
     MemSystem mem_;
@@ -156,6 +245,41 @@ class ClusterEngine
     /** Deferred event forwarding for the parallel tick phase; null on
      *  flat machines and sink-less runs. */
     std::unique_ptr<obs::BufferSink> buffer_;
+
+    /** Tick one cycle: co-processor first, then the local cores (their
+     *  construction order — the global tick order restricted to this
+     *  cluster), then the cycle's lane accounting (FTS busy-lane
+     *  scaling, busy/allocated bucket sums, the busy-lane integral). */
+    void tickCycle(Cycle now, bool full_width, unsigned bucket);
+
+    /** Account a skipped quiescent span [from, to]: busy adds 0.0 per
+     *  cycle (exact — nothing issues while quiescent) and alloc adds
+     *  the lanes currently allocated, which cannot change mid-span. */
+    void synthesizeSkipped(Cycle from, Cycle to, unsigned bucket);
+
+    /** Classify @p p after a tick at @p t. */
+    static State classify(const Probe &p, Cycle t);
+
+    Cycle at_ = 0;              ///< Next cycle to tick or skip.
+    /** Pending quiescent stretch: the last tick left every probe
+     *  beyond its cycle + 1; skips run up to qwake_. */
+    bool quiet_ = false;
+    Cycle qwake_ = 0;
+
+    // Records since the last resume(), read by stateAt().
+    bool rq_ = false;           ///< Resumed inside a quiescent stretch...
+    Probe rq_probe_;            ///< ...with these probes...
+    Cycle rq_to_ = 0;           ///< ...lasting through rq_to_ - 1.
+    std::vector<Cycle> mem_only_;   ///< Busy ticks that were MemOnly.
+    bool stopped_ = false;
+    Cycle stop_at_ = 0;
+    Probe stop_probe_;
+    State stop_state_ = State::Busy;
+    std::vector<CoreId> edges_;
+
+    /** Per local core: not yet done emitting and drained. */
+    std::vector<bool> live_;
+    unsigned live_count_ = 0;
 
     /** Per-cluster FTS busy-lane scale for the current cycle. */
     double fts_scale_ = 1.0;

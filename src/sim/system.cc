@@ -67,8 +67,10 @@ struct System::Ctx
     std::vector<std::unique_ptr<ClusterEngine>> engines;
     /** Level-2 lane manager; only clustered machines have one. */
     std::unique_ptr<ClusterArbiter> arbiter;
-    /** Worker pool for the parallel tick phase; null = serial loop
-     *  (opt.simThreads <= 1, or a flat machine with one engine). */
+    /** Worker pool for the parallel tick phase, started by the first
+     *  advance() that ticks, so a booted machine that never runs holds
+     *  no threads; stays null for the serial loop (opt.simThreads <= 1,
+     *  or a flat machine with one engine). */
     std::unique_ptr<TickPool> pool;
     /** Engines buffer tick-phase events for cluster-order merging.
      *  Keyed to the topology (clustered + sink), never the thread
@@ -299,12 +301,6 @@ System::boot(const RunOptions &opt)
         eng->regStats();
     }
 
-    // Worker pool for the parallel tick phase: only useful when there
-    // is more than one engine to tick concurrently.
-    const unsigned tick_threads =
-        std::min<unsigned>(std::max(opt.simThreads, 1u), x.ncl);
-    if (tick_threads > 1)
-        x.pool = std::make_unique<TickPool>(tick_threads);
 
     x.result.cores.resize(x.cfg.numCores);
     x.total_lanes = x.cfg.totalLanes();
@@ -470,6 +466,7 @@ System::advance(Cycle stop_at)
     // — the work-migration path — costs clusterMigrationCycles and is
     // only taken when no home entry is left.
     std::vector<traffic::PendingJob> pending;
+    bool deferred = false;
     auto selectNext = [&](CoreId core) -> std::size_t {
         if (x.traffic) {
             x.traffic->pending(pending);
@@ -493,66 +490,47 @@ System::advance(Cycle stop_at)
                 return progressWith(x.queue_oi[pending[i].queueIdx], core);
             };
         const std::size_t sel = x.dispatcher->select(dc);
-        if (sel >= pending.size())
+        if (sel >= pending.size()) {
+            deferred = true;
             return queue_.size();       // kDefer: leave the core idle.
+        }
         return pending[sel].queueIdx;
     };
 
-    // The parallel tick phase: engines are ticked concurrently (or in
-    // cluster order by the serial fallback — same result either way by
-    // construction). The task closure is built once, outside the loop;
-    // `now` is a reference into Ctx, so it tracks the cycle.
-    const bool full_width = model.fullWidthExecution();
-    const std::function<void(unsigned)> tick_task =
-        [&x, &now, full_width, bucket](unsigned k) {
-            x.engines[k]->tickCycle(now, full_width, bucket);
-        };
-
-    // Wake-candidate table (fast-forward): one registration per
-    // configured probe, hoisted out of the cycle loop. Registration
-    // order matches the old per-cycle ladder exactly — tier by tier,
-    // and within a tier the same source order — so the chosen wake
-    // cycle and its WakeSource attribution are unchanged.
+    // Wake-candidate table: the machine-level candidates only (the
+    // engines probe themselves, see ClusterEngine::tickWindow), one
+    // registration per configured feature, in the order of the
+    // lock-step wake ladder's last tier, so ties keep their WakeSource
+    // attribution. Pre-tick candidates act at the top of their cycle,
+    // post-tick ones after the engines ticked it.
     WakeTable wt;
-    for (auto &eng : x.engines)
-        wt.add(0, WakeSource::Coproc, [e = eng.get()](Cycle at) {
-            return e->coprocWake(at);
-        });
-    for (auto &eng : x.engines)
-        wt.add(1, WakeSource::Core, [e = eng.get()](Cycle at) {
-            return e->coreWake(at);
-        });
-    for (auto &eng : x.engines)
-        wt.add(2, WakeSource::Mem, [e = eng.get()](Cycle at) {
-            return e->memWake(at);
-        });
     // An arbiter rebalance can change per-cluster DRAM grants, which
     // no component probe anticipates; wake exactly at the next period
     // boundary.
     if (x.arbiter)
-        wt.add(2, WakeSource::Arbiter, [period = cfg.interArbiterPeriod](
-                                           Cycle at) {
-            return (at / period + 1) * period;
-        });
+        wt.add(WakeSource::Arbiter, true,
+               [period = cfg.interArbiterPeriod](Cycle at) {
+                   return (at / period + 1) * period;
+               });
     for (unsigned c = 0; c < cfg.numCores; ++c)
-        wt.add(2, WakeSource::Dispatch,
+        wt.add(WakeSource::Dispatch, false,
                [&x, c](Cycle) { return x.dispatch_at[c]; });
     if (opt.snapshotEvery)
-        wt.add(2, WakeSource::Snapshot, [every = opt.snapshotEvery](
-                                            Cycle at) {
-            return (at / every + 1) * every;
-        });
+        wt.add(WakeSource::Snapshot, false,
+               [every = opt.snapshotEvery](Cycle at) {
+                   return (at / every + 1) * every;
+               });
     // Fault-plan boundaries change component behaviour even when the
     // machine is otherwise quiescent, and a spinning core's watchdog
     // deadline is a state change the probes above can't see. Both must
     // be wake candidates or fast-forward would skip past them and
     // diverge from the ticked run.
     if (injector)
-        wt.add(2, WakeSource::Fault,
+        wt.add(WakeSource::Fault, true,
                [injector](Cycle at) { return injector->nextEventAt(at); });
     if (opt.watchdogCycles) {
         for (unsigned c = 0; c < cfg.numCores; ++c)
-            wt.add(2, WakeSource::Watchdog,
+            wt.add(WakeSource::Watchdog, false,
                    [core = &x.core(c), wd = opt.watchdogCycles](Cycle at) {
                        return core->awaitingVl()
                                   ? std::max(core->spinSince() + wd,
@@ -568,22 +546,371 @@ System::advance(Cycle stop_at)
     // predecessor is still running, so a component event precedes
     // their resolution.
     if (x.traffic) {
-        wt.add(2, WakeSource::Arrival, [s = x.traffic.get()](Cycle at) {
-            return s->arrivalWake(at);
-        });
+        wt.add(WakeSource::Arrival, false,
+               [s = x.traffic.get()](Cycle at) {
+                   return s->arrivalWake(at);
+               });
         if (x.traffic->hasAdmission())
-            wt.add(2, WakeSource::Admission,
+            wt.add(WakeSource::Admission, false,
                    [s = x.traffic.get()](Cycle at) {
                        return s->admissionWake(at);
                    });
     }
 
-    // --- Cycle loop. ---
-    for (; now < max_cycles; ++now) {
+    // First cycle >= @p from at which the traffic session is due (the
+    // wake probes answer for "after from - 1"; from == 0 wraps to the
+    // raw next cycle, which is what cycle 0 needs).
+    auto firstDue = [&](Cycle from) {
+        return x.traffic
+                   ? std::min(x.traffic->arrivalWake(from - 1),
+                              x.traffic->admissionWake(from - 1))
+                   : kCycleNever;
+    };
+
+    // Forward buffered engine events of cycles <= @p upto: cycle by
+    // cycle, each in cluster-id order — the stream a per-cycle merge
+    // produces, whatever the window shape and thread count.
+    auto drainUpTo = [&](Cycle upto) {
+        while (x.buffered) {
+            Cycle c = kCycleNever;
+            for (auto &eng : x.engines)
+                c = std::min(c, eng->nextEventCycle());
+            if (c > upto)
+                return;
+            for (auto &eng : x.engines)
+                eng->drainEventsUpTo(c);
+        }
+    };
+
+    // Completion, traffic lifecycle and batch dispatch for core @p c,
+    // done and drained with no dispatch pending, at cycle `now`. An
+    // idle core re-polled here is a no-op unless the queue changed.
+    std::vector<bool> idle(cfg.numCores, false);
+    auto settle = [&](unsigned c) {
+        const CoreId cid = static_cast<CoreId>(c);
+        idle[c] = false;
+        // Close the traffic lifecycle and the batch record of the
+        // workload that just completed on this core, if any.
+        if (x.traffic)
+            x.traffic->completed(cid, now);
+        for (auto it = result.batch.rbegin(); it != result.batch.rend();
+             ++it) {
+            if (it->core == c && it->finished == 0) {
+                it->finished = now;
+                break;
+            }
+        }
+        if (x.undispatched == 0) {
+            x.done[c] = true;
+            x.finish[c] = now;
+            last_finish = std::max(last_finish, now);
+            return;
+        }
+        // Grab the next workload (per the dispatch discipline) after
+        // the OS context-switch cost. Under traffic nothing may have
+        // arrived yet; the core then idles until the next arrival.
+        const std::size_t q = selectNext(cid);
+        if (q == queue_.size()) {
+            idle[c] = true;
+            return;
+        }
+        x.pending_wl[c] = q;
+        x.dispatched[q] = true;
+        x.sched_oi[c] = x.queue_oi[q];
+        --x.undispatched;
+        x.dispatch_at[c] = now + cfg.contextSwitchCycles;
+        // Cross-cluster adoption (work migration) pays the extra
+        // state-movement cost and is accounted by the arbiter.
+        const unsigned home = static_cast<unsigned>(q % x.ncl);
+        const unsigned here = x.clusterOf(c);
+        if (home != here) {
+            x.dispatch_at[c] += cfg.clusterMigrationCycles;
+            x.arbiter->noteMigration(home, here);
+            emit(obs::EventKind::ClusterArbiterMigrate, cid, q,
+                 (static_cast<std::uint64_t>(home) << 32) | here);
+        }
+        if (x.traffic)
+            x.traffic->selected(q, cid, now);
+    };
+
+    // Idle cores are re-polled on a quiet cycle while this is set
+    // (see serialStep).
+    bool rescan = true;
+
+    // The lock-step fast-forward decision after cycle `now`, given
+    // every engine quiescent with @p probes: the earliest wake over the
+    // engines' probes (co-processors, then cores, then memories) and
+    // the machine-level candidates, ties keeping the first. Returns the
+    // next cycle to run. Pause and checkpoint boundaries cap the jump
+    // so the loop lands on them exactly — bookkeeping only: the span
+    // shapes (and SchedFastForward events, engine category) may differ
+    // from an uninterrupted run, the simulated state never does — a
+    // split skip synthesizes the same bucket sums and round-robin
+    // advance as one long skip.
+    std::vector<ClusterEngine::Probe> probes(x.ncl);
+    auto fastForwardFrom = [&]() -> Cycle {
+        Cycle wake = kCycleNever;
+        WakeSource why = WakeSource::Cap;
+        auto consider = [&](Cycle w, WakeSource s) {
+            if (w < wake) {
+                wake = w;
+                why = s;
+            }
+        };
+        for (const auto &p : probes)
+            consider(p.coproc, WakeSource::Coproc);
+        for (const auto &p : probes)
+            consider(p.core, WakeSource::Core);
+        for (const auto &p : probes)
+            consider(p.mem, WakeSource::Mem);
+        const auto [w, s] = wt.evaluate(now);
+        consider(w, s);
+        if (stop_at < wake) {
+            wake = stop_at;
+            why = WakeSource::Checkpoint;
+        }
+        if (next_ckpt < wake) {
+            wake = next_ckpt;
+            why = WakeSource::Checkpoint;
+        }
+        if (wake <= now + 1)
+            return now + 1;
+
+        // Nothing can happen before `wake`; a machine with no pending
+        // event at all (wake == kCycleNever) matches the ticked run's
+        // spin to the cap, so jump straight there and time out.
+        Cycle target = wake;
+        if (target >= max_cycles) {
+            target = max_cycles;
+            why = WakeSource::Cap;
+        }
+        const Cycle span = target - now - 1;
+        if (span == 0)
+            return now + 1;
+        drainUpTo(now);
+        emit(obs::EventKind::SchedFastForward, kNoCore, span,
+             static_cast<std::uint64_t>(why));
+        ++ff.spans;
+        ff.cyclesSkipped += span;
+        ff.longestSpan = std::max(ff.longestSpan, span);
+        return target;
+    };
+
+    // Replayed decision at a cycle inside the window, from what the
+    // engines recorded. The lock-step ladder probed every memory (and
+    // so dropped its expired fills) whenever no co-processor or core
+    // acted next cycle; that side effect is replayed here too.
+    auto replayedFastForward = [&]() -> Cycle {
+        if (!opt.fastForward)
+            return now + 1;
+        bool calm = true;
+        bool quiet = true;
+        for (unsigned k = 0; k < x.ncl; ++k) {
+            const auto st = x.engines[k]->stateAt(now, &probes[k]);
+            calm &= st != ClusterEngine::State::Busy;
+            quiet &= st == ClusterEngine::State::Quiet;
+        }
+        if (calm)
+            for (auto &eng : x.engines)
+                eng->mem().nextEventAt(now);
+        return quiet ? fastForwardFrom() : now + 1;
+    };
+
+    // The same decision on live state at a window's last cycle. A skip
+    // re-bases every engine's quiescent stretch on these probes: the
+    // serial step may have changed what the engines' own ticks said.
+    auto liveFastForward = [&]() -> Cycle {
+        if (!opt.fastForward)
+            return now + 1;
+        bool calm = true;
+        for (unsigned k = 0; k < x.ncl; ++k)
+            calm &= x.engines[k]->probeLive(now, &probes[k]);
+        if (!calm)
+            return now + 1;
+        bool quiet = true;
+        for (unsigned k = 0; k < x.ncl; ++k) {
+            probes[k].mem = x.engines[k]->mem().nextEventAt(now);
+            quiet &= probes[k].mem > now + 1;
+        }
+        if (!quiet)
+            return now + 1;
+        for (unsigned k = 0; k < x.ncl; ++k)
+            x.engines[k]->markQuiet(probes[k]);
+        return fastForwardFrom();
+    };
+
+    // The first cycle after `now` within [.., bound] at which every
+    // engine recorded a non-busy state (bound when there is none).
+    auto nextCalm = [&](Cycle from, Cycle bound) {
+        for (Cycle c = from;;) {
+            Cycle m = c;
+            for (auto &eng : x.engines)
+                m = std::max(m, eng->nextCalm(c));
+            if (m == c || m >= bound)
+                return std::min(m, bound);
+            c = m;
+        }
+    };
+
+    // The serial step after the engines ticked `now`: watchdog,
+    // traffic arrivals and admission, dispatch, completion, snapshot.
+    // Inside a window only the traffic session, engine stops (the
+    // cores flagged in `edge`) and idle polls can act; at its last
+    // cycle every engine has ticked exactly through `now` and the full
+    // step runs on live state. Sets x.complete once every core is done.
+    std::vector<bool> edge(cfg.numCores, false);
+    auto serialStep = [&](bool window_end) {
+        // Livelock/deadlock watchdog: a <VL>-request episode (initial
+        // write + Fig. 9 retry spin) that outlives the deadline is
+        // escalated to the scalar fallback instead of spinning forever.
+        if (window_end && opt.watchdogCycles) {
+            for (unsigned c = 0; c < cfg.numCores; ++c) {
+                ScalarCore &core = x.core(c);
+                if (!core.awaitingVl() ||
+                    now < core.spinSince() + opt.watchdogCycles)
+                    continue;
+                CoProcessor &cp = x.eng(c).coproc();
+                const VlRequestStatus st =
+                    cp.vlRequestStatus(core.id());
+                if (st.resolved && st.ok)
+                    continue;   // Grant landed; the spin ends next step.
+                ++x.watchdog_trips;
+                emit(obs::EventKind::WatchdogTrip, static_cast<CoreId>(c),
+                     cp.currentVl(core.id()), now - core.spinSince());
+                core.watchdogEscalate(now);
+            }
+        }
+
+        // Traffic arrivals and admission verdicts due this cycle, before
+        // any dispatch decision.
+        if (x.traffic && x.traffic->due(now))
+            x.undispatched -= x.traffic->admitArrivals(now, x.dispatched);
+
+        // Dispatch queued workloads onto cores whose context switch
+        // completed.
+        for (unsigned c = 0; window_end && c < cfg.numCores; ++c) {
+            if (x.dispatch_at[c] == kCycleNever || now < x.dispatch_at[c])
+                continue;
+            const CoreId cid = static_cast<CoreId>(c);
+            const std::size_t q = x.pending_wl[c];
+            const auto &[wl_name, wl_loops] = queue_[q];
+            x.compile_log.emplace_back(cid, q);
+            x.core(c).setProgram(compileAndBind(x, cid, wl_name, wl_loops));
+            x.core_prog[c] = x.programs.size() - 1;
+            if (x.traffic)
+                x.traffic->started(cid, q);
+            result.batch.push_back(BatchCompletion{wl_name, cid, now, 0});
+            if (opt.sink && opt.sink->wants(obs::EventKind::BatchDispatch))
+                emit(obs::EventKind::BatchDispatch, cid,
+                     opt.sink->internString(wl_name), q);
+            x.dispatch_at[c] = kCycleNever;
+        }
+
+        // The scheduler: every core that is done and drained with no
+        // dispatch pending settles (completion, next pick).
+        for (unsigned c = 0; c < cfg.numCores; ++c) {
+            const bool ready =
+                window_end ? x.core(c).doneEmitting() &&
+                                 x.eng(c).coproc().coreDrained(x.lc(c)) &&
+                                 x.dispatch_at[c] == kCycleNever
+                           : idle[c] || edge[c];
+            if (!x.done[c] && ready)
+                settle(c);
+            else
+                idle[c] = false;
+            edge[c] = false;
+        }
+        // Idle cores must be re-polled on a quiet cycle only while a
+        // poll can change something: the queue emptied (they retire)
+        // or the dispatcher deferred a candidate. Arrivals and
+        // admissions are polled at their own (due) cycles.
+        rescan = std::find(idle.begin(), idle.end(), true) != idle.end() &&
+                 (x.undispatched == 0 || deferred);
+        deferred = false;
+
+        if (window_end && opt.snapshotEvery && now > 0 &&
+            now % opt.snapshotEvery == 0) {
+            obs::MetricSnapshot snap;
+            snap.cycle = now;
+            for (auto &eng : x.engines) {
+                auto mv = eng->memGroup().snapshot();
+                snap.values.insert(snap.values.end(), mv.begin(),
+                                   mv.end());
+                auto cv = eng->cpGroup().snapshot();
+                snap.values.insert(snap.values.end(), cv.begin(),
+                                   cv.end());
+            }
+            std::sort(snap.values.begin(), snap.values.end());
+            result.snapshots.push_back(std::move(snap));
+        }
+        x.complete = std::find(x.done.begin(), x.done.end(), false) ==
+                     x.done.end();
+    };
+
+    // One window round: every engine whose last stop the replay has
+    // passed runs on to its next stop. An engine with a live core may
+    // run to the window end (the run cannot end before that core
+    // finishes, which is a stop); one without runs only through the
+    // replay cursor, so no engine ever ticks past the run's last cycle.
+    // Such engines are nearly always quiescent and run inline; the
+    // pool splits the rest. Engines also stop short of the next due
+    // traffic cycle (or of every cycle, while idle cores are polled),
+    // so an unbuffered flat stream sees coordinator events in order.
+    const ClusterEngine::Knobs knobs{model.fullWidthExecution(), bucket,
+                                     opt.fastForward};
+    Cycle horizon = 0;
+    std::vector<Cycle> limit(x.ncl, 0);
+    const std::function<void(unsigned)> round_task =
+        [&x, &limit, &knobs](unsigned k) {
+            if (limit[k])
+                x.engines[k]->tickWindow(limit[k], knobs);
+        };
+    auto runRound = [&] {
+        const Cycle due = firstDue(now);
+        const Cycle evt_limit =
+            rescan ? now + 1 : due == kCycleNever ? kCycleNever : due + 1;
+        unsigned pooled = 0;
+        for (unsigned k = 0; k < x.ncl; ++k) {
+            ClusterEngine &eng = *x.engines[k];
+            limit[k] = 0;
+            if (eng.stopped()) {
+                if (eng.stopCycle() >= now)
+                    continue;
+                eng.resume();
+            }
+            if (!eng.hasLiveCore()) {
+                eng.tickWindow(std::min(horizon, now + 1), knobs);
+            } else if (eng.at() < std::min(horizon, evt_limit)) {
+                limit[k] = std::min(horizon, evt_limit);
+                ++pooled;
+            }
+        }
+        if (x.pool && pooled > 1)
+            x.pool->run(x.ncl, round_task);
+        else
+            for (unsigned k = 0; k < x.ncl; ++k)
+                round_task(k);
+    };
+
+    // Worker pool for the window rounds: only useful when there is
+    // more than one engine to tick concurrently.
+    const unsigned tick_threads =
+        std::min<unsigned>(std::max(opt.simThreads, 1u), x.ncl);
+    if (!x.pool && tick_threads > 1 && now < std::min(stop_at, max_cycles))
+        x.pool = std::make_unique<TickPool>(tick_threads);
+
+    // Ticked-cycle count of the next wall-clock check.
+    constexpr Cycle kWallCheckMask = 0xFFFF;
+    Cycle wall_check = (ff.cyclesTicked | kWallCheckMask) + 1;
+
+    // --- Cycle loop: one tick window per iteration. ---
+    while (now < max_cycles) {
         // Pause boundary: state is exactly "about to execute cycle
         // `now`", the same point a checkpoint captures. Checked before
         // anything else so advance(N); advance(M) ticks each cycle
         // exactly once.
+        for (auto &eng : x.engines)
+            eng->beginWindow(now, knobs);
         if (now >= stop_at)
             return false;
         if (now == next_ckpt) {
@@ -593,10 +920,11 @@ System::advance(Cycle stop_at)
 
         ++ff.cyclesTicked;
 
-        // Hard wall-clock kill (runner containment): checked coarsely
-        // so the steady_clock read stays off the hot path.
-        if (opt.wallClockLimitSec > 0 &&
-            (ff.cyclesTicked & 0xFFFF) == 0) {
+        // Hard wall-clock kill (runner containment): checked at the
+        // first window start after every 65,536 ticked cycles, so the
+        // steady_clock read stays off the hot path.
+        if (opt.wallClockLimitSec > 0 && ff.cyclesTicked >= wall_check) {
+            wall_check = (ff.cyclesTicked | kWallCheckMask) + 1;
             const std::chrono::duration<double> elapsed =
                 std::chrono::steady_clock::now() - x.wall_start;
             if (elapsed.count() > opt.wallClockLimitSec) {
@@ -635,193 +963,104 @@ System::advance(Cycle stop_at)
             }
         }
 
-        // --- Parallel phase: tick every cluster engine (coproc, its
-        // cores, lane accounting). Engines share no mutable state, so
-        // the pool needs no locks; the serial fallback ticks them in
-        // cluster order with the same result by construction.
-        if (x.pool)
-            x.pool->run(x.ncl, tick_task);
-        else
-            for (unsigned k = 0; k < x.ncl; ++k)
-                tick_task(k);
-        // Merge point: forward tick-phase events in cluster-id order,
-        // so the stream is identical for any worker-thread count.
-        if (x.buffered)
-            for (auto &eng : x.engines)
-                eng->drainEvents();
+        // The window [now, horizon): the engines may tick it without
+        // the coordinator, because nothing outside them acts inside
+        // it. A completion at t >= now first changes an engine at tick
+        // t + contextSwitchCycles + 1 (its dispatch), a spin starting
+        // at t >= now trips the watchdog at t + watchdogCycles at the
+        // earliest, and the table bounds everything already scheduled.
+        // OI-aware dispatch scores against live resource tables, so it
+        // steps one cycle at a time.
+        horizon = std::min({now + cfg.contextSwitchCycles + 1, max_cycles,
+                            stop_at, next_ckpt});
+        if (opt.watchdogCycles)
+            horizon = std::min(horizon, now + opt.watchdogCycles + 1);
+        // A window ticks at most one wall-clock check interval.
+        if (opt.wallClockLimitSec > 0)
+            horizon = std::min(horizon, now + kWallCheckMask + 1);
+        if (now > 0)
+            horizon = std::min(horizon, wt.horizon(now));
+        if (now == 0 || x.dispatcher->wantsOiScore())
+            horizon = now + 1;
 
-        // Livelock/deadlock watchdog: a <VL>-request episode (initial
-        // write + Fig. 9 retry spin) that outlives the deadline is
-        // escalated to the scalar fallback instead of spinning forever.
-        if (opt.watchdogCycles) {
-            for (unsigned c = 0; c < cfg.numCores; ++c) {
-                ScalarCore &core = x.core(c);
-                if (!core.awaitingVl() ||
-                    now < core.spinSince() + opt.watchdogCycles)
-                    continue;
-                CoProcessor &cp = x.eng(c).coproc();
-                const VlRequestStatus st =
-                    cp.vlRequestStatus(core.id());
-                if (st.resolved && st.ok)
-                    continue;   // Grant landed; the spin ends next step.
-                ++x.watchdog_trips;
-                emit(obs::EventKind::WatchdogTrip, static_cast<CoreId>(c),
-                     cp.currentVl(core.id()), now - core.spinSince());
-                core.watchdogEscalate(now);
-            }
-        }
+        // Idle cores (done, drained, nothing dispatched) are the only
+        // ones a poll on a cycle without a completion can touch.
+        for (unsigned c = 0; c < cfg.numCores; ++c)
+            idle[c] = !x.done[c] && x.dispatch_at[c] == kCycleNever &&
+                      x.core(c).doneEmitting() &&
+                      x.eng(c).coproc().coreDrained(x.lc(c));
 
-        // Traffic arrivals and admission verdicts due this cycle, before
-        // any dispatch decision; an inline compare on quiet cycles.
-        if (x.traffic && x.traffic->due(now))
-            x.undispatched -= x.traffic->admitArrivals(now, x.dispatched);
+        // Replay the lock-step loop over the window, cycle `now` at a
+        // time (each already counted as ticked), as far as the engines
+        // have run; then let them run further.
+        Cycle next = kCycleNever;
+        while (next == kCycleNever) {
+            runRound();
+            for (;;) {
+                Cycle known = kCycleNever;
+                for (auto &eng : x.engines)
+                    known = std::min(known, eng->knownUntil());
+                if (now >= known)
+                    break;
 
-        // Dispatch queued workloads onto cores whose context switch
-        // completed.
-        for (unsigned c = 0; c < cfg.numCores; ++c) {
-            if (x.dispatch_at[c] == kCycleNever || now < x.dispatch_at[c])
-                continue;
-            const CoreId cid = static_cast<CoreId>(c);
-            const std::size_t q = x.pending_wl[c];
-            const auto &[wl_name, wl_loops] = queue_[q];
-            x.compile_log.emplace_back(cid, q);
-            x.core(c).setProgram(compileAndBind(x, cid, wl_name, wl_loops));
-            x.core_prog[c] = x.programs.size() - 1;
-            if (x.traffic)
-                x.traffic->started(cid, q);
-            result.batch.push_back(BatchCompletion{wl_name, cid, now, 0});
-            if (opt.sink && opt.sink->wants(obs::EventKind::BatchDispatch))
-                emit(obs::EventKind::BatchDispatch, cid,
-                     opt.sink->internString(wl_name), q);
-            x.dispatch_at[c] = kCycleNever;
-        }
+                const bool window_end = now == horizon - 1;
+                if (window_end)
+                    for (auto &eng : x.engines)
+                        eng->skipTo(horizon, bucket);
+                bool edge_here = false;
+                for (auto &eng : x.engines) {
+                    if (!eng->stopped() || eng->stopCycle() != now)
+                        continue;
+                    for (CoreId lcid : eng->edges()) {
+                        edge[eng->id() * x.cpk + lcid] = true;
+                        edge_here = true;
+                    }
+                }
+                if (window_end || edge_here || rescan ||
+                    (x.traffic && x.traffic->due(now))) {
+                    drainUpTo(now);
+                    serialStep(window_end);
+                    if (x.complete) {
+                        for (auto &eng : x.engines)
+                            eng->skipTo(now + 1, bucket);
+                        return true;
+                    }
+                }
 
-        // Lane accounting (FTS scaling, bucket sums, busy integral)
-        // happened inside each engine's tickCycle; this loop is the
-        // serial scheduler: completion detection, traffic lifecycle,
-        // and batch dispatch.
-        bool all_done = true;
-        for (unsigned c = 0; c < cfg.numCores; ++c) {
-            if (x.done[c])
-                continue;
-            const CoreId cid = static_cast<CoreId>(c);
-            if (!x.core(c).doneEmitting() ||
-                !x.eng(c).coproc().coreDrained(x.lc(c)) ||
-                x.dispatch_at[c] != kCycleNever) {
-                all_done = false;
-                continue;
-            }
-            // Close the traffic lifecycle and the batch record of the
-            // workload that just completed on this core, if any.
-            if (x.traffic)
-                x.traffic->completed(cid, now);
-            for (auto it = result.batch.rbegin(); it != result.batch.rend();
-                 ++it) {
-                if (it->core == c && it->finished == 0) {
-                    it->finished = now;
+                const Cycle after = window_end ? liveFastForward()
+                                               : replayedFastForward();
+                if (after >= horizon) {
+                    next = after;
                     break;
                 }
+                if (after > now + 1) {
+                    ++ff.cyclesTicked;
+                    now = after;
+                    continue;
+                }
+                // Plain ticked cycles up to the next one the replay
+                // must look at, counted in O(1).
+                Cycle to = std::min(known, horizon - 1);
+                if (!rescan) {
+                    to = std::min(to, firstDue(now + 1));
+                    for (auto &eng : x.engines)
+                        if (eng->stopped() && eng->stopCycle() > now &&
+                            !eng->edges().empty())
+                            to = std::min(to, eng->stopCycle());
+                    if (opt.fastForward)
+                        to = nextCalm(now + 1, to);
+                } else {
+                    to = now + 1;
+                }
+                ff.cyclesTicked += to - now;
+                now = to;
             }
-            if (x.undispatched == 0) {
-                x.done[c] = true;
-                x.finish[c] = now;
-                last_finish = std::max(last_finish, now);
-                continue;
-            }
-            all_done = false;
-            // Grab the next workload (per the dispatch discipline) after
-            // the OS context-switch cost. Under traffic nothing may have
-            // arrived yet; the core then idles until the next arrival.
-            const std::size_t q = selectNext(cid);
-            if (q == queue_.size())
-                continue;
-            x.pending_wl[c] = q;
-            x.dispatched[q] = true;
-            x.sched_oi[c] = x.queue_oi[q];
-            --x.undispatched;
-            x.dispatch_at[c] = now + cfg.contextSwitchCycles;
-            // Cross-cluster adoption (work migration) pays the extra
-            // state-movement cost and is accounted by the arbiter.
-            const unsigned home = static_cast<unsigned>(q % x.ncl);
-            const unsigned here = x.clusterOf(c);
-            if (home != here) {
-                x.dispatch_at[c] += cfg.clusterMigrationCycles;
-                x.arbiter->noteMigration(home, here);
-                emit(obs::EventKind::ClusterArbiterMigrate, cid, q,
-                     (static_cast<std::uint64_t>(home) << 32) | here);
-            }
-            if (x.traffic)
-                x.traffic->selected(q, cid, now);
         }
-        if (opt.snapshotEvery && now > 0 &&
-            now % opt.snapshotEvery == 0) {
-            obs::MetricSnapshot snap;
-            snap.cycle = now;
-            for (auto &eng : x.engines) {
-                auto mv = eng->memGroup().snapshot();
-                snap.values.insert(snap.values.end(), mv.begin(),
-                                   mv.end());
-                auto cv = eng->cpGroup().snapshot();
-                snap.values.insert(snap.values.end(), cv.begin(),
-                                   cv.end());
-            }
-            std::sort(snap.values.begin(), snap.values.end());
-            result.snapshots.push_back(std::move(snap));
-        }
-        if (all_done) {
-            x.complete = true;
-            return true;
-        }
-
-        if (!opt.fastForward)
-            continue;
-
-        // --- Quiescence-aware fast-forward (skip-to-next-event). ---
-        // Every component reports the earliest future cycle it could
-        // change state; until min(candidates), each tick is provably a
-        // no-op, so the loop jumps there directly. The candidate table
-        // was registered above, once per advance() call. Pause and
-        // checkpoint boundaries cap the jump so the loop lands on them
-        // exactly — engine bookkeeping only: the span shapes (and
-        // SchedFastForward events, engine category) may differ from an
-        // uninterrupted run, the simulated state never does — a split
-        // skip synthesizes the same bucket sums and round-robin
-        // advance as one long skip.
-        auto [wake, why] = wt.evaluate(now);
-        if (stop_at < wake) {
-            wake = stop_at;
-            why = WakeSource::Checkpoint;
-        }
-        if (next_ckpt < wake) {
-            wake = next_ckpt;
-            why = WakeSource::Checkpoint;
-        }
-        if (wake <= now + 1)
-            continue;
-
-        // Nothing can happen before `wake`; a machine with no pending
-        // event at all (wake == kCycleNever) matches the ticked run's
-        // spin to the cap, so jump straight there and time out.
-        Cycle target = wake;
-        if (target >= max_cycles) {
-            target = max_cycles;
-            why = WakeSource::Cap;
-        }
-        const Cycle span = target - now - 1;
-        if (span == 0)
-            continue;
-
-        emit(obs::EventKind::SchedFastForward, kNoCore, span,
-             static_cast<std::uint64_t>(why));
-        for (auto &eng : x.engines)
-            eng->synthesizeSkipped(now + 1, target - 1, bucket);
-        for (auto &eng : x.engines)
-            eng->skipCycles(span);
-        ++ff.spans;
-        ff.cyclesSkipped += span;
-        ff.longestSpan = std::max(ff.longestSpan, span);
-        now = target - 1;       // ++now lands exactly on the wake cycle.
+        now = next;
     }
+    for (auto &eng : x.engines)
+        eng->skipTo(now, bucket);
+    drainUpTo(now);
     x.complete = true;          // Ran into the maxCycles cap.
     return true;
 }
@@ -1371,6 +1610,8 @@ System::restoreCheckpoint(std::istream &is, const RunOptions &opt)
                             "checkpoint core count mismatch");
         for (unsigned c = 0; c < x.cfg.numCores; ++c)
             x.core(c).load(r);
+        for (auto &eng : x.engines)
+            eng->restoredAt(x.now);
 
         r.finish();
 

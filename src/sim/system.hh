@@ -256,9 +256,9 @@ struct RunOptions
     std::string checkpointOut;
     Cycle checkpointEvery = 0;
 
-    /** Threads ticking the per-cycle parallel cluster phase (DESIGN.md
+    /** Threads running the cluster engines' tick windows (DESIGN.md
      *  §15), capped at the cluster count; <= 1 (and every flat
-     *  machine) keeps the classic serial loop. Results, stats, event
+     *  machine) ticks the engines serially. Results, stats, event
      *  streams, checkpoints, and fingerprints are byte-identical for
      *  any value — the thread count is an engine knob, never simulated
      *  state, so it is deliberately excluded from the checkpoint

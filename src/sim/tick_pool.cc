@@ -11,6 +11,9 @@ namespace
  *  core hands over promptly. */
 constexpr unsigned kSpinProbes = 2048;
 
+/** Yields an idle worker makes before it parks. */
+constexpr unsigned kYieldsBeforePark = 64;
+
 template <class Pred>
 void
 spinUntil(Pred pred)
@@ -31,24 +34,22 @@ TickPool::TickPool(unsigned threads)
     const unsigned nworkers = threads > 1 ? threads - 1 : 0;
     workers_.reserve(nworkers);
     for (unsigned i = 0; i < nworkers; ++i)
-        workers_.emplace_back([this] { workerLoop(); });
+        workers_.emplace_back([this, i] { workerLoop(i + 1); });
 }
 
 TickPool::~TickPool()
 {
     quit_.store(true, std::memory_order_relaxed);
-    epoch_.fetch_add(1, std::memory_order_release);
+    publish();
     for (std::thread &t : workers_)
         t.join();
 }
 
 void
-TickPool::drainTasks()
+TickPool::drainTasks(unsigned self)
 {
-    for (;;) {
-        const unsigned i = next_.fetch_add(1, std::memory_order_relaxed);
-        if (i >= n_)
-            return;
+    const unsigned t = threads();
+    for (unsigned i = self * n_ / t; i < (self + 1) * n_ / t; ++i) {
         try {
             (*fn_)(i);
         } catch (...) {
@@ -58,17 +59,40 @@ TickPool::drainTasks()
 }
 
 void
-TickPool::workerLoop()
+TickPool::publish()
+{
+    // seq_cst on both sides (here and the parked_ increment before
+    // epoch_.wait) means either this load sees the parked worker or
+    // that worker's wait sees the new epoch — never neither.
+    epoch_.fetch_add(1, std::memory_order_seq_cst);
+    if (parked_.load(std::memory_order_seq_cst) != 0)
+        epoch_.notify_all();
+}
+
+void
+TickPool::workerLoop(unsigned self)
 {
     std::uint64_t seen = 0;
     for (;;) {
-        spinUntil([&] {
-            return epoch_.load(std::memory_order_acquire) != seen;
-        });
+        unsigned probes = 0;
+        unsigned yields = 0;
+        while (epoch_.load(std::memory_order_acquire) == seen) {
+            if (++probes < kSpinProbes)
+                continue;
+            probes = 0;
+            if (++yields < kYieldsBeforePark) {
+                std::this_thread::yield();
+                continue;
+            }
+            parked_.fetch_add(1, std::memory_order_seq_cst);
+            epoch_.wait(seen, std::memory_order_seq_cst);
+            parked_.fetch_sub(1, std::memory_order_relaxed);
+            yields = 0;
+        }
         ++seen;
         if (quit_.load(std::memory_order_relaxed))
             return;
-        drainTasks();
+        drainTasks(self);
         done_.fetch_add(1, std::memory_order_release);
     }
 }
@@ -86,11 +110,10 @@ TickPool::run(unsigned n, const std::function<void(unsigned)> &fn)
     fn_ = &fn;
     n_ = n;
     errors_.assign(n, nullptr);
-    next_.store(0, std::memory_order_relaxed);
     done_.store(0, std::memory_order_relaxed);
-    epoch_.fetch_add(1, std::memory_order_release);
+    publish();
 
-    drainTasks();       // The coordinator participates.
+    drainTasks(0);      // The coordinator participates.
 
     const unsigned workers = static_cast<unsigned>(workers_.size());
     spinUntil([&] {

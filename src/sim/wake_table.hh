@@ -1,28 +1,33 @@
 /**
  * @file
- * Flat wake-candidate table for the fast-forward engine.
+ * The coordinator's wake-candidate table.
  *
- * System::advance used to rebuild its quiescence probes every ticked
- * cycle: a consider(...) closure plus a ladder of conditional loops
- * (coprocs, cores, mems, arbiter boundary, per-core dispatch deadlines,
- * snapshot boundary, fault plan, watchdog deadlines, traffic arrivals)
- * re-testing configuration that cannot change mid-run. The table hoists
- * that setup out of the hot loop: each candidate is registered once per
- * advance() call — and only when its feature is configured — with the
- * tier it belongs to, and evaluate() walks the flat array.
+ * Besides the cluster engines' own quiescence probes (which each engine
+ * evaluates for itself inside a tick window, see sim/cluster_engine.hh),
+ * a handful of machine-level events can end a quiescent stretch: the
+ * arbiter's rebalance boundary, per-core dispatch deadlines, the
+ * snapshot boundary, fault-plan boundaries, watchdog deadlines and the
+ * traffic session's arrival and admission wakes. Each is registered
+ * once per advance() call — and only when its feature is configured —
+ * and serves two purposes:
  *
- * Tiers preserve the exact early-out structure of the ladder: tier 0
- * (co-processors) always runs; a later tier runs only if everything
- * before it left wake > now + 1 (i.e. a skip is still possible). Within
- * a tier, candidates are evaluated in registration order and ties keep
- * the first source, so the WakeSource attribution recorded in
- * SchedFastForward events is unchanged. Probes may be conservative
- * (wake early) but never late; kCycleNever means "no candidate now".
+ *  - evaluate(at) is the machine-level tier of the fast-forward wake:
+ *    the earliest candidate after cycle @p at, ties keeping the first
+ *    registration, so the WakeSource attribution recorded in
+ *    SchedFastForward events is stable;
+ *  - horizon(now) bounds a tick window starting at @p now: a pre-tick
+ *    candidate (acting at the top of its cycle) ends the window before
+ *    its cycle, a post-tick candidate (acting after the engines ticked
+ *    it) ends the window with its cycle.
+ *
+ * Probes may be conservative (wake early) but never late; kCycleNever
+ * means "no candidate now".
  */
 
 #ifndef OCCAMY_SIM_WAKE_TABLE_HH
 #define OCCAMY_SIM_WAKE_TABLE_HH
 
+#include <algorithm>
 #include <functional>
 #include <utility>
 #include <vector>
@@ -33,39 +38,45 @@
 namespace occamy
 {
 
-/** Registration-order candidate table with tiered early-outs. */
+/** Registration-order candidate table. */
 class WakeTable
 {
   public:
-    /** Register a probe; candidates must be added in non-decreasing
-     *  tier order. */
-    void add(unsigned tier, WakeSource source,
+    /** Register @p probe: at -> earliest candidate cycle > at.
+     *  @p pre_tick marks actions taken before the engines tick. */
+    void add(WakeSource source, bool pre_tick,
              std::function<Cycle(Cycle)> probe)
     {
-        cands_.push_back(
-            Candidate{std::move(probe), source, tier});
+        cands_.push_back(Candidate{std::move(probe), source, pre_tick});
     }
 
-    /** @return the earliest candidate cycle and its source (the cap
-     *  pair {kCycleNever, Cap} when nothing is pending). */
-    std::pair<Cycle, WakeSource> evaluate(Cycle now) const
+    /** @return the earliest candidate after @p at and its source (the
+     *  cap pair {kCycleNever, Cap} when nothing is pending). */
+    std::pair<Cycle, WakeSource> evaluate(Cycle at) const
     {
         Cycle wake = kCycleNever;
         WakeSource why = WakeSource::Cap;
-        unsigned tier = 0;
         for (const Candidate &c : cands_) {
-            if (c.tier != tier) {
-                if (wake <= now + 1)
-                    break;      // A skip is already impossible.
-                tier = c.tier;
-            }
-            const Cycle at = c.probe(now);
-            if (at < wake) {
-                wake = at;
+            const Cycle w = c.probe(at);
+            if (w < wake) {
+                wake = w;
                 why = c.source;
             }
         }
         return {wake, why};
+    }
+
+    /** End (exclusive) of the longest window starting at @p now >= 1
+     *  that no candidate acts inside of. */
+    Cycle horizon(Cycle now) const
+    {
+        Cycle h = kCycleNever;
+        for (const Candidate &c : cands_) {
+            const Cycle w = c.probe(c.preTick ? now : now - 1);
+            if (w != kCycleNever)
+                h = std::min(h, c.preTick ? w : std::max(w, now) + 1);
+        }
+        return h;
     }
 
   private:
@@ -73,7 +84,7 @@ class WakeTable
     {
         std::function<Cycle(Cycle)> probe;
         WakeSource source;
-        unsigned tier;
+        bool preTick;
     };
 
     std::vector<Candidate> cands_;

@@ -83,8 +83,8 @@ class Session
             const AdmissionPolicy *admission, unsigned cap,
             Cycle refillPeriod, obs::EventSink *sink);
 
-    /** An arrival or admission boundary is due at @p now. Inline: the
-     *  only per-cycle cost of a quiet traffic run. */
+    /** An arrival or admission boundary is due at @p now. Inline and
+     *  O(1): the simulator asks it on every cycle it looks at. */
     bool
     due(Cycle now) const
     {

@@ -15,13 +15,18 @@
 #include <gtest/gtest.h>
 
 #include "coproc/coproc.hh"
+#include "fault/fault.hh"
 #include "golden_matrix.hh"
 #include "mem/memsystem.hh"
 #include "obs/export.hh"
 #include "obs/sink.hh"
 #include "runner/runner.hh"
 #include "sim/trace.hh"
+#include "traffic/admission.hh"
+#include "traffic/scheduler.hh"
+#include "traffic/traffic.hh"
 #include "workloads/phases.hh"
+#include "workloads/suite.hh"
 
 using namespace occamy;
 
@@ -238,6 +243,33 @@ TEST(SimThreadsEquiv, ClusteredMatrixIsByteIdenticalOneVsN)
     }
 }
 
+/** Fast-forward accounting is written into checkpoints, sweep JSON and
+ *  serve replies, so it must not depend on how the cycle loop is
+ *  organized: these are the lock-step loop's figures for two clustered
+ *  runs, at 4 sim-threads (and equal at any count). */
+TEST(FastForwardEquiv, ClusteredFfStatsArePinned)
+{
+    struct Pin
+    {
+        bool traffic;
+        Cycle ticked, skipped;
+        std::uint64_t spans;
+        Cycle longest;
+    };
+    for (const Pin &pin : {Pin{false, 23877, 530, 105, 7},
+                           Pin{true, 274638, 2757, 67, 2179}}) {
+        runner::JobSpec spec =
+            clusteredSpec(SharingPolicy::Elastic, pin.traffic);
+        spec.watchdogCycles = 50'000;
+        SCOPED_TRACE(pin.traffic ? "traffic" : "batch");
+        const FastForwardStats ff = runThreaded(spec, 4).ff;
+        EXPECT_EQ(ff.cyclesTicked, pin.ticked);
+        EXPECT_EQ(ff.cyclesSkipped, pin.skipped);
+        EXPECT_EQ(ff.spans, pin.spans);
+        EXPECT_EQ(ff.longestSpan, pin.longest);
+    }
+}
+
 /** Thread counts beyond the cluster count are capped, not an error,
  *  and a flat machine stays on the serial loop for any value. */
 TEST(SimThreadsEquiv, OversizedAndFlatRequestsDegradeGracefully)
@@ -256,6 +288,202 @@ TEST(SimThreadsEquiv, OversizedAndFlatRequestsDegradeGracefully)
     flat.workloads.emplace_back(w6.name, w6.loops);
     flat.workloads.emplace_back(w16.name, w16.loops);
     expectIdentical(runThreaded(flat, 1), runThreaded(flat, 8));
+}
+
+// ------------------------------------------ windowed tick equivalence
+
+/** Run @p spec on a System the way Runner::runOne does — with one
+ *  advance() call, or with one call per cycle (advance(now() + 1)
+ *  forces every tick window down to a single cycle) — optionally with
+ *  @p dispatcher installed on a plain batch queue. */
+runner::JobResult
+runWindowed(const runner::JobSpec &spec, unsigned threads, bool stepped,
+            const char *dispatcher)
+{
+    runner::JobResult out;
+    obs::RingSink sink(1u << 16, obs::kEvAll);
+    System sys(spec.cfg);
+    for (std::size_t c = 0; c < spec.workloads.size(); ++c)
+        sys.setWorkload(static_cast<CoreId>(c), spec.workloads[c].first,
+                        spec.workloads[c].second);
+    for (const auto &[name, loops] : spec.batch)
+        sys.enqueueWorkload(name, loops);
+    if (spec.traffic.enabled()) {
+        for (const traffic::Arrival &a : traffic::generate(spec.traffic))
+            sys.enqueueArrival(a);
+        sys.setDispatcher(
+            traffic::dispatcherByName(spec.traffic.scheduler));
+        if (spec.traffic.admissionEnabled())
+            sys.setAdmission(
+                traffic::admissionByName(spec.traffic.admission),
+                spec.traffic.admissionCap,
+                static_cast<Cycle>(spec.traffic.meanGapCycles));
+    }
+    if (dispatcher)
+        sys.setDispatcher(traffic::dispatcherByName(dispatcher));
+    RunOptions opt;
+    opt.maxCycles = spec.maxCycles;
+    opt.snapshotEvery = spec.snapshotEvery;
+    opt.watchdogCycles = spec.watchdogCycles;
+    opt.simThreads = threads;
+    opt.sink = &sink;
+    opt.ffStats = &out.ff;
+    fault::FaultPlan plan;
+    if (!spec.faultPlan.empty())
+        plan = fault::FaultPlan::parse(spec.faultPlan);
+    else if (spec.faultSeed)
+        plan = fault::FaultPlan::random(spec.faultSeed, spec.cfg);
+    if (!plan.empty())
+        opt.faultPlan = &plan;
+    sys.boot(opt);
+    if (stepped) {
+        while (!sys.advance(sys.now() + 1)) {
+        }
+    } else {
+        EXPECT_TRUE(sys.advance());
+    }
+    out.result = sys.finalize();
+    out.trace = sink.take();
+    return out;
+}
+
+/** Window shapes are bookkeeping: a run whose every tick window is one
+ *  cycle long (advance(now() + 1) per call) and a run in one advance()
+ *  call produce the same results, traffic records, snapshots and
+ *  non-engine event stream, serially and on a worker pool. Covers
+ *  traffic with admission, clusters finishing at different cycles, a
+ *  flat machine, a zero and a default context switch, a watchdog
+ *  shorter than the context switch, faults, snapshots, and OI-aware
+ *  dispatch (one-cycle windows by construction). */
+TEST(SimThreadsEquiv, WindowedEqualsSingleStepped)
+{
+    struct Case
+    {
+        std::string label;
+        runner::JobSpec spec;
+        const char *dispatcher = nullptr;
+    };
+    std::vector<Case> cases;
+
+    runner::JobSpec slo = clusteredSpec(SharingPolicy::Elastic, true);
+    slo.traffic.admission = "slo-aware";
+    slo.traffic.admissionCap = 2;
+    slo.traffic.sloCycles = 150'000;
+    slo.snapshotEvery = 5'000;
+    cases.push_back({"4x2 traffic slo-aware", slo});
+
+    // Private keeps its lanes allocated on finished cores, so an engine
+    // that ran past the run's last cycle would show in the timelines.
+    runner::JobSpec uneven;
+    uneven.cfg = MachineConfig::Builder(SharingPolicy::Private)
+                     .topology(4, 4)
+                     .build();
+    for (unsigned c = 0; c < 16; ++c)
+        uneven.workloads.emplace_back(
+            "w" + std::to_string(c),
+            std::vector<kir::Loop>{workloads::makeNamedPhase(
+                c % 2 ? "wsm51" : "rho_eos1", 512u * (c % 5 + 1))});
+    uneven.batch.emplace_back(
+        "q0",
+        std::vector<kir::Loop>{workloads::makeNamedPhase("wsm53", 1024)});
+    cases.push_back({"4x4 private batch, uneven finish", uneven});
+
+    runner::JobSpec flat;
+    flat.cfg = MachineConfig::forPolicy(SharingPolicy::Elastic, 2);
+    for (unsigned n : {6u, 16u}) {
+        const auto w = workloads::specWorkload(n);
+        flat.workloads.emplace_back(w.name, w.loops);
+    }
+    cases.push_back({"flat 6+16", flat});
+
+    for (unsigned cs : {0u, 200u}) {
+        runner::JobSpec batch = clusteredSpec(SharingPolicy::Elastic, false);
+        batch.cfg = MachineConfig::Builder(SharingPolicy::Elastic)
+                        .topology(4, 2)
+                        .contextSwitch(cs)
+                        .build();
+        cases.push_back({"4x2 batch cs " + std::to_string(cs), batch});
+    }
+
+    runner::JobSpec wd = clusteredSpec(SharingPolicy::Elastic, false);
+    wd.watchdogCycles = 50;
+    cases.push_back({"4x2 batch watchdog 50", wd});
+
+    runner::JobSpec faults = clusteredSpec(SharingPolicy::Elastic, false);
+    faults.faultSeed = 7;
+    faults.snapshotEvery = 5'000;
+    cases.push_back({"4x2 batch fault seed 7", faults});
+
+    cases.push_back({"4x2 batch oi",
+                     clusteredSpec(SharingPolicy::Elastic, false), "oi"});
+
+    for (const Case &c : cases) {
+        for (unsigned threads : {1u, 4u}) {
+            SCOPED_TRACE(c.label + ", " + std::to_string(threads) +
+                         " sim-threads");
+            const runner::JobResult stepped =
+                runWindowed(c.spec, threads, true, c.dispatcher);
+            const runner::JobResult windowed =
+                runWindowed(c.spec, threads, false, c.dispatcher);
+            EXPECT_FALSE(windowed.result.timedOut);
+            expectIdentical(stepped, windowed);
+            ASSERT_EQ(stepped.result.trafficJobs.size(),
+                      windowed.result.trafficJobs.size());
+            for (std::size_t q = 0; q < stepped.result.trafficJobs.size();
+                 ++q) {
+                const traffic::JobRecord &a = stepped.result.trafficJobs[q];
+                const traffic::JobRecord &b =
+                    windowed.result.trafficJobs[q];
+                EXPECT_EQ(a.arrive, b.arrive) << q;
+                EXPECT_EQ(a.admit, b.admit) << q;
+                EXPECT_EQ(a.finish, b.finish) << q;
+                EXPECT_EQ(a.shed, b.shed) << q;
+                EXPECT_EQ(a.defers, b.defers) << q;
+            }
+        }
+    }
+}
+
+/** A watchdog escalation at a window's last cycle rewrites the engine
+ *  it belongs to: the cancelled <VL> request clears an injected
+ *  reconfiguration delay and the scalar fallback stalls the core. With
+ *  the partner core done, the machine-wide skip that follows must be
+ *  taken on that live state, not on what the engine's own tick saw.
+ *  The figures are the lock-step loop's. */
+TEST(FastForwardEquiv, WatchdogEscalationThenSkipIsPinned)
+{
+    struct Pin
+    {
+        Cycle watchdog;
+        Cycle ticked, skipped;
+        std::uint64_t spans;
+        Cycle longest;
+    };
+    for (const Pin &pin : {Pin{1'000, 119231, 1476465, 238, 1474799},
+                           Pin{20'000, 119231, 1514465, 238, 1474799}}) {
+        SCOPED_TRACE("watchdog " + std::to_string(pin.watchdog));
+        runner::JobSpec spec;
+        spec.cfg = MachineConfig::forPolicy(SharingPolicy::Elastic, 2);
+        for (unsigned n : {6u, 16u}) {
+            const auto w = workloads::specWorkload(n);
+            spec.workloads.emplace_back(w.name, w.loops);
+        }
+        // Core 1 widens its VL once core 0 finishes (cycle 118990);
+        // the delay outlives the watchdog.
+        spec.faultPlan = "cfgdelay@118000:core=1,cycles=100000";
+        spec.watchdogCycles = pin.watchdog;
+        spec.maxCycles = 20'000'000;
+        const runner::JobResult stepped = runWindowed(spec, 1, true, nullptr);
+        const runner::JobResult windowed =
+            runWindowed(spec, 1, false, nullptr);
+        EXPECT_FALSE(windowed.result.timedOut);
+        EXPECT_GT(windowed.result.watchdogTrips, 0u);
+        expectIdentical(stepped, windowed);
+        EXPECT_EQ(windowed.ff.cyclesTicked, pin.ticked);
+        EXPECT_EQ(windowed.ff.cyclesSkipped, pin.skipped);
+        EXPECT_EQ(windowed.ff.spans, pin.spans);
+        EXPECT_EQ(windowed.ff.longestSpan, pin.longest);
+    }
 }
 
 TEST(NextEventAt, MemSystemReportsPendingFillsThenDrains)

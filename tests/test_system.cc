@@ -10,6 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <ctime>
+#include <thread>
 
 #include "sim/system.hh"
 #include "sim/trace.hh"
@@ -504,6 +507,40 @@ TEST(System, ClusteredComponentPathsAreInspectable)
     EXPECT_THROW(sys.inspect("system.core4"), std::out_of_range);
     EXPECT_THROW(sys.inspect("system.coproc.core4"), std::out_of_range);
     sys.finalize();
+}
+
+/** Process CPU seconds so far, every thread included. */
+double
+processCpuSeconds()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) + 1e-9 * ts.tv_nsec;
+}
+
+/** A warm System with a worker pool costs no CPU between advance()
+ *  calls: once their spin budget runs out, idle TickPool workers park
+ *  on the epoch instead of spinning or yielding forever. */
+TEST(TickPool, IdleWorkersDoNotBurnCpu)
+{
+    System sys(MachineConfig::Builder(SharingPolicy::Elastic)
+                   .topology(4, 4)
+                   .build());
+    for (unsigned c = 0; c < 16; ++c)
+        sys.setWorkload(static_cast<CoreId>(c), "w" + std::to_string(c),
+                        {makeNamedPhase("wsm51", 4096)});
+    RunOptions opt;
+    opt.simThreads = 4;
+    sys.boot(opt);
+    EXPECT_FALSE(sys.advance(1'000));
+
+    const double before = processCpuSeconds();
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    EXPECT_LT(processCpuSeconds() - before, 0.050);
+
+    // Parked workers still wake for the next round.
+    EXPECT_TRUE(sys.advance());
+    EXPECT_FALSE(sys.finalize().timedOut);
 }
 
 } // namespace
