@@ -1,6 +1,5 @@
 #include "ckpt/ckpt.hh"
 
-#include <cstring>
 #include <istream>
 #include <ostream>
 
@@ -33,58 +32,13 @@ Writer::Writer(std::ostream &os) : os_(os), hash_(kFnvOffset)
 }
 
 void
-Writer::byte(unsigned char c)
+Writer::put(std::uint64_t v, int n)
 {
-    hash_ = fnv1a(hash_, c);
-    os_.put(static_cast<char>(c));
-}
-
-void
-Writer::u8(std::uint8_t v)
-{
-    byte(v);
-}
-
-void
-Writer::u16(std::uint16_t v)
-{
-    byte(static_cast<unsigned char>(v & 0xFF));
-    byte(static_cast<unsigned char>(v >> 8));
-}
-
-void
-Writer::u32(std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        byte(static_cast<unsigned char>((v >> (8 * i)) & 0xFF));
-}
-
-void
-Writer::u64(std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        byte(static_cast<unsigned char>((v >> (8 * i)) & 0xFF));
-}
-
-void
-Writer::i64(std::int64_t v)
-{
-    u64(static_cast<std::uint64_t>(v));
-}
-
-void
-Writer::f64(double v)
-{
-    std::uint64_t bits;
-    static_assert(sizeof bits == sizeof v);
-    std::memcpy(&bits, &v, sizeof bits);
-    u64(bits);
-}
-
-void
-Writer::b(bool v)
-{
-    u8(v ? 1 : 0);
+    for (int i = 0; i < n; ++i) {
+        const auto c = static_cast<unsigned char>((v >> (8 * i)) & 0xFF);
+        hash_ = fnv1a(hash_, c);
+        os_.put(static_cast<char>(c));
+    }
 }
 
 void
@@ -92,7 +46,7 @@ Writer::str(const std::string &s)
 {
     u64(s.size());
     for (char c : s)
-        byte(static_cast<unsigned char>(c));
+        put(static_cast<unsigned char>(c), 1);
 }
 
 void
@@ -120,10 +74,20 @@ Writer::finish()
 
 Reader::Reader(std::istream &is) : is_(is), hash_(kFnvOffset)
 {
-    const std::uint32_t magic = u32();
-    if (magic != kMagic)
+    // On a seekable stream, remember how many bytes remain so array
+    // lengths can be bounded by what the stream can still deliver.
+    const std::istream::pos_type here = is.tellg();
+    if (here != std::istream::pos_type(-1)) {
+        is.seekg(0, std::ios::end);
+        const std::istream::pos_type end = is.tellg();
+        if (end != std::istream::pos_type(-1) && end >= here)
+            left_ = static_cast<std::uint64_t>(end - here);
+        is.clear();
+        is.seekg(here);
+    }
+    if (get(4) != kMagic)
         throw Error("not an Occamy checkpoint (bad magic)");
-    const std::uint32_t version = u32();
+    const std::uint64_t version = get(4);
     if (version != kVersion)
         throw Error("unsupported checkpoint format version " +
                     std::to_string(version) + " (this build reads version " +
@@ -132,110 +96,65 @@ Reader::Reader(std::istream &is) : is_(is), hash_(kFnvOffset)
                                         : "; re-create the checkpoint)"));
 }
 
-unsigned char
-Reader::byte()
-{
-    const int c = is_.get();
-    if (c == std::istream::traits_type::eof())
-        throw Error("truncated checkpoint (unexpected end of stream)");
-    const auto uc = static_cast<unsigned char>(c);
-    hash_ = fnv1a(hash_, uc);
-    return uc;
-}
-
-std::uint8_t
-Reader::u8()
-{
-    return byte();
-}
-
-std::uint16_t
-Reader::u16()
-{
-    std::uint16_t v = byte();
-    v = static_cast<std::uint16_t>(v | (std::uint16_t{byte()} << 8));
-    return v;
-}
-
-std::uint32_t
-Reader::u32()
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= std::uint32_t{byte()} << (8 * i);
-    return v;
-}
-
 std::uint64_t
-Reader::u64()
+Reader::get(int n)
 {
     std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= std::uint64_t{byte()} << (8 * i);
+    for (int i = 0; i < n; ++i) {
+        const int c = is_.get();
+        if (c == std::istream::traits_type::eof())
+            throw Error("truncated checkpoint (unexpected end of stream)");
+        const auto uc = static_cast<unsigned char>(c);
+        hash_ = fnv1a(hash_, uc);
+        --left_;
+        v |= std::uint64_t{uc} << (8 * i);
+    }
     return v;
 }
 
-std::int64_t
-Reader::i64()
+void
+Reader::str(std::string &s)
 {
-    return static_cast<std::int64_t>(u64());
-}
-
-double
-Reader::f64()
-{
-    const std::uint64_t bits = u64();
-    double v;
-    std::memcpy(&v, &bits, sizeof v);
-    return v;
-}
-
-bool
-Reader::b()
-{
-    const std::uint8_t v = u8();
-    check(v <= 1, "corrupt checkpoint (bad boolean)");
-    return v != 0;
-}
-
-std::string
-Reader::str()
-{
-    const std::size_t n = arr();
-    std::string s;
+    const std::size_t n = length(kMaxElems);
+    s.clear();
     s.reserve(n);
     for (std::size_t i = 0; i < n; ++i)
-        s.push_back(static_cast<char>(byte()));
-    return s;
+        s.push_back(static_cast<char>(get(1)));
 }
 
 std::size_t
-Reader::arr(std::size_t maxElems)
+Reader::length(std::size_t maxElems, const char *msg)
 {
-    const std::uint64_t n = u64();
-    if (n > maxElems)
+    const std::uint64_t n = get(8);
+    if (msg)
+        check(n <= maxElems, msg);
+    // Every element takes at least one byte of the stream.
+    if (n > maxElems || n > left_)
         throw Error("corrupt checkpoint (implausible array length " +
                     std::to_string(n) + ")");
     return static_cast<std::size_t>(n);
 }
 
-void
-Reader::expectSection(const char *name)
+std::uint64_t
+Reader::ranged(std::uint64_t raw, std::uint64_t limit, const char *msg,
+               std::uint64_t sentinels)
 {
-    if (u32() != kSectionTag)
-        throw Error(std::string("corrupt checkpoint (expected section '") +
-                    name + "' marker)");
-    const std::string got = str();
-    if (got != name)
-        throw Error("checkpoint section mismatch (expected '" +
-                    std::string(name) + "', found '" + got + "')");
+    if (raw >= limit && limit != kAny && (sentinels == 0 || raw < sentinels))
+        throw Error(msg);
+    return raw;
 }
 
 void
-Reader::check(bool cond, const std::string &msg)
+Reader::section(const char *name)
 {
-    if (!cond)
-        throw Error(msg);
+    if (get(4) != kSectionTag)
+        throw Error(std::string("corrupt checkpoint (expected section '") +
+                    name + "' marker)");
+    std::string got;
+    str(got);
+    if (got != name)
+        throw Error("checkpoint section mismatch (expected '" +
+                    std::string(name) + "', found '" + got + "')");
 }
 
 void

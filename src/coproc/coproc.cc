@@ -16,18 +16,14 @@ namespace occamy
 namespace
 {
 
-/** Build a pipeline event for @p inst (dispatch/issue/retire). */
-inline obs::Event
-pipeEvent(Cycle now, obs::EventKind kind, const DynInst &inst)
+/** Trace a pipeline event for @p inst (dispatch/issue/retire). */
+inline void
+pipeEvent(obs::EventSink *sink, Cycle now, obs::EventKind kind,
+          const DynInst &inst)
 {
-    obs::Event ev;
-    ev.cycle = now;
-    ev.kind = kind;
-    ev.core = inst.core;
-    ev.a = static_cast<std::uint64_t>(inst.op);
-    ev.b = inst.seq;
-    ev.x = inst.activeLanes;
-    return ev;
+    obs::emit(sink, kind, now, inst.core,
+              static_cast<std::uint64_t>(inst.op), inst.seq,
+              inst.activeLanes);
 }
 
 } // namespace
@@ -35,8 +31,8 @@ pipeEvent(Cycle now, obs::EventKind kind, const DynInst &inst)
 CoProcessor::CoProcessor(const MachineConfig &cfg, MemSystem &mem)
     : cfg_(cfg), model_(policy::model(cfg.policy)), mem_(mem),
       rt_(cfg.numCores, cfg.numExeBUs),
-      dispatch_cfg_(cfg.numExeBUs),
-      regfile_cfg_(cfg.numExeBUs),
+      dispatch_cfg_(cfg.numExeBUs, cfg.numCores),
+      regfile_cfg_(cfg.numExeBUs, cfg.numCores),
       regfile_(cfg),
       lane_mgr_(RooflineParams::fromConfig(cfg), cfg.numExeBUs,
                 cfg.laneMgrLatency)
@@ -500,9 +496,7 @@ CoProcessor::commitStage(Cycle now)
                 break;
             if (head.prevPhys >= 0)
                 regfile_.free(static_cast<CoreId>(c), head.prevPhys);
-            if (sink_ && sink_->wants(obs::EventKind::Retire))
-                sink_->record(
-                    pipeEvent(now, obs::EventKind::Retire, head));
+            pipeEvent(sink_, now, obs::EventKind::Retire, head);
             cs.rob.pop_front();
             ++cs.robBase;
             --width;
@@ -579,8 +573,7 @@ CoProcessor::tryIssue(CoreId c, SeqNum seq, Cycle now,
         regfile_.setReadyAt(inst.dstPhys, inst.readyCycle);
         wakeWaiters(c, cs, inst.dstPhys, seq, now);
     }
-    if (sink_ && sink_->wants(obs::EventKind::Issue))
-        sink_->record(pipeEvent(now, obs::EventKind::Issue, inst));
+    pipeEvent(sink_, now, obs::EventKind::Issue, inst);
     return true;
 }
 
@@ -689,9 +682,7 @@ CoProcessor::renameStage(Cycle now)
             cs.rob.push_back(inst);
             ++cs.iqCount;
             indexEntry(c, cs, cs.rob.back(), now);
-            if (sink_ && sink_->wants(obs::EventKind::Dispatch))
-                sink_->record(pipeEvent(now, obs::EventKind::Dispatch,
-                                        cs.rob.back()));
+            pipeEvent(sink_, now, obs::EventKind::Dispatch, cs.rob.back());
             cs.pool.pop_front();
             --width;
         }
@@ -738,16 +729,9 @@ CoProcessor::execEmSimd(CoreId c, const DynInst &inst, Cycle now)
     switch (inst.op) {
       case Opcode::MsrOI:
         rt_.core(c).oi = inst.oi;
-        if (sink_ && sink_->wants(obs::EventKind::OiUpdate)) {
-            obs::Event ev;
-            ev.cycle = now;
-            ev.kind = obs::EventKind::OiUpdate;
-            ev.core = c;
-            ev.a = static_cast<std::uint64_t>(inst.oi.level);
-            ev.x = inst.oi.issue;
-            ev.y = inst.oi.mem;
-            sink_->record(ev);
-        }
+        obs::emit(sink_, obs::EventKind::OiUpdate, now, c,
+                  static_cast<std::uint64_t>(inst.oi.level), 0,
+                  inst.oi.issue, inst.oi.mem);
         if (model_.usesLaneManager())
             lane_mgr_.notifyPhaseEvent(now);
         // Phase activity changed: rule-based policies republish
@@ -971,198 +955,142 @@ CoProcessor::regStats(stats::Group &group) const
 namespace
 {
 
+/** Checkpoint field list of one in-flight instruction of a
+ *  co-processor with @p cores cores and @p phys physical registers. */
+template <class Inst, class Ar>
 void
-saveInst(occamy::ckpt::Writer &w, const occamy::DynInst &d)
+ioInst(Inst &d, Ar &ar, unsigned cores, std::size_t phys)
 {
-    w.u16(static_cast<std::uint16_t>(d.op));
-    w.u16(static_cast<std::uint16_t>(d.core));
-    w.u64(d.seq);
-    w.u16(d.phaseId);
-    w.i64(d.dstArch);
-    for (std::int16_t a : d.srcArch)
-        w.i64(a);
-    w.u8(d.nsrc);
-    w.u16(d.vlBus);
-    w.u16(d.activeLanes);
-    w.u16(d.activeElems);
-    w.u64(d.addr);
-    w.u32(d.bytes);
-    w.i64(d.stride);
-    w.u8(d.elemBytes);
-    w.f64(d.oi.issue);
-    w.f64(d.oi.mem);
-    w.u8(static_cast<std::uint8_t>(d.oi.level));
-    w.u32(d.imm);
-    w.b(d.vlFromDecision);
-    w.i64(d.dstPhys);
-    w.i64(d.prevPhys);
-    for (std::int32_t p : d.srcPhys)
-        w.i64(p);
-    w.u64(d.enqueueCycle);
-    w.u64(d.readyCycle);
-    w.b(d.issued);
-    w.b(d.completed);
-}
-
-occamy::DynInst
-loadInst(occamy::ckpt::Reader &r)
-{
-    occamy::DynInst d;
-    d.op = static_cast<occamy::Opcode>(r.u16());
-    d.core = static_cast<occamy::CoreId>(r.u16());
-    d.seq = r.u64();
-    d.phaseId = r.u16();
-    d.dstArch = static_cast<std::int16_t>(r.i64());
-    for (std::int16_t &a : d.srcArch)
-        a = static_cast<std::int16_t>(r.i64());
-    d.nsrc = r.u8();
-    d.vlBus = r.u16();
-    d.activeLanes = r.u16();
-    d.activeElems = r.u16();
-    d.addr = r.u64();
-    d.bytes = r.u32();
-    d.stride = static_cast<std::int32_t>(r.i64());
-    d.elemBytes = r.u8();
-    d.oi.issue = r.f64();
-    d.oi.mem = r.f64();
-    d.oi.level = static_cast<occamy::MemLevel>(r.u8());
-    d.imm = r.u32();
-    d.vlFromDecision = r.b();
-    d.dstPhys = static_cast<std::int32_t>(r.i64());
-    d.prevPhys = static_cast<std::int32_t>(r.i64());
-    for (std::int32_t &sp : d.srcPhys)
-        sp = static_cast<std::int32_t>(r.i64());
-    d.enqueueCycle = r.u64();
-    d.readyCycle = r.u64();
-    d.issued = r.b();
-    d.completed = r.b();
-    return d;
-}
-
-void
-saveInstSeq(occamy::ckpt::Writer &w, const occamy::InstRing &seq)
-{
-    w.u64(seq.size());
-    for (const occamy::DynInst &d : seq)
-        saveInst(w, d);
-}
-
-void
-loadInstSeq(occamy::ckpt::Reader &r, occamy::InstRing &seq)
-{
-    seq.clear();
-    const std::size_t n = r.arr();
-    occamy::ckpt::Reader::check(
-        n <= seq.capacity(),
-        "checkpoint instruction queue exceeds its configured capacity");
-    for (std::size_t i = 0; i < n; ++i)
-        seq.push_back(loadInst(r));
+    constexpr std::uint64_t kNone = ~std::uint64_t{0};   // Register -1.
+    const char *const bad_reg = "corrupt checkpoint (physical register)";
+    ar.u16(d.op, occamy::kNumOpcodes, "corrupt checkpoint (bad opcode)");
+    ar.u16(d.core, cores, "corrupt checkpoint (instruction core id)");
+    ar.u64(d.seq);
+    ar.u16(d.phaseId);
+    ar.i64(d.dstArch);
+    for (auto &a : d.srcArch)
+        ar.i64(a);
+    ar.u8(d.nsrc, d.srcArch.size() + 1,
+          "corrupt checkpoint (instruction source count)");
+    ar.u16(d.vlBus);
+    ar.u16(d.activeLanes);
+    ar.u16(d.activeElems);
+    ar.u64(d.addr);
+    ar.u32(d.bytes);
+    ar.i64(d.stride);
+    ar.u8(d.elemBytes);
+    occamy::ioPhaseOI(d.oi, ar);
+    ar.u32(d.imm);
+    ar.b(d.vlFromDecision);
+    ar.i64(d.dstPhys, phys, bad_reg, kNone);
+    ar.i64(d.prevPhys, phys, bad_reg, kNone);
+    for (auto &p : d.srcPhys)
+        ar.i64(p, phys, bad_reg, kNone);
+    ar.u64(d.enqueueCycle);
+    ar.u64(d.readyCycle);
+    ar.b(d.issued);
+    ar.b(d.completed);
 }
 
 } // namespace
 
+template <class Self, class Ar>
+void
+CoProcessor::io(Self &s, Ar &ar, std::vector<std::vector<SeqNum>> &iq)
+{
+    ar.section("coproc");
+    ar.io(s.rt_);
+    ar.io(s.dispatch_cfg_);
+    ar.io(s.regfile_cfg_);
+    ar.io(s.regfile_);
+    ar.io(s.lane_mgr_);
+
+    const auto cores = static_cast<unsigned>(s.cores_.size());
+    const std::size_t phys = s.regfile_.physRegs();
+    auto ring = [&](auto &seq) {
+        ar.len(seq, seq.capacity(), "checkpoint instruction queue "
+                                    "exceeds its configured capacity");
+        for (auto &d : seq)
+            ioInst(d, ar, cores, phys);
+    };
+    ar.same(s.cores_.size(), "checkpoint co-processor core count mismatch");
+    for (unsigned c = 0; c < cores; ++c) {
+        auto &cs = s.cores_[c];
+        ring(cs.pool);
+        ring(cs.rob);
+        ar.u64(cs.robBase);
+        ar.len(iq[c], cs.rob.capacity());
+        for (SeqNum &seq : iq[c])
+            ar.u64(seq);
+        ar.io(cs.lsu);
+        ring(cs.emq);
+        ar.b(cs.vlReq.resolved);
+        ar.b(cs.vlReq.ok);
+        ar.u64(cs.cfgDelayUntil);
+        ar.u64(cs.computeIssued);
+        ar.u64(cs.memIssued);
+        ar.len(cs.phaseCompute);
+        for (auto &v : cs.phaseCompute)
+            ar.u64(v);
+        ar.u64(cs.regStallCycles);
+        ar.u64(cs.otherStallCycles);
+    }
+
+    ar.same(s.busy_lanes_.size(),
+            "checkpoint busy-lane vector size mismatch");
+    for (auto &b : s.busy_lanes_)
+        ar.u32(b);
+    ar.u32(s.rr_start_);
+
+    ar.counter(s.vl_switches_);
+    ar.counter(s.em_insts_);
+    ar.counter(s.plans_published_);
+    ar.counter(s.lane_faults_);
+}
+
 void
 CoProcessor::save(ckpt::Writer &w) const
 {
-    w.section("coproc");
-    rt_.save(w);
-    dispatch_cfg_.save(w);
-    regfile_cfg_.save(w);
-    regfile_.save(w);
-    lane_mgr_.save(w);
-
-    w.u64(cores_.size());
-    for (const CoreState &cs : cores_) {
-        saveInstSeq(w, cs.pool);
-        saveInstSeq(w, cs.rob);
-        w.u64(cs.robBase);
-        w.u64(cs.iqCount);
-        for (const DynInst &d : cs.rob)
+    // The IQ is derived from the ROB: its unissued entries' seqs.
+    std::vector<std::vector<SeqNum>> iq(cores_.size());
+    for (std::size_t c = 0; c < cores_.size(); ++c)
+        for (const DynInst &d : cores_[c].rob)
             if (!d.issued)
-                w.u64(d.seq);
-        cs.lsu.save(w);
-        saveInstSeq(w, cs.emq);
-        w.b(cs.vlReq.resolved);
-        w.b(cs.vlReq.ok);
-        w.u64(cs.cfgDelayUntil);
-        w.u64(cs.computeIssued);
-        w.u64(cs.memIssued);
-        w.u64(cs.phaseCompute.size());
-        for (std::uint64_t v : cs.phaseCompute)
-            w.u64(v);
-        w.u64(cs.regStallCycles);
-        w.u64(cs.otherStallCycles);
-    }
-
-    w.u64(busy_lanes_.size());
-    for (unsigned b : busy_lanes_)
-        w.u32(b);
-    w.u32(rr_start_);
-
-    w.u64(vl_switches_.value());
-    w.u64(em_insts_.value());
-    w.u64(plans_published_.value());
-    w.u64(lane_faults_.value());
+                iq[c].push_back(d.seq);
+    io(*this, w, iq);
 }
 
 void
 CoProcessor::load(ckpt::Reader &r)
 {
-    r.expectSection("coproc");
-    rt_.load(r);
-    dispatch_cfg_.load(r);
-    regfile_cfg_.load(r);
-    regfile_.load(r);
-    lane_mgr_.load(r);
+    std::vector<std::vector<SeqNum>> iq(cores_.size());
+    io(*this, r, iq);
 
-    ckpt::Reader::check(r.arr() == cores_.size(),
-                        "checkpoint co-processor core count mismatch");
-    for (CoreState &cs : cores_) {
-        loadInstSeq(r, cs.pool);
-        loadInstSeq(r, cs.rob);
-        cs.robBase = r.u64();
-        // The IQ is derived from the ROB; a saved seq list that does
-        // not match its unissued entries is a corrupt checkpoint.
-        cs.iqCount = r.arr(cs.rob.capacity());
-        std::size_t unissued = 0;
+    // The IQ must be exactly the ROB's unissued entries, each in its
+    // slot, and none may wait on another core's register (the wakeup
+    // index parks a waiter on its own core's producer).
+    const char *const bad_iq =
+        "checkpoint IQ does not match the ROB's unissued entries";
+    for (std::size_t c = 0; c < cores_.size(); ++c) {
+        CoreState &cs = cores_[c];
+        std::vector<SeqNum> unissued;
         for (std::size_t i = 0; i < cs.rob.size(); ++i) {
-            if (cs.rob[i].issued)
+            const DynInst &d = cs.rob[i];
+            if (d.issued)
                 continue;
-            ckpt::Reader::check(
-                unissued < cs.iqCount &&
-                    r.u64() == cs.rob[i].seq &&
-                    cs.rob[i].seq == cs.robBase + i,
-                "checkpoint IQ does not match the ROB's unissued entries");
-            ++unissued;
+            ckpt::Reader::check(d.seq == cs.robBase + i, bad_iq);
+            unissued.push_back(d.seq);
+            for (unsigned k = 0; k < d.nsrc; ++k) {
+                const std::int32_t p = d.srcPhys[k];
+                ckpt::Reader::check(
+                    p < 0 || regfile_.readyAt(p) != kCycleNever ||
+                        regfile_.holder(p) == c,
+                    "checkpoint ROB entry waits on another core's register");
+            }
         }
-        ckpt::Reader::check(
-            unissued == cs.iqCount,
-            "checkpoint IQ does not match the ROB's unissued entries");
-        cs.lsu.load(r);
-        loadInstSeq(r, cs.emq);
-        cs.vlReq.resolved = r.b();
-        cs.vlReq.ok = r.b();
-        cs.cfgDelayUntil = r.u64();
-        cs.computeIssued = r.u64();
-        cs.memIssued = r.u64();
-        cs.phaseCompute.resize(r.arr());
-        for (std::uint64_t &v : cs.phaseCompute)
-            v = r.u64();
-        cs.regStallCycles = r.u64();
-        cs.otherStallCycles = r.u64();
+        ckpt::Reader::check(unissued == iq[c], bad_iq);
+        cs.iqCount = unissued.size();
     }
-
-    ckpt::Reader::check(r.arr() == busy_lanes_.size(),
-                        "checkpoint busy-lane vector size mismatch");
-    for (unsigned &b : busy_lanes_)
-        b = r.u32();
-    rr_start_ = r.u32();
-
-    vl_switches_.set(r.u64());
-    em_insts_.set(r.u64());
-    plans_published_.set(r.u64());
-    lane_faults_.set(r.u64());
-
     rebuildIssueIndex();
 }
 

@@ -174,6 +174,11 @@ class CoProcessor
     void printState(std::ostream &os, const std::string &what) const;
 
   private:
+    /** The checkpoint field list, shared by save() and load(); each
+     *  core's IQ travels as the seq list @p iq[c]. */
+    template <class Self, class Ar>
+    static void io(Self &s, Ar &ar, std::vector<std::vector<SeqNum>> &iq);
+
     /** EM-SIMD queue depth (Fig. 5's small in-order buffer). */
     static constexpr std::size_t kEmqDepth = 8;
 

@@ -23,6 +23,7 @@
 #ifndef OCCAMY_COPROC_INST_RING_HH
 #define OCCAMY_COPROC_INST_RING_HH
 
+#include <algorithm>
 #include <cassert>
 #include <cstddef>
 #include <vector>
@@ -89,6 +90,16 @@ class InstRing
     {
         head_ = 0;
         size_ = 0;
+    }
+
+    /** Empty the ring, then hold @p n default entries (checkpoint
+     *  restore fills them in place). */
+    void resize(std::size_t n)
+    {
+        assert(n <= slots_.size() && "InstRing overflow");
+        clear();
+        std::fill_n(slots_.begin(), n, DynInst{});
+        size_ = n;
     }
 
     /** Forward iterator over [0, size): enough for range-for walks and

@@ -121,6 +121,12 @@ class Lsu
     void load(ckpt::Reader &r);
 
   private:
+    /** The checkpoint field list, shared by save() and load(); the
+     *  queues travel as the ascending vectors @p lq and @p sq. */
+    template <class Self, class Ar>
+    static void io(Self &s, Ar &ar, std::vector<Cycle> &lq,
+                   std::vector<Cycle> &sq);
+
     using MinHeap = std::priority_queue<Cycle, std::vector<Cycle>,
                                         std::greater<Cycle>>;
     unsigned lq_capacity_;

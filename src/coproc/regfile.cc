@@ -100,57 +100,33 @@ RegFileModel::freeCount(CoreId c) const
     return static_cast<unsigned>(freelist_[poolOf(c)].size());
 }
 
+template <class Self, class Ar>
 void
-RegFileModel::save(ckpt::Writer &w) const
+RegFileModel::io(Self &s, Ar &ar)
 {
-    w.section("regfile");
-    w.u64(freelist_.size());
-    for (const auto &fl : freelist_) {
-        w.u64(fl.size());
-        for (std::int32_t p : fl)
-            w.i64(p);
+    ar.section("regfile");
+    ar.same(s.freelist_.size(), "checkpoint regfile pool count mismatch");
+    for (auto &fl : s.freelist_) {
+        ar.len(fl, s.ready_.size());
+        for (auto &p : fl)
+            ar.i64(p);
     }
-    w.u64(map_.size());
-    for (const auto &m : map_) {
-        w.u64(m.size());
-        for (std::int32_t p : m)
-            w.i64(p);
+    ar.same(s.map_.size(), "checkpoint regfile map count mismatch");
+    for (auto &m : s.map_) {
+        ar.same(m.size(), "checkpoint regfile map width mismatch");
+        for (auto &p : m)
+            ar.i64(p);
     }
-    w.u64(ready_.size());
-    for (Cycle c : ready_)
-        w.u64(c);
-    w.u64(held_by_.size());
-    for (CoreId c : held_by_)
-        w.u16(static_cast<std::uint16_t>(c));
+    ar.same(s.ready_.size(), "checkpoint regfile row count mismatch");
+    for (auto &c : s.ready_)
+        ar.u64(c);
+    ar.same(s.held_by_.size(), "checkpoint regfile holder count mismatch");
+    for (auto &c : s.held_by_)
+        ar.u16(c, s.map_.size(), "corrupt checkpoint (register holder)",
+               kNoCore);
 }
 
-void
-RegFileModel::load(ckpt::Reader &r)
-{
-    r.expectSection("regfile");
-    ckpt::Reader::check(r.arr() == freelist_.size(),
-                        "checkpoint regfile pool count mismatch");
-    for (auto &fl : freelist_) {
-        fl.resize(r.arr(ready_.size()));
-        for (std::int32_t &p : fl)
-            p = static_cast<std::int32_t>(r.i64());
-    }
-    ckpt::Reader::check(r.arr() == map_.size(),
-                        "checkpoint regfile map count mismatch");
-    for (auto &m : map_) {
-        ckpt::Reader::check(r.arr() == m.size(),
-                            "checkpoint regfile map width mismatch");
-        for (std::int32_t &p : m)
-            p = static_cast<std::int32_t>(r.i64());
-    }
-    ckpt::Reader::check(r.arr() == ready_.size(),
-                        "checkpoint regfile row count mismatch");
-    for (Cycle &c : ready_)
-        c = r.u64();
-    ckpt::Reader::check(r.arr() == held_by_.size(),
-                        "checkpoint regfile holder count mismatch");
-    for (CoreId &c : held_by_)
-        c = static_cast<CoreId>(r.u16());
-}
+void RegFileModel::save(ckpt::Writer &w) const { io(*this, w); }
+void RegFileModel::load(ckpt::Reader &r) { io(*this, r); }
 
 } // namespace occamy

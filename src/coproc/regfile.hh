@@ -81,6 +81,8 @@ class RegFileModel
     void load(ckpt::Reader &r);
 
   private:
+    template <class Self, class Ar> static void io(Self &s, Ar &ar);
+
     bool shared_;
     unsigned rows_;                 ///< Rows per pool.
     unsigned pools_;                ///< 1 if shared, else one per core.

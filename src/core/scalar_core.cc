@@ -413,75 +413,45 @@ ScalarCore::nextEventAt(Cycle now) const
     return blocked_ ? kCycleNever : now + 1;
 }
 
+template <class Self, class Ar>
 void
-ScalarCore::save(ckpt::Writer &w) const
+ScalarCore::io(Self &s, Ar &ar)
 {
-    w.section("core");
-    w.u8(static_cast<std::uint8_t>(state_));
-    w.u64(loop_idx_);
-    w.u32(phase_id_base_);
-    w.u64(inst_idx_);
-    w.u64(elems_done_);
-    w.u64(iter_index_);
-    w.u32(current_vl_);
-    w.u32(active_elems_);
-    w.u64(await_since_);
-    w.u64(spin_since_);
-    w.u64(stall_until_);
-    w.u32(vl_before_request_);
-    w.b(blocked_);
+    ar.section("core");
+    ar.u8(s.state_, static_cast<unsigned>(State::Done) + 1,
+          "corrupt checkpoint (bad scalar-core state)");
+    ar.u64(s.loop_idx_);
+    ar.u32(s.phase_id_base_);
+    ar.u64(s.inst_idx_);
+    ar.u64(s.elems_done_);
+    ar.u64(s.iter_index_);
+    ar.u32(s.current_vl_);
+    ar.u32(s.active_elems_);
+    ar.u64(s.await_since_);
+    ar.u64(s.spin_since_);
+    ar.u64(s.stall_until_);
+    ar.u32(s.vl_before_request_);
+    ar.b(s.blocked_);
 
-    w.u64(phases_.size());
-    for (const PhaseTrace &pt : phases_) {
-        w.str(pt.name);
-        w.u32(pt.phaseId);
-        w.u64(pt.start);
-        w.u64(pt.end);
-        w.b(pt.scalarVersion);
-        w.u32(pt.firstVl);
-        w.u32(pt.lastVl);
+    ar.len(s.phases_);
+    for (auto &pt : s.phases_) {
+        ar.str(pt.name);
+        ar.u32(pt.phaseId);
+        ar.u64(pt.start);
+        ar.u64(pt.end);
+        ar.b(pt.scalarVersion);
+        ar.u32(pt.firstVl);
+        ar.u32(pt.lastVl);
     }
 
-    w.u64(monitor_insts_);
-    w.u64(reconfig_wait_cycles_);
-    w.u64(reconfig_events_);
-    w.u64(reinit_insts_);
+    ar.u64(s.monitor_insts_);
+    ar.u64(s.reconfig_wait_cycles_);
+    ar.u64(s.reconfig_events_);
+    ar.u64(s.reinit_insts_);
 }
 
-void
-ScalarCore::load(ckpt::Reader &r)
-{
-    r.expectSection("core");
-    state_ = static_cast<State>(r.u8());
-    loop_idx_ = r.u64();
-    phase_id_base_ = r.u32();
-    inst_idx_ = r.u64();
-    elems_done_ = r.u64();
-    iter_index_ = r.u64();
-    current_vl_ = r.u32();
-    active_elems_ = r.u32();
-    await_since_ = r.u64();
-    spin_since_ = r.u64();
-    stall_until_ = r.u64();
-    vl_before_request_ = r.u32();
-    blocked_ = r.b();
-
-    phases_.resize(r.arr());
-    for (PhaseTrace &pt : phases_) {
-        pt.name = r.str();
-        pt.phaseId = r.u32();
-        pt.start = r.u64();
-        pt.end = r.u64();
-        pt.scalarVersion = r.b();
-        pt.firstVl = r.u32();
-        pt.lastVl = r.u32();
-    }
-
-    monitor_insts_ = r.u64();
-    reconfig_wait_cycles_ = r.u64();
-    reconfig_events_ = r.u64();
-    reinit_insts_ = r.u64();
-}
+void ScalarCore::save(ckpt::Writer &w) const { io(*this, w); }
+void ScalarCore::load(ckpt::Reader &r) { io(*this, r); }
 
 void
 ScalarCore::printState(std::ostream &os) const

@@ -129,6 +129,8 @@ class ScalarCore
     void printState(std::ostream &os) const;
 
   private:
+    template <class Self, class Ar> static void io(Self &s, Ar &ar);
+
     enum class State
     {
         Idle,            ///< Between loops; advance to the next phase.

@@ -126,50 +126,37 @@ FaultInjector::emitBoundaryEvents(Cycle now, obs::EventSink *sink)
               case FaultKind::LaneFault:
                 break;  // not a window
             }
-            sink->record({w.spec.at, obs::EventKind::FaultInject,
-                          w.spec.core,
-                          static_cast<std::uint64_t>(w.spec.kind), detail,
-                          0.0, 0.0});
+            obs::emit(sink, obs::EventKind::FaultInject, w.spec.at,
+                      w.spec.core, static_cast<std::uint64_t>(w.spec.kind),
+                      detail);
         }
         if (!w.endEmitted && w.spec.duration != 0 &&
             now >= w.spec.at + w.spec.duration) {
             w.endEmitted = true;
-            sink->record({w.spec.at + w.spec.duration,
-                          obs::EventKind::FaultRecover, w.spec.core,
-                          static_cast<std::uint64_t>(w.spec.kind),
-                          w.spec.at, 0.0, 0.0});
+            obs::emit(sink, obs::EventKind::FaultRecover,
+                      w.spec.at + w.spec.duration, w.spec.core,
+                      static_cast<std::uint64_t>(w.spec.kind), w.spec.at);
         }
     }
 }
 
+template <class Self, class Ar>
 void
-FaultInjector::save(ckpt::Writer &w) const
+FaultInjector::io(Self &s, Ar &ar)
 {
-    w.section("injector");
-    w.u64(lane_events_.size());
-    for (const LaneEvent &e : lane_events_)
-        w.b(e.fired);
-    w.u64(windows_.size());
-    for (const Window &win : windows_) {
-        w.b(win.beginEmitted);
-        w.b(win.endEmitted);
+    ar.section("injector");
+    ar.same(s.lane_events_.size(),
+            "checkpoint fault plan mismatch (lane events)");
+    for (auto &e : s.lane_events_)
+        ar.b(e.fired);
+    ar.same(s.windows_.size(), "checkpoint fault plan mismatch (windows)");
+    for (auto &win : s.windows_) {
+        ar.b(win.beginEmitted);
+        ar.b(win.endEmitted);
     }
 }
 
-void
-FaultInjector::load(ckpt::Reader &r)
-{
-    r.expectSection("injector");
-    ckpt::Reader::check(r.arr() == lane_events_.size(),
-                        "checkpoint fault plan mismatch (lane events)");
-    for (LaneEvent &e : lane_events_)
-        e.fired = r.b();
-    ckpt::Reader::check(r.arr() == windows_.size(),
-                        "checkpoint fault plan mismatch (windows)");
-    for (Window &win : windows_) {
-        win.beginEmitted = r.b();
-        win.endEmitted = r.b();
-    }
-}
+void FaultInjector::save(ckpt::Writer &w) const { io(*this, w); }
+void FaultInjector::load(ckpt::Reader &r) { io(*this, r); }
 
 } // namespace occamy::fault

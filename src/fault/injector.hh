@@ -83,6 +83,8 @@ class FaultInjector
     void load(ckpt::Reader &r);
 
   private:
+    template <class Self, class Ar> static void io(Self &s, Ar &ar);
+
     struct LaneEvent
     {
         Cycle at;

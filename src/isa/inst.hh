@@ -46,6 +46,18 @@ struct PhaseOI
     bool active() const { return mem > 0.0; }
 };
 
+/** Checkpoint field list of a PhaseOI, for the resource table, the
+ *  scheduler's view and in-flight instructions (ckpt/ckpt.hh). */
+template <class Oi, class Ar>
+void
+ioPhaseOI(Oi &oi, Ar &ar)
+{
+    ar.f64(oi.issue);
+    ar.f64(oi.mem);
+    ar.u8(oi.level, static_cast<unsigned>(MemLevel::Dram) + 1,
+          "corrupt checkpoint (bad memory level)");
+}
+
 /** A static (compile-time) instruction. */
 struct Inst
 {

@@ -53,6 +53,10 @@ enum class Opcode : std::uint8_t
     MrsAL,          ///< Read the number of free SIMD lanes <AL>.
 };
 
+/** Number of opcodes (for range checks on decoded values). */
+inline constexpr unsigned kNumOpcodes =
+    static_cast<unsigned>(Opcode::MrsAL) + 1;
+
 /** @return true for SVE arithmetic (the "SIMD compute" class). */
 constexpr bool
 isVCompute(Opcode op)

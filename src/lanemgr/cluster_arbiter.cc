@@ -111,34 +111,23 @@ ClusterArbiter::avgShare(unsigned cluster, Cycle end_cycle) const
            static_cast<double>(end_cycle);
 }
 
+template <class Self, class Ar>
 void
-ClusterArbiter::save(ckpt::Writer &w) const
+ClusterArbiter::io(Self &s, Ar &ar)
 {
-    w.u64(rebalances_);
-    w.u64(migrations_);
-    w.u64(last_update_);
-    for (unsigned k = 0; k < nclusters_; ++k) {
-        w.u32(shares_[k]);
-        w.u64(last_bytes_[k]);
-        w.u64(share_integral_[k]);
-        w.u64(migrated_in_[k]);
-        w.u64(migrated_out_[k]);
+    ar.u64(s.rebalances_);
+    ar.u64(s.migrations_);
+    ar.u64(s.last_update_);
+    for (unsigned k = 0; k < s.nclusters_; ++k) {
+        ar.u32(s.shares_[k]);
+        ar.u64(s.last_bytes_[k]);
+        ar.u64(s.share_integral_[k]);
+        ar.u64(s.migrated_in_[k]);
+        ar.u64(s.migrated_out_[k]);
     }
 }
 
-void
-ClusterArbiter::load(ckpt::Reader &r)
-{
-    rebalances_ = r.u64();
-    migrations_ = r.u64();
-    last_update_ = r.u64();
-    for (unsigned k = 0; k < nclusters_; ++k) {
-        shares_[k] = r.u32();
-        last_bytes_[k] = r.u64();
-        share_integral_[k] = r.u64();
-        migrated_in_[k] = r.u64();
-        migrated_out_[k] = r.u64();
-    }
-}
+void ClusterArbiter::save(ckpt::Writer &w) const { io(*this, w); }
+void ClusterArbiter::load(ckpt::Reader &r) { io(*this, r); }
 
 } // namespace occamy

@@ -89,6 +89,8 @@ class ClusterArbiter
     void load(ckpt::Reader &r);
 
   private:
+    template <class Self, class Ar> static void io(Self &s, Ar &ar);
+
     unsigned nclusters_;
     unsigned total_bpc_;
     unsigned period_;

@@ -93,6 +93,8 @@ class LaneMgr
     void load(ckpt::Reader &r);
 
   private:
+    template <class Self, class Ar> static void io(Self &s, Ar &ar);
+
     /** Trace one published plan: per active core a roofline
      *  evaluation with its marginal-gain pair (Eq. 2-4 inputs), per
      *  core the published share, then the plan summary. */
@@ -103,31 +105,17 @@ class LaneMgr
         unsigned used = 0;
         for (std::size_t c = 0; c < plan.size(); ++c) {
             const CoreId core = static_cast<CoreId>(c);
-            if (ois[c].active()) {
-                obs::Event ev;
-                ev.cycle = now;
-                ev.kind = obs::EventKind::RooflineEval;
-                ev.core = core;
-                ev.a = static_cast<std::uint64_t>(ois[c].level);
-                ev.b = plan[c];
-                ev.x = attainable(params_, ois[c], plan[c]);
-                ev.y = attainable(params_, ois[c], plan[c] + 1);
-                sink_->record(ev);
-            }
-            obs::Event dec;
-            dec.cycle = now;
-            dec.kind = obs::EventKind::PartitionDecision;
-            dec.core = core;
-            dec.b = plan[c];
-            sink_->record(dec);
+            if (ois[c].active())
+                obs::emit(sink_, obs::EventKind::RooflineEval, now, core,
+                          static_cast<std::uint64_t>(ois[c].level),
+                          plan[c], attainable(params_, ois[c], plan[c]),
+                          attainable(params_, ois[c], plan[c] + 1));
+            obs::emit(sink_, obs::EventKind::PartitionDecision, now, core,
+                      0, plan[c]);
             used += plan[c];
         }
-        obs::Event sum;
-        sum.cycle = now;
-        sum.kind = obs::EventKind::PartitionPlan;
-        sum.a = used;
-        sum.b = total_bus_;
-        sink_->record(sum);
+        obs::emit(sink_, obs::EventKind::PartitionPlan, now, kNoCore,
+                  used, total_bus_);
     }
 
     RooflineParams params_;

@@ -105,40 +105,27 @@ Cache::regStats(stats::Group &group) const
     }, "miss fraction");
 }
 
+template <class Self, class Ar>
 void
-Cache::save(ckpt::Writer &w) const
+Cache::io(Self &s, Ar &ar)
 {
-    w.section(("cache." + name_).c_str());
-    w.u64(stamp_);
-    w.u64(ways_.size());
-    for (const Way &way : ways_) {
-        w.u64(way.tag);
-        w.b(way.valid);
-        w.b(way.dirty);
-        w.u64(way.lruStamp);
+    ar.section(("cache." + s.name_).c_str());
+    ar.u64(s.stamp_);
+    ar.same(s.ways_.size(),
+            "checkpoint cache geometry mismatch (" + s.name_ + ")");
+    for (auto &way : s.ways_) {
+        ar.u64(way.tag);
+        ar.b(way.valid);
+        ar.b(way.dirty);
+        ar.u64(way.lruStamp);
     }
-    w.u64(hits_.value());
-    w.u64(misses_.value());
-    w.u64(writebacks_.value());
+    ar.counter(s.hits_);
+    ar.counter(s.misses_);
+    ar.counter(s.writebacks_);
 }
 
-void
-Cache::load(ckpt::Reader &r)
-{
-    r.expectSection(("cache." + name_).c_str());
-    stamp_ = r.u64();
-    ckpt::Reader::check(r.arr() == ways_.size(),
-                        "checkpoint cache geometry mismatch (" + name_ + ")");
-    for (Way &way : ways_) {
-        way.tag = r.u64();
-        way.valid = r.b();
-        way.dirty = r.b();
-        way.lruStamp = r.u64();
-    }
-    hits_.set(r.u64());
-    misses_.set(r.u64());
-    writebacks_.set(r.u64());
-}
+void Cache::save(ckpt::Writer &w) const { io(*this, w); }
+void Cache::load(ckpt::Reader &r) { io(*this, r); }
 
 void
 Cache::printState(std::ostream &os) const

@@ -87,6 +87,8 @@ class Cache
         std::uint64_t lruStamp = 0;
     };
 
+    template <class Self, class Ar> static void io(Self &s, Ar &ar);
+
     Addr lineAddr(Addr addr) const { return addr / cfg_.lineBytes; }
     std::size_t setIndex(Addr line) const { return line % num_sets_; }
 

@@ -35,21 +35,6 @@ MemSystem::dramBpcAt(Cycle now) const
     return std::max(1u, dram_bpc_ / div);
 }
 
-void
-MemSystem::recordDram(Cycle now, obs::EventKind kind, Addr line_addr,
-                      unsigned bytes, Cycle ready) const
-{
-    if (!sink_ || !sink_->wants(kind))
-        return;
-    obs::Event ev;
-    ev.cycle = now;
-    ev.kind = kind;
-    ev.a = line_addr;
-    ev.b = bytes;
-    ev.x = static_cast<double>(ready);
-    sink_->record(ev);
-}
-
 Cycle
 MemSystem::reserve(Cycle &busy_until, unsigned bytes,
                    unsigned bytes_per_cycle, Cycle now)
@@ -98,8 +83,8 @@ MemSystem::maybePrefetch(Addr trigger_line, Cycle now)
         ++prefetches_;
         line_ready_[pf] = start + dramLatencyAt(now);
         pushFill(start + dramLatencyAt(now));
-        recordDram(now, obs::EventKind::DramRead, pf, line,
-                   start + dramLatencyAt(now));
+        obs::emit(sink_, obs::EventKind::DramRead, now, kNoCore, pf, line,
+                  start + dramLatencyAt(now));
         // Prefetch into L2 only: demand accesses pull lines into the
         // VecCache, so streams do not flush co-runners' resident sets.
         CacheAccessResult pr = l2_.access(pf, /*is_write=*/false);
@@ -141,8 +126,8 @@ MemSystem::accessLine(Addr line_addr, bool is_write, Cycle now,
     if (l2r.writeback) {
         reserve(dram_busy_until_, line, dramBpcAt(now), l2_done);
         dram_bytes_ += line;
-        recordDram(now, obs::EventKind::DramWrite, l2r.victimLine, line,
-                   l2_done);
+        obs::emit(sink_, obs::EventKind::DramWrite, now, kNoCore,
+                  l2r.victimLine, line, l2_done);
     }
 
     // Miss in L2: DRAM, bandwidth-limited at 64 GB/s (32 B/cycle @2 GHz).
@@ -153,7 +138,8 @@ MemSystem::accessLine(Addr line_addr, bool is_write, Cycle now,
     const Cycle ready = dram_start + dramLatencyAt(now);
     line_ready_[line_addr] = ready;
     pushFill(ready);
-    recordDram(now, obs::EventKind::DramRead, line_addr, line, ready);
+    obs::emit(sink_, obs::EventKind::DramRead, now, kNoCore, line_addr,
+              line, ready);
     maybePrefetch(line_addr, now);
     return ready;
 }
@@ -304,84 +290,67 @@ MemSystem::regStats(stats::Group &group) const
                      "stream-prefetched lines");
 }
 
+template <class Self, class Ar>
+void
+MemSystem::io(Self &s, Ar &ar, std::vector<std::pair<Addr, Cycle>> &ready,
+              std::vector<Cycle> &fills,
+              std::vector<std::pair<Addr, Addr>> &frontier)
+{
+    ar.section("mem");
+    ar.f64(s.vec_busy_until_);
+    ar.u64(s.l2_busy_until_);
+    ar.u64(s.dram_busy_until_);
+    ar.len(ready);
+    for (auto &[line, at] : ready) {
+        ar.u64(line);
+        ar.u64(at);
+    }
+    ar.len(fills);
+    for (Cycle &at : fills)
+        ar.u64(at);
+    ar.len(frontier);
+    for (auto &[region, line] : frontier) {
+        ar.u64(region);
+        ar.u64(line);
+    }
+    ar.counter(s.dram_reads_);
+    ar.counter(s.dram_bytes_);
+    ar.counter(s.accesses_);
+    ar.counter(s.prefetches_);
+    ar.io(s.vec_cache_);
+    ar.io(s.l2_);
+}
+
 void
 MemSystem::save(ckpt::Writer &w) const
 {
-    w.section("mem");
-    w.f64(vec_busy_until_);
-    w.u64(l2_busy_until_);
-    w.u64(dram_busy_until_);
-
     // Sorted copies of the hash maps keep the byte stream deterministic.
     std::vector<std::pair<Addr, Cycle>> ready(line_ready_.begin(),
                                               line_ready_.end());
     std::sort(ready.begin(), ready.end());
-    w.u64(ready.size());
-    for (const auto &[line, at] : ready) {
-        w.u64(line);
-        w.u64(at);
-    }
-
-    // Fills still in flight (or not yet dropped), ascending.
-    w.u64(pending_fills_.size() - fills_head_);
-    for (std::size_t i = fills_head_; i < pending_fills_.size(); ++i)
-        w.u64(pending_fills_[i]);
-
     std::vector<std::pair<Addr, Addr>> fr(frontier_.begin(),
                                           frontier_.end());
     std::sort(fr.begin(), fr.end());
-    w.u64(fr.size());
-    for (const auto &[region, line] : fr) {
-        w.u64(region);
-        w.u64(line);
-    }
-
-    w.u64(dram_reads_.value());
-    w.u64(dram_bytes_.value());
-    w.u64(accesses_.value());
-    w.u64(prefetches_.value());
-
-    vec_cache_.save(w);
-    l2_.save(w);
+    // Fills still in flight (or not yet dropped), ascending.
+    std::vector<Cycle> fills(pending_fills_.begin() + fills_head_,
+                             pending_fills_.end());
+    io(*this, w, ready, fills, fr);
 }
 
 void
 MemSystem::load(ckpt::Reader &r)
 {
-    r.expectSection("mem");
-    vec_busy_until_ = r.f64();
-    l2_busy_until_ = r.u64();
-    dram_busy_until_ = r.u64();
-
+    std::vector<std::pair<Addr, Cycle>> ready;
+    std::vector<Cycle> fills;
+    std::vector<std::pair<Addr, Addr>> fr;
+    io(*this, r, ready, fills, fr);
     line_ready_.clear();
-    const std::size_t nready = r.arr();
-    for (std::size_t i = 0; i < nready; ++i) {
-        const Addr line = r.u64();
-        const Cycle at = r.u64();
-        line_ready_.emplace(line, at);
-    }
-
-    pending_fills_.clear();
-    fills_head_ = 0;
-    const std::size_t nfills = r.arr();
-    for (std::size_t i = 0; i < nfills; ++i)
-        pushFill(r.u64());
-
+    line_ready_.insert(ready.begin(), ready.end());
     frontier_.clear();
-    const std::size_t nfr = r.arr();
-    for (std::size_t i = 0; i < nfr; ++i) {
-        const Addr region = r.u64();
-        const Addr line = r.u64();
-        frontier_.emplace(region, line);
-    }
-
-    dram_reads_.set(r.u64());
-    dram_bytes_.set(r.u64());
-    accesses_.set(r.u64());
-    prefetches_.set(r.u64());
-
-    vec_cache_.load(r);
-    l2_.load(r);
+    frontier_.insert(fr.begin(), fr.end());
+    pending_fills_ = std::move(fills);
+    std::sort(pending_fills_.begin(), pending_fills_.end());
+    fills_head_ = 0;
 }
 
 void

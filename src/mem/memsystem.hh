@@ -22,6 +22,7 @@
 #define OCCAMY_MEM_MEMSYSTEM_HH
 
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/config.hh"
@@ -114,9 +115,9 @@ class MemSystem
 
     void regStats(stats::Group &group) const;
 
-    /** Checkpoint hooks: busy pointers, MSHRs, prefetch frontiers,
-     *  counters and both cache levels. Unordered containers are
-     *  serialized key-sorted so the byte stream is deterministic. */
+    /** Checkpoint hooks: busy pointers, in-flight fills, prefetch
+     *  frontiers, counters and both cache levels. Unordered containers
+     *  are serialized key-sorted so the byte stream is deterministic. */
     void save(ckpt::Writer &w) const;
     void load(ckpt::Reader &r);
 
@@ -149,16 +150,21 @@ class MemSystem
     unsigned dramBytesPerCycle() const { return dram_bpc_; }
 
   private:
+    /** The checkpoint field list, shared by save() and load(); the
+     *  hash maps and the live fills travel as the vectors @p ready,
+     *  @p fills and @p frontier. */
+    template <class Self, class Ar>
+    static void io(Self &s, Ar &ar,
+                   std::vector<std::pair<Addr, Cycle>> &ready,
+                   std::vector<Cycle> &fills,
+                   std::vector<std::pair<Addr, Addr>> &frontier);
+
     /** Effective DRAM fill latency at @p now (injected spikes added). */
     unsigned dramLatencyAt(Cycle now) const;
 
     /** Effective DRAM bandwidth at @p now (injected divisor applied,
      *  floored at 1 byte/cycle). */
     unsigned dramBpcAt(Cycle now) const;
-
-    /** Record a DRAM transaction (kEvMem), if traced. */
-    void recordDram(Cycle now, obs::EventKind kind, Addr line_addr,
-                    unsigned bytes, Cycle ready) const;
 
     /**
      * Service one cache line. @p vec_done is the cycle the VecCache

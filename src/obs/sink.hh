@@ -85,14 +85,16 @@ class EventSink
     EventMask mask_;
 };
 
-/** Record the (cycle, kind, core, a, b) event on @p sink, if any: one
- *  branch when tracing is off, and the sink's mask check when on. */
+/** Record the (cycle, kind, core, a, b, x, y) event on @p sink, if
+ *  any: one branch when tracing is off, and the sink's mask check when
+ *  on. */
 inline void
 emit(EventSink *sink, EventKind k, Cycle cycle, CoreId core,
-     std::uint64_t a = 0, std::uint64_t b = 0)
+     std::uint64_t a = 0, std::uint64_t b = 0, double x = 0.0,
+     double y = 0.0)
 {
     if (sink)
-        sink->record({cycle, k, core, a, b});
+        sink->record({cycle, k, core, a, b, x, y});
 }
 
 /** Fixed-capacity drop-oldest ring sink. */

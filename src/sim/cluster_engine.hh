@@ -215,8 +215,7 @@ class ClusterEngine
 
     // --- Accounting access (finalize and checkpointing). ---
 
-    double busyIntegral() const { return busy_integral_; }
-    void setBusyIntegral(double v) { busy_integral_ = v; }
+    double &busyIntegral() { return busy_integral_; }
     std::vector<double> &busyBuckets(CoreId local)
     {
         return busy_buckets_[local];

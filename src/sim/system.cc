@@ -950,17 +950,9 @@ System::advance(Cycle stop_at)
                 x.arbiter->rebalance(now, bytes);
             for (unsigned k = 0; k < x.ncl; ++k)
                 x.engines[k]->mem().setDramBytesPerCycle(sh[k]);
-            if (opt.sink &&
-                opt.sink->wants(obs::EventKind::ClusterArbiterPlan)) {
-                obs::Event ev;
-                ev.cycle = now;
-                ev.kind = obs::EventKind::ClusterArbiterPlan;
-                ev.a = x.arbiter->rebalances();
-                ev.b = x.ncl;
-                ev.x = *std::min_element(sh.begin(), sh.end());
-                ev.y = *std::max_element(sh.begin(), sh.end());
-                opt.sink->record(ev);
-            }
+            const auto [lo, hi] = std::minmax_element(sh.begin(), sh.end());
+            obs::emit(opt.sink, obs::EventKind::ClusterArbiterPlan, now,
+                      kNoCore, x.arbiter->rebalances(), x.ncl, *lo, *hi);
         }
 
         // The window [now, horizon): the engines may tick it without
@@ -1322,118 +1314,109 @@ System::fingerprint(const Ctx &x) const
     return h;
 }
 
+template <class X, class Ar>
 void
-System::saveCheckpoint(std::ostream &os) const
+System::io(X &x, Ar &ar, double &busy, unsigned &region,
+           std::vector<std::string> &strs) const
 {
-    if (!ctx_)
-        throw std::logic_error("System::saveCheckpoint: boot() first");
-    const Ctx &x = *ctx_;
-    ckpt::Writer w(os);
+    ar.section("meta");
+    ar.same(fingerprint(x),
+            "checkpoint fingerprint mismatch: the file was written by "
+            "a system with a different configuration, workload set, or "
+            "determinism-relevant run options");
+    ar.u64(x.now);
 
-    w.section("meta");
-    w.u64(fingerprint(x));
-    w.u64(x.now);
-
-    w.section("engine");
-    w.u64(x.last_finish);
-    w.b(x.complete);
-    w.b(x.result.wallKilled);
-    w.u64(x.ff.cyclesSimulated);
-    w.u64(x.ff.cyclesTicked);
-    w.u64(x.ff.cyclesSkipped);
-    w.u64(x.ff.spans);
-    w.u64(x.ff.longestSpan);
-    w.u64(x.watchdog_trips);
+    ar.section("engine");
+    ar.u64(x.last_finish);
+    ar.b(x.complete);
+    ar.b(x.result.wallKilled);
+    ar.u64(x.ff.cyclesSimulated);
+    ar.u64(x.ff.cyclesTicked);
+    ar.u64(x.ff.cyclesSkipped);
+    ar.u64(x.ff.spans);
+    ar.u64(x.ff.longestSpan);
+    ar.u64(x.watchdog_trips);
     // The flat busy-integral slot stays a single f64 (the frozen byte
     // layout): the cluster-id-order sum of the per-engine shares. On a
     // flat machine that sum IS engine 0's accumulator, bit for bit; on
     // clustered machines the per-engine shares needed to resume follow
     // in the "cluster" section below.
-    {
-        double busy_integral = 0.0;
-        for (const auto &eng : x.engines)
-            busy_integral += eng->busyIntegral();
-        w.f64(busy_integral);
-    }
+    ar.f64(busy);
 
     // Program bookkeeping: the queue-dispatch compile log replays the
     // exact compile order on restore.
-    w.u32(x.region);
-    w.u64(x.compile_log.size());
-    for (const auto &[core, q] : x.compile_log) {
-        w.u16(static_cast<std::uint16_t>(core));
-        w.u64(q);
+    ar.u32(region);
+    ar.len(x.compile_log);
+    for (auto &[core, q] : x.compile_log) {
+        ar.u16(core, x.cfg.numCores,
+               "corrupt checkpoint (compile log core id)");
+        ar.u64(q, queue_.size(),
+               "checkpoint compile log references a queue entry this "
+               "system lacks");
     }
-    for (std::uint64_t p : x.core_prog)
-        w.u64(p);
+    for (auto &p : x.core_prog)
+        ar.u64(p);
 
     // Scheduling / completion state.
-    for (Cycle f : x.finish)
-        w.u64(f);
-    for (bool d : x.done)
-        w.b(d);
-    w.u64(x.dispatched.size());
-    for (bool d : x.dispatched)
-        w.b(d);
-    w.u64(x.undispatched);
-    for (const PhaseOI &oi : x.sched_oi) {
-        w.f64(oi.issue);
-        w.f64(oi.mem);
-        w.u8(static_cast<std::uint8_t>(oi.level));
-    }
-    for (Cycle d : x.dispatch_at)
-        w.u64(d);
-    for (std::size_t p : x.pending_wl)
-        w.u64(p);
+    for (auto &f : x.finish)
+        ar.u64(f);
+    for (auto &&d : x.done)
+        ar.b(d);
+    ar.same(x.dispatched.size(), "checkpoint batch queue length mismatch");
+    for (auto &&d : x.dispatched)
+        ar.b(d);
+    ar.u64(x.undispatched);
+    for (auto &oi : x.sched_oi)
+        ioPhaseOI(oi, ar);
+    for (auto &d : x.dispatch_at)
+        ar.u64(d);
+    for (auto &p : x.pending_wl)
+        ar.u64(p, std::max<std::size_t>(queue_.size(), 1),
+               "corrupt checkpoint (pending workload index)");
 
     // Timelines, in global core order (the engines hold them now, but
     // the byte layout is the pre-engine flat one).
-    for (unsigned c = 0; c < x.cfg.numCores; ++c) {
-        const auto &bk =
-            x.engines[x.clusterOf(c)]->busyBuckets(x.lc(c));
-        w.u64(bk.size());
-        for (double v : bk)
-            w.f64(v);
-    }
-    for (unsigned c = 0; c < x.cfg.numCores; ++c) {
-        const auto &bk =
-            x.engines[x.clusterOf(c)]->allocBuckets(x.lc(c));
-        w.u64(bk.size());
-        for (double v : bk)
-            w.f64(v);
-    }
+    auto timeline = [&ar](std::vector<double> &bk) {
+        ar.len(bk);
+        for (double &v : bk)
+            ar.f64(v);
+    };
+    for (unsigned c = 0; c < x.cfg.numCores; ++c)
+        timeline(x.engines[x.clusterOf(c)]->busyBuckets(x.lc(c)));
+    for (unsigned c = 0; c < x.cfg.numCores; ++c)
+        timeline(x.engines[x.clusterOf(c)]->allocBuckets(x.lc(c)));
 
     // Partial results accumulated so far.
-    w.u64(x.result.batch.size());
-    for (const BatchCompletion &b : x.result.batch) {
-        w.str(b.name);
-        w.u16(static_cast<std::uint16_t>(b.core));
-        w.u64(b.dispatched);
-        w.u64(b.finished);
+    ar.len(x.result.batch);
+    for (auto &b : x.result.batch) {
+        ar.str(b.name);
+        ar.u16(b.core, x.cfg.numCores,
+               "corrupt checkpoint (batch completion core id)");
+        ar.u64(b.dispatched);
+        ar.u64(b.finished);
     }
-    w.u64(x.result.snapshots.size());
-    for (const obs::MetricSnapshot &s : x.result.snapshots) {
-        w.u64(s.cycle);
-        w.u64(s.values.size());
-        for (const auto &[name, v] : s.values) {
-            w.str(name);
-            w.f64(v);
+    ar.len(x.result.snapshots);
+    for (auto &s : x.result.snapshots) {
+        ar.u64(s.cycle);
+        ar.len(s.values);
+        for (auto &[name, v] : s.values) {
+            ar.str(name);
+            ar.f64(v);
         }
     }
 
     // The sink's intern table, so a resumed run hands out identical
     // string ids for identical names.
-    const std::vector<std::string> strs =
-        x.opt.sink ? x.opt.sink->internedStrings()
-                   : std::vector<std::string>{};
-    w.u64(strs.size());
-    for (const std::string &s : strs)
-        w.str(s);
+    ar.len(strs);
+    for (std::string &s : strs)
+        ar.str(s);
 
     // Consumable fault-injector state.
-    w.b(x.injector != nullptr);
+    ar.same(x.injector != nullptr,
+            "checkpoint fault-plan presence mismatch (pass the same "
+            "--faults / --fault-seed the checkpointing run used)");
     if (x.injector)
-        x.injector->save(w);
+        ar.io(*x.injector);
 
     // Traffic (and admission) lifecycle state. The sections exist only
     // when arrivals were enqueued, so traffic-free checkpoints keep
@@ -1441,32 +1424,48 @@ System::saveCheckpoint(std::ostream &os) const
     // traffic subsystem; presence mismatches are caught by the
     // fingerprint.
     if (x.traffic)
-        x.traffic->save(w);
+        ar.io(*x.traffic);
 
     // Inter-cluster arbiter grants and accounting. Like the traffic
     // section, it exists only on clustered machines, so flat-machine
-    // checkpoints keep their exact byte layout.
+    // checkpoints keep their exact byte layout. The per-engine
+    // busy-integral shares follow: the flat slot above only holds
+    // their sum, which is not enough to resume engines that keep
+    // accumulating independently.
     if (x.arbiter) {
-        w.section("cluster");
-        x.arbiter->save(w);
-        // Per-engine busy-integral shares: the flat slot above only
-        // holds their sum, which is not enough to resume engines that
-        // keep accumulating independently.
-        for (const auto &eng : x.engines)
-            w.f64(eng->busyIntegral());
+        ar.section("cluster");
+        ar.io(*x.arbiter);
+        for (auto &eng : x.engines)
+            ar.f64(eng->busyIntegral());
     }
 
     // Components: per cluster its memory system then its co-processor
     // (the flat order on a 1-cluster machine), then every core in
     // global id order.
-    for (const auto &eng : x.engines) {
-        eng->mem().save(w);
-        eng->coproc().save(w);
+    for (auto &eng : x.engines) {
+        ar.io(eng->mem());
+        ar.io(eng->coproc());
     }
-    w.u64(x.cfg.numCores);
+    ar.same(std::uint64_t{x.cfg.numCores}, "checkpoint core count mismatch");
     for (unsigned c = 0; c < x.cfg.numCores; ++c)
-        x.engines[x.clusterOf(c)]->core(x.lc(c)).save(w);
+        ar.io(x.core(c));
+}
 
+void
+System::saveCheckpoint(std::ostream &os) const
+{
+    if (!ctx_)
+        throw std::logic_error("System::saveCheckpoint: boot() first");
+    const Ctx &x = *ctx_;
+    double busy = 0.0;
+    for (const auto &eng : x.engines)
+        busy += eng->busyIntegral();
+    unsigned region = x.region;
+    std::vector<std::string> strs =
+        x.opt.sink ? x.opt.sink->internedStrings()
+                   : std::vector<std::string>{};
+    ckpt::Writer w(os);
+    io(x, w, busy, region, strs);
     w.finish();
 }
 
@@ -1477,143 +1476,37 @@ System::restoreCheckpoint(std::istream &is, const RunOptions &opt)
         boot(opt);
         Ctx &x = *ctx_;
         ckpt::Reader r(is);
-
-        r.expectSection("meta");
-        ckpt::Reader::check(
-            r.u64() == fingerprint(x),
-            "checkpoint fingerprint mismatch: the file was written by "
-            "a system with a different configuration, workload set, or "
-            "determinism-relevant run options");
-        x.now = r.u64();
-
-        r.expectSection("engine");
-        x.last_finish = r.u64();
-        x.complete = r.b();
-        x.result.wallKilled = r.b();
-        x.ff.cyclesSimulated = r.u64();
-        x.ff.cyclesTicked = r.u64();
-        x.ff.cyclesSkipped = r.u64();
-        x.ff.spans = r.u64();
-        x.ff.longestSpan = r.u64();
-        x.watchdog_trips = r.u64();
-        // The flat slot holds the cluster-order sum of the per-engine
-        // busy-integral shares. Park it on engine 0 — exact on a flat
-        // machine; clustered machines overwrite every engine from the
-        // per-engine values in the "cluster" section below.
-        x.engines[0]->setBusyIntegral(r.f64());
+        double busy = 0.0;
+        unsigned region = 0;
+        std::vector<std::string> strs;
+        io(x, r, busy, region, strs);
+        r.finish();
 
         // Replay queued-workload compiles: deterministic compilation
         // reproduces byte-identical programs and array bindings.
-        const unsigned saved_region = r.u32();
-        const std::size_t nlog = r.arr();
-        for (std::size_t i = 0; i < nlog; ++i) {
-            const CoreId core = static_cast<CoreId>(r.u16());
-            const std::uint64_t q = r.u64();
-            ckpt::Reader::check(q < queue_.size(),
-                                "checkpoint compile log references a "
-                                "queue entry this system lacks");
-            x.compile_log.emplace_back(core, q);
+        for (const auto &[core, q] : x.compile_log)
             compileAndBind(x, core, queue_[q].first, queue_[q].second);
-        }
-        ckpt::Reader::check(x.region == saved_region,
+        ckpt::Reader::check(x.region == region,
                             "checkpoint compile replay diverged");
-        for (std::uint64_t &p : x.core_prog) {
-            p = r.u64();
-            ckpt::Reader::check(p < x.programs.size(),
+        for (unsigned c = 0; c < x.cfg.numCores; ++c) {
+            ckpt::Reader::check(x.core_prog[c] < x.programs.size(),
                                 "checkpoint program index out of range");
-        }
-        for (unsigned c = 0; c < x.cfg.numCores; ++c)
-            x.core(c).restoreProgram(
-                x.programs[x.core_prog[c]].get());
-
-        for (Cycle &f : x.finish)
-            f = r.u64();
-        for (std::size_t i = 0; i < x.done.size(); ++i)
-            x.done[i] = r.b();
-        ckpt::Reader::check(r.arr() == x.dispatched.size(),
-                            "checkpoint batch queue length mismatch");
-        for (std::size_t i = 0; i < x.dispatched.size(); ++i)
-            x.dispatched[i] = r.b();
-        x.undispatched = r.u64();
-        for (PhaseOI &oi : x.sched_oi) {
-            oi.issue = r.f64();
-            oi.mem = r.f64();
-            oi.level = static_cast<MemLevel>(r.u8());
-        }
-        for (Cycle &d : x.dispatch_at)
-            d = r.u64();
-        for (std::size_t &p : x.pending_wl)
-            p = r.u64();
-
-        for (unsigned c = 0; c < x.cfg.numCores; ++c) {
-            auto &bk = x.eng(c).busyBuckets(x.lc(c));
-            bk.resize(r.arr());
-            for (double &v : bk)
-                v = r.f64();
-        }
-        for (unsigned c = 0; c < x.cfg.numCores; ++c) {
-            auto &bk = x.eng(c).allocBuckets(x.lc(c));
-            bk.resize(r.arr());
-            for (double &v : bk)
-                v = r.f64();
+            x.core(c).restoreProgram(x.programs[x.core_prog[c]].get());
         }
 
-        x.result.batch.resize(r.arr());
-        for (BatchCompletion &b : x.result.batch) {
-            b.name = r.str();
-            b.core = static_cast<CoreId>(r.u16());
-            b.dispatched = r.u64();
-            b.finished = r.u64();
-        }
-        x.result.snapshots.resize(r.arr());
-        for (obs::MetricSnapshot &s : x.result.snapshots) {
-            s.cycle = r.u64();
-            s.values.resize(r.arr());
-            for (auto &[name, v] : s.values) {
-                name = r.str();
-                v = r.f64();
-            }
-        }
-
-        std::vector<std::string> strs(r.arr());
-        for (std::string &s : strs)
-            s = r.str();
+        // The flat busy slot is engine 0's accumulator on a flat
+        // machine; clustered machines restored every engine's share
+        // from the "cluster" section.
+        if (!x.arbiter)
+            x.engines[0]->busyIntegral() = busy;
+        else
+            for (unsigned k = 0; k < x.ncl; ++k)
+                x.engines[k]->mem().setDramBytesPerCycle(
+                    x.arbiter->shares()[k]);
         if (x.opt.sink)
             x.opt.sink->restoreInternedStrings(strs);
-
-        const bool had_injector = r.b();
-        ckpt::Reader::check(
-            had_injector == (x.injector != nullptr),
-            "checkpoint fault-plan presence mismatch (pass the same "
-            "--faults / --fault-seed the checkpointing run used)");
-        if (x.injector)
-            x.injector->load(r);
-
-        if (x.traffic)
-            x.traffic->load(r);
-
-        if (x.arbiter) {
-            r.expectSection("cluster");
-            x.arbiter->load(r);
-            const std::vector<unsigned> &sh = x.arbiter->shares();
-            for (unsigned k = 0; k < x.ncl; ++k)
-                x.engines[k]->mem().setDramBytesPerCycle(sh[k]);
-            for (auto &eng : x.engines)
-                eng->setBusyIntegral(r.f64());
-        }
-
-        for (auto &eng : x.engines) {
-            eng->mem().load(r);
-            eng->coproc().load(r);
-        }
-        ckpt::Reader::check(r.arr() == x.cfg.numCores,
-                            "checkpoint core count mismatch");
-        for (unsigned c = 0; c < x.cfg.numCores; ++c)
-            x.core(c).load(r);
         for (auto &eng : x.engines)
             eng->restoredAt(x.now);
-
-        r.finish();
 
         // The wall-clock budget restarts at restore time; it is host
         // time, not simulated state.

@@ -409,6 +409,13 @@ class System
     /** Config+workload+options digest stored in checkpoints. */
     std::uint64_t fingerprint(const Ctx &x) const;
 
+    /** The checkpoint field list, shared by saveCheckpoint() and
+     *  restoreCheckpoint(). @p busy, @p region and @p strs are the
+     *  slots whose value is derived on save and applied on restore. */
+    template <class X, class Ar>
+    void io(X &x, Ar &ar, double &busy, unsigned &region,
+            std::vector<std::string> &strs) const;
+
     MachineConfig cfg_;
     std::vector<std::string> names_;
     std::vector<std::vector<kir::Loop>> loops_;

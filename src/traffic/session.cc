@@ -295,112 +295,62 @@ Session::updateOverload(Cycle now)
     }
 }
 
+template <class Self, class Ar>
 void
-Session::save(ckpt::Writer &w) const
+Session::io(Self &s, Ar &ar)
 {
-    w.section("traffic");
-    w.u64(jobs_.size());
-    for (const Job &j : jobs_) {
-        w.u64(j.arrive);
-        w.b(j.arrived);
-        w.u64(j.admit);
-        w.u64(j.finish);
+    ar.section("traffic");
+    ar.same(s.jobs_.size(), "checkpoint traffic queue length mismatch");
+    for (auto &j : s.jobs_) {
+        ar.u64(j.arrive);
+        ar.b(j.arrived);
+        ar.u64(j.admit);
+        ar.u64(j.finish);
     }
-    w.u64(unarrived_);
-    w.u64(next_arrival_);
-    w.u64(slo_violations_);
-    for (std::size_t q : core_job_)
-        w.u64(q);
+    ar.u64(s.unarrived_);
+    ar.u64(s.next_arrival_);
+    ar.u64(s.slo_violations_);
+    for (auto &q : s.core_job_)
+        ar.u64(q);
 
     // Admission state exists only with a policy installed, so
     // admission-off checkpoints keep their exact byte layout.
-    if (!admission_)
+    if (!s.admission_)
         return;
-    w.section("admit");
-    w.u64(jobs_.size());
-    for (const Job &j : jobs_) {
-        w.b(j.latched);
-        w.b(j.shed);
-        w.u64(j.deferUntil);
-        w.u32(j.defers);
+    ar.section("admit");
+    ar.same(s.jobs_.size(), "checkpoint admission queue length mismatch");
+    for (auto &j : s.jobs_) {
+        ar.b(j.latched);
+        ar.b(j.shed);
+        ar.u64(j.deferUntil);
+        ar.u32(j.defers);
     }
-    w.u64(tenants_.size());
-    for (const Tenant &t : tenants_) {
-        w.u32(t.inFlight);
-        w.u64(t.tokens);
-        w.u64(t.lastRefill);
+    ar.same(s.tenants_.size(),
+            "checkpoint admission tenant count mismatch");
+    for (auto &t : s.tenants_) {
+        ar.u32(t.inFlight);
+        ar.u64(t.tokens);
+        ar.u64(t.lastRefill);
     }
-    for (Cycle d : delay_ring_)
-        w.u64(d);
-    w.u32(delay_n_);
-    w.u64(classes_.size());
-    for (std::size_t k = 0; k < classes_.size(); ++k) {
-        w.str(classes_[k]);
-        w.u64(class_ema_[k]);
+    for (auto &d : s.delay_ring_)
+        ar.u64(d);
+    ar.u32(s.delay_n_);
+    ar.same(s.classes_.size(), "checkpoint admission class table mismatch");
+    for (std::size_t k = 0; k < s.classes_.size(); ++k) {
+        ar.same(s.classes_[k], "checkpoint admission class name mismatch");
+        ar.u64(s.class_ema_[k]);
     }
-    w.u64(mean_ema_);
-    w.u64(ready_);
-    w.b(overloaded_);
-    w.u64(overload_enters_);
-    w.u64(shed_total_);
-    w.u64(defer_total_);
-    w.u64(next_admission_);
+    ar.u64(s.mean_ema_);
+    ar.u64(s.ready_);
+    ar.b(s.overloaded_);
+    ar.u64(s.overload_enters_);
+    ar.u64(s.shed_total_);
+    ar.u64(s.defer_total_);
+    ar.u64(s.next_admission_);
 }
 
-void
-Session::load(ckpt::Reader &r)
-{
-    r.expectSection("traffic");
-    ckpt::Reader::check(r.u64() == jobs_.size(),
-                        "checkpoint traffic queue length mismatch");
-    for (Job &j : jobs_) {
-        j.arrive = r.u64();
-        j.arrived = r.b();
-        j.admit = r.u64();
-        j.finish = r.u64();
-    }
-    unarrived_ = r.u64();
-    next_arrival_ = r.u64();
-    slo_violations_ = r.u64();
-    for (std::size_t &q : core_job_)
-        q = r.u64();
-
-    if (!admission_)
-        return;
-    r.expectSection("admit");
-    ckpt::Reader::check(r.u64() == jobs_.size(),
-                        "checkpoint admission queue length mismatch");
-    for (Job &j : jobs_) {
-        j.latched = r.b();
-        j.shed = r.b();
-        j.deferUntil = r.u64();
-        j.defers = r.u32();
-    }
-    ckpt::Reader::check(r.u64() == tenants_.size(),
-                        "checkpoint admission tenant count mismatch");
-    for (Tenant &t : tenants_) {
-        t.inFlight = r.u32();
-        t.tokens = r.u64();
-        t.lastRefill = r.u64();
-    }
-    for (Cycle &d : delay_ring_)
-        d = r.u64();
-    delay_n_ = r.u32();
-    ckpt::Reader::check(r.u64() == classes_.size(),
-                        "checkpoint admission class table mismatch");
-    for (std::size_t k = 0; k < classes_.size(); ++k) {
-        ckpt::Reader::check(r.str() == classes_[k],
-                            "checkpoint admission class name mismatch");
-        class_ema_[k] = r.u64();
-    }
-    mean_ema_ = r.u64();
-    ready_ = r.u64();
-    overloaded_ = r.b();
-    overload_enters_ = r.u64();
-    shed_total_ = r.u64();
-    defer_total_ = r.u64();
-    next_admission_ = r.u64();
-}
+void Session::save(ckpt::Writer &w) const { io(*this, w); }
+void Session::load(ckpt::Reader &r) { io(*this, r); }
 
 std::vector<JobRecord>
 Session::records() const

@@ -161,6 +161,8 @@ class Session
     }
 
   private:
+    template <class Self, class Ar> static void io(Self &s, Ar &ar);
+
     struct Tenant
     {
         unsigned inFlight = 0;      ///< Latched, unfinished.
