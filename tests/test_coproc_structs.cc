@@ -47,7 +47,7 @@ TEST(ResourceTable, AllOIsInCoreOrder)
 
 TEST(ConfigTable, AssignReleaseOwnership)
 {
-    ConfigTable tbl(8);
+    ConfigTable tbl(8, 2);
     EXPECT_EQ(tbl.countFree(), 8u);
     EXPECT_TRUE(tbl.assign(0, 3));
     EXPECT_EQ(tbl.countOwned(0), 3u);
