@@ -21,6 +21,36 @@ fnv1a(std::uint64_t h, unsigned char c)
     return (h ^ c) * kFnvPrime;
 }
 
+// Checkpoint bytes go straight through the stream buffer: the sentry
+// that std::ostream::put and std::istream::get build for every byte
+// cost more than the rest of a save or restore. Both helpers leave the
+// stream state as put() and get() would, and a failed stream moves no
+// more bytes. Reading byte by byte never consumes past the trailer.
+
+/** @p c to @p os; a refused byte sets badbit. */
+void
+putByte(std::ostream &os, char c)
+{
+    if (!os.good())
+        os.setstate(std::ios::failbit);
+    else if (os.rdbuf()->sputc(c) == std::ostream::traits_type::eof())
+        os.setstate(std::ios::badbit);
+}
+
+/** The next byte of @p is, or eof (setting eofbit and failbit). */
+int
+getByte(std::istream &is)
+{
+    if (!is.good()) {
+        is.setstate(std::ios::failbit);
+        return std::istream::traits_type::eof();
+    }
+    const int c = is.rdbuf()->sbumpc();
+    if (c == std::istream::traits_type::eof())
+        is.setstate(std::ios::eofbit | std::ios::failbit);
+    return c;
+}
+
 } // namespace
 
 // --------------------------------------------------------------- Writer
@@ -37,7 +67,7 @@ Writer::put(std::uint64_t v, int n)
     for (int i = 0; i < n; ++i) {
         const auto c = static_cast<unsigned char>((v >> (8 * i)) & 0xFF);
         hash_ = fnv1a(hash_, c);
-        os_.put(static_cast<char>(c));
+        putByte(os_, static_cast<char>(c));
     }
 }
 
@@ -101,7 +131,7 @@ Reader::get(int n)
 {
     std::uint64_t v = 0;
     for (int i = 0; i < n; ++i) {
-        const int c = is_.get();
+        const int c = getByte(is_);
         if (c == std::istream::traits_type::eof())
             throw Error("truncated checkpoint (unexpected end of stream)");
         const auto uc = static_cast<unsigned char>(c);
@@ -164,7 +194,7 @@ Reader::finish()
     const std::uint64_t expect = hash_;
     std::uint64_t trailer = 0;
     for (int i = 0; i < 8; ++i) {
-        const int c = is_.get();
+        const int c = getByte(is_);
         if (c == std::istream::traits_type::eof())
             throw Error("truncated checkpoint (missing checksum trailer)");
         trailer |= std::uint64_t{static_cast<unsigned char>(c)} << (8 * i);

@@ -101,7 +101,8 @@ TraceBuffer::str(std::uint64_t id) const
 RingSink::RingSink(std::size_t capacity, EventMask mask)
     : EventSink(mask), capacity_(std::max<std::size_t>(capacity, 1))
 {
-    ring_.resize(capacity_);
+    // Reserve, don't fill: only the pages events land on get touched.
+    ring_.reserve(capacity_);
 }
 
 std::uint64_t
@@ -128,27 +129,29 @@ RingSink::restoreInternedStrings(const std::vector<std::string> &s)
 std::size_t
 RingSink::size() const
 {
-    return count_;
+    return ring_.size();
 }
 
 void
 RingSink::push(const Event &e)
 {
-    ring_[head_] = e;
-    head_ = (head_ + 1) % capacity_;
-    if (count_ < capacity_)
-        ++count_;
-    else
+    if (ring_.size() < capacity_) {
+        ring_.push_back(e); // Filling: head_ == size() until the wrap.
+    } else {
+        ring_[head_] = e;
         ++dropped_;
+    }
+    head_ = (head_ + 1) % capacity_;
 }
 
 TraceBuffer
 RingSink::snapshot() const
 {
     TraceBuffer out;
-    out.events.reserve(count_);
-    const std::size_t first = (head_ + capacity_ - count_) % capacity_;
-    for (std::size_t i = 0; i < count_; ++i)
+    const std::size_t count = ring_.size();
+    out.events.reserve(count);
+    const std::size_t first = (head_ + capacity_ - count) % capacity_;
+    for (std::size_t i = 0; i < count; ++i)
         out.events.push_back(ring_[(first + i) % capacity_]);
     out.strings = strings_;
     out.dropped = dropped_;
@@ -166,8 +169,8 @@ RingSink::take()
 void
 RingSink::clear()
 {
+    ring_.clear(); // Keeps the reserved capacity.
     head_ = 0;
-    count_ = 0;
     dropped_ = 0;
 }
 

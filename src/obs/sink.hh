@@ -10,9 +10,11 @@
  * RingSink is the standard implementation: a fixed-capacity ring of
  * Events plus a string-interning table. When the ring wraps, the oldest
  * events are dropped and counted -- recording never allocates after
- * construction and never throws. One sink serves exactly one `System`
- * run on one thread (the same single-thread contract as common/stats);
- * the parallel runner routes one private sink per job.
+ * construction and never throws. The capacity is reserved address
+ * space; resident memory grows with the events actually recorded. One
+ * sink serves exactly one `System` run on one thread (the same
+ * single-thread contract as common/stats); the parallel runner routes
+ * one private sink per job.
  */
 
 #ifndef OCCAMY_OBS_SINK_HH
@@ -107,6 +109,10 @@ class RingSink : public EventSink
      */
     explicit RingSink(std::size_t capacity = 1u << 20,
                       EventMask mask = kEvAll);
+    // A copy would hold only the recorded events' storage, so its
+    // next push could allocate.
+    RingSink(const RingSink &) = delete;
+    RingSink &operator=(const RingSink &) = delete;
 
     std::uint64_t internString(std::string_view s) override;
 
@@ -135,10 +141,10 @@ class RingSink : public EventSink
     void push(const Event &e) override;
 
   private:
+    /** Retained events; reserved to capacity_ and filled on demand. */
     std::vector<Event> ring_;
     std::size_t capacity_;
     std::size_t head_ = 0;      ///< Next write position.
-    std::size_t count_ = 0;     ///< Retained events (<= capacity).
     std::uint64_t dropped_ = 0;
 
     std::vector<std::string> strings_;

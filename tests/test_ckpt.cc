@@ -1007,6 +1007,106 @@ TEST_F(CkptReject, CorruptCompileLogCoreFailsCleanly)
     expectReject(bad, "compile log core id");
 }
 
+// ------------------------------------------------- stream I/O
+
+/** Takes the first @p budget bytes written to it and refuses the rest. */
+class RefusingBuf : public std::streambuf
+{
+  public:
+    explicit RefusingBuf(std::size_t budget) : budget_(budget) {}
+
+    std::string taken;
+
+  protected:
+    int_type overflow(int_type c) override
+    {
+        if (traits_type::eq_int_type(c, traits_type::eof()))
+            return traits_type::not_eof(c);
+        if (taken.size() == budget_)
+            return traits_type::eof();
+        taken.push_back(traits_type::to_char_type(c));
+        return c;
+    }
+
+  private:
+    std::size_t budget_;
+};
+
+/** A few fields of each width, a string among them. */
+void
+writeSample(ckpt::Writer &w)
+{
+    w.section("sample");
+    w.u8(7);
+    w.u32(0xDEADBEEFU);
+    w.str(std::string(100, 'x'));
+    w.u64(42);
+}
+
+TEST(CkptStream, RefusedWriteFailsFinish)
+{
+    std::ostringstream full(std::ios::binary);
+    {
+        ckpt::Writer w(full);
+        writeSample(w);
+        w.finish();
+    }
+    // Refused at once, inside the header, mid-string, and at the trailer.
+    for (std::size_t budget : {std::size_t{0}, std::size_t{6},
+                               std::size_t{64}, full.str().size() - 8}) {
+        RefusingBuf buf(budget);
+        std::ostream os(&buf);
+        ckpt::Writer w(os);
+        writeSample(w);
+        try {
+            w.finish();
+            FAIL() << "finish() accepted a refused write, budget "
+                   << budget;
+        } catch (const ckpt::Error &e) {
+            EXPECT_NE(std::string(e.what()).find("checkpoint write failed"),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_TRUE(os.bad()) << "budget " << budget;
+        EXPECT_EQ(buf.taken, full.str().substr(0, budget))
+            << "the accepted bytes are the checkpoint's prefix";
+    }
+}
+
+/** A checkpoint embedded in a larger stream restores from its first
+ *  byte and leaves the stream just past its trailer. */
+TEST(CkptStream, EmbeddedCheckpointReadsNothingPastItsTrailer)
+{
+    const MachineConfig cfg =
+        MachineConfig::forPolicy(SharingPolicy::Elastic, 2);
+    RunOptions opt;
+    opt.maxCycles = 10'000'000;
+
+    const std::string prefix = "a container's own header\n";
+    std::stringstream ss(std::ios::in | std::ios::out | std::ios::binary);
+    ss << prefix;
+    {
+        System sys(cfg);
+        setup(sys);
+        sys.boot(opt);
+        sys.advance(5'000);
+        sys.saveCheckpoint(ss);
+    }
+    const std::streampos end = ss.tellp();
+    ss << "OCKP, then more bytes that belong to someone else";
+
+    System sys(cfg);
+    setup(sys);
+    ss.seekg(static_cast<std::streamoff>(prefix.size()));
+    sys.restoreCheckpoint(ss, opt);
+    ASSERT_TRUE(sys.booted());
+    EXPECT_TRUE(ss.good());
+    EXPECT_EQ(ss.tellg(), end) << "read past the checksum trailer";
+
+    sys.advance();
+    EXPECT_EQ(trace::toJson(sys.finalize()), straightRun(cfg, opt).json);
+}
+
 // ------------------------------------------------- corruption fuzzing
 
 /** FNV-1a over everything but the trailer, written as the trailer: a

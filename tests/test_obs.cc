@@ -7,9 +7,12 @@
  * runner uses 1 worker thread or 4.
  */
 
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include <gtest/gtest.h>
 
@@ -104,6 +107,71 @@ TEST(RingSink, TakeMovesAndClearResets)
     EXPECT_EQ(sink.size(), 1u);
     sink.clear();
     EXPECT_EQ(sink.size(), 0u);
+}
+
+TEST(RingSink, PartlyFilledRingWrapsLikeAFullOne)
+{
+    obs::RingSink sink(4);
+    sink.record(ev(1, obs::EventKind::Issue, 1));
+    sink.record(ev(2, obs::EventKind::Issue, 2));
+    obs::TraceBuffer buf = sink.snapshot();
+    ASSERT_EQ(buf.events.size(), 2u);
+    EXPECT_EQ(buf.events[0].a, 1u) << "oldest first";
+    EXPECT_EQ(buf.events[1].a, 2u);
+    EXPECT_EQ(sink.dropped(), 0u);
+
+    for (std::uint64_t i = 3; i <= 7; ++i)
+        sink.record(ev(i, obs::EventKind::Issue, i));
+    buf = sink.snapshot();
+    ASSERT_EQ(buf.events.size(), 4u);
+    for (std::size_t i = 0; i < 4; ++i)
+        EXPECT_EQ(buf.events[i].a, i + 4) << "events 4-7 kept";
+    EXPECT_EQ(sink.dropped(), 3u);
+
+    // A taken ring starts filling from empty again.
+    sink.take();
+    sink.record(ev(8, obs::EventKind::Issue, 8));
+    buf = sink.snapshot();
+    ASSERT_EQ(buf.events.size(), 1u);
+    EXPECT_EQ(buf.events[0].a, 8u);
+    EXPECT_EQ(buf.dropped, 0u);
+
+    // So does one taken before it ever filled.
+    obs::RingSink young(4);
+    young.record(ev(1, obs::EventKind::Issue, 1));
+    young.record(ev(2, obs::EventKind::Issue, 2));
+    young.take();
+    young.record(ev(3, obs::EventKind::Issue, 3));
+    buf = young.snapshot();
+    ASSERT_EQ(buf.events.size(), 1u);
+    EXPECT_EQ(buf.events[0].a, 3u);
+}
+
+/** Peak resident set of this process, MiB (Linux reports KiB). */
+double
+peakRssMb()
+{
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return static_cast<double>(ru.ru_maxrss) / 1024.0;
+}
+
+TEST(RingSink, CapacityIsNotTouchedUpFront)
+{
+    // Eight default-capacity rings are 8 x 48 MiB of address space; an
+    // eagerly filled ring would make all of it resident. ru_maxrss is a
+    // peak, so this needs a process that has not peaked higher yet: the
+    // RingSink suite runs first in this binary.
+    const double before = peakRssMb();
+    std::vector<std::unique_ptr<obs::RingSink>> sinks;
+    for (int s = 0; s < 8; ++s) {
+        sinks.push_back(std::make_unique<obs::RingSink>());
+        for (std::uint64_t i = 0; i < 10; ++i)
+            sinks.back()->record(ev(i, obs::EventKind::Issue, i));
+    }
+    for (const auto &sink : sinks)
+        EXPECT_EQ(sink->size(), 10u);
+    EXPECT_LT(peakRssMb() - before, 64.0);
 }
 
 TEST(EventMask, ParsesCategoryLists)

@@ -417,7 +417,9 @@ simSpecOptions(SimSpec &s)
         .value("trace-events", &s.traceEvents, "L",
                "extra event categories")
         .value("trace-capacity", &s.traceCapacity, "N",
-               "event ring capacity", 1)
+               "most events the ring keeps; the capacity reserves\n"
+               "address space, and resident memory grows with the\n"
+               "events actually recorded", 1)
         .value("sim-threads", &s.simThreads, "N",
                "cycle-loop worker threads (clustered machines)", 1)
         .value("traffic", &s.traffic, "PROC",
