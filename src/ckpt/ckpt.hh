@@ -58,7 +58,7 @@ constexpr std::uint32_t kMagic = 0x504B434FU;
  * rejects everything else with a message naming both versions, so a
  * stale file fails loudly instead of deserializing garbage.
  */
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;
 
 /** Default plausibility bound on a serialized array length. */
 constexpr std::size_t kMaxElems = std::size_t{1} << 28;
@@ -119,9 +119,13 @@ public:
         u64(c.size());
     }
 
-    /** A nested component, through its save() hook. */
-    template <class T>
-    void io(const T &component) { component.save(*this); }
+    /** A nested component, through its save() hook (@p args: what
+     *  the hook takes besides the Writer, e.g. the checkpoint cycle). */
+    template <class T, class... A>
+    void io(const T &component, const A &...args)
+    {
+        component.save(*this, args...);
+    }
 
     /** Marks the start of a named section. */
     void section(const char *name);
@@ -182,8 +186,11 @@ public:
         c.resize(length(maxElems, msg));
     }
 
-    template <class T>
-    void io(T &component) { component.load(*this); }
+    template <class T, class... A>
+    void io(T &component, const A &...args)
+    {
+        component.load(*this, args...);
+    }
 
     /** Reads a section marker; mismatch means drift or corruption. */
     void section(const char *name);

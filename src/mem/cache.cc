@@ -107,15 +107,16 @@ Cache::regStats(stats::Group &group) const
 
 template <class Self, class Ar>
 void
-Cache::io(Self &s, Ar &ar)
+Cache::io(Self &s, Ar &ar, std::vector<std::pair<std::uint32_t, Way>> &valid)
 {
     ar.section(("cache." + s.name_).c_str());
     ar.u64(s.stamp_);
     ar.same(s.ways_.size(),
             "checkpoint cache geometry mismatch (" + s.name_ + ")");
-    for (auto &way : s.ways_) {
+    ar.len(valid, s.ways_.size(), "corrupt checkpoint (valid way count)");
+    for (auto &[index, way] : valid) {
+        ar.u32(index, s.ways_.size(), "corrupt checkpoint (way index)");
         ar.u64(way.tag);
-        ar.b(way.valid);
         ar.b(way.dirty);
         ar.u64(way.lruStamp);
     }
@@ -124,8 +125,33 @@ Cache::io(Self &s, Ar &ar)
     ar.counter(s.writebacks_);
 }
 
-void Cache::save(ckpt::Writer &w) const { io(*this, w); }
-void Cache::load(ckpt::Reader &r) { io(*this, r); }
+void
+Cache::save(ckpt::Writer &w) const
+{
+    std::vector<std::pair<std::uint32_t, Way>> valid;
+    for (std::size_t i = 0; i < ways_.size(); ++i)
+        if (ways_[i].valid)
+            valid.emplace_back(static_cast<std::uint32_t>(i), ways_[i]);
+    io(*this, w, valid);
+}
+
+void
+Cache::load(ckpt::Reader &r)
+{
+    std::vector<std::pair<std::uint32_t, Way>> valid;
+    io(*this, r, valid);
+    flush();
+    for (std::size_t i = 0; i < valid.size(); ++i) {
+        const auto &[index, way] = valid[i];
+        ckpt::Reader::check(i == 0 || valid[i - 1].first < index,
+                            "corrupt checkpoint (way indices not "
+                            "increasing)");
+        ckpt::Reader::check(setIndex(way.tag) == index / cfg_.assoc,
+                            "corrupt checkpoint (tag outside its set)");
+        ways_[index] = way;
+        ways_[index].valid = true;
+    }
+}
 
 void
 Cache::printState(std::ostream &os) const

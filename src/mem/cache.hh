@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ckpt/fwd.hh"
@@ -71,7 +72,9 @@ class Cache
     /** Register this cache's counters with a stats group. */
     void regStats(stats::Group &group) const;
 
-    /** Checkpoint hooks: tag array, LRU clock and counters. */
+    /** Checkpoint hooks: the valid ways (index, tag, dirty bit, LRU
+     *  stamp), LRU clock and counters. An invalid way is always
+     *  Way{}, so the valid ones determine the whole tag array. */
     void save(ckpt::Writer &w) const;
     void load(ckpt::Reader &r);
 
@@ -87,7 +90,11 @@ class Cache
         std::uint64_t lruStamp = 0;
     };
 
-    template <class Self, class Ar> static void io(Self &s, Ar &ar);
+    /** The checkpoint field list; the valid ways travel as the
+     *  (index, way) list @p valid, in ascending index order. */
+    template <class Self, class Ar>
+    static void io(Self &s, Ar &ar,
+                   std::vector<std::pair<std::uint32_t, Way>> &valid);
 
     Addr lineAddr(Addr addr) const { return addr / cfg_.lineBytes; }
     std::size_t setIndex(Addr line) const { return line % num_sets_; }

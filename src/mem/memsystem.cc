@@ -47,15 +47,39 @@ MemSystem::reserve(Cycle &busy_until, unsigned bytes,
 }
 
 Cycle
-MemSystem::lineReady(Addr line, Cycle now)
+MemSystem::lineReady(Addr line) const
 {
-    auto it = line_ready_.find(line);
-    if (it == line_ready_.end())
-        return 0;
-    const Cycle ready = it->second;
-    if (ready <= now)
-        line_ready_.erase(it);
-    return ready;
+    const auto it = line_ready_.find(line);
+    return it == line_ready_.end() ? 0 : it->second;
+}
+
+void
+MemSystem::pushFill(Addr line, Cycle ready)
+{
+    line_ready_[line] = ready;
+    if (fills_.empty() || ready >= fills_.back().ready) {
+        fills_.push_back({ready, line});
+        return;
+    }
+    const auto at = std::upper_bound(
+        fills_.begin(), fills_.end(), ready,
+        [](Cycle r, const Fill &f) { return r < f.ready; });
+    fills_.insert(at, {ready, line});
+}
+
+void
+MemSystem::settle(Cycle now)
+{
+    // A landed fill no longer changes a result: accessLine() returns
+    // at least the access's own VecCache or L2 completion, which is
+    // never before now. The map entry goes only if it belongs to a
+    // landed fill too, not to a later refill of the same line.
+    while (!fills_.empty() && fills_.front().ready <= now) {
+        const auto it = line_ready_.find(fills_.front().line);
+        if (it != line_ready_.end() && it->second <= now)
+            line_ready_.erase(it);
+        fills_.pop_front();
+    }
 }
 
 void
@@ -81,8 +105,7 @@ MemSystem::maybePrefetch(Addr trigger_line, Cycle now)
             reserve(dram_busy_until_, line, dramBpcAt(now), now);
         dram_bytes_ += line;
         ++prefetches_;
-        line_ready_[pf] = start + dramLatencyAt(now);
-        pushFill(start + dramLatencyAt(now));
+        pushFill(pf, start + dramLatencyAt(now));
         obs::emit(sink_, obs::EventKind::DramRead, now, kNoCore, pf, line,
                   start + dramLatencyAt(now));
         // Prefetch into L2 only: demand accesses pull lines into the
@@ -104,7 +127,7 @@ MemSystem::accessLine(Addr line_addr, bool is_write, Cycle now,
     if (vc.hit) {
         // Keep the stream frontier running ahead of the demand pointer.
         maybePrefetch(line_addr, now);
-        return std::max(vec_done, lineReady(line_addr, now));
+        return std::max(vec_done, lineReady(line_addr));
     }
 
     // Dirty victim from VecCache consumes L2 bandwidth but is off the
@@ -120,7 +143,7 @@ MemSystem::accessLine(Addr line_addr, bool is_write, Cycle now,
     CacheAccessResult l2r = l2_.access(line_addr, is_write);
     if (l2r.hit) {
         maybePrefetch(line_addr, now);
-        return std::max(l2_done, lineReady(line_addr, now));
+        return std::max(l2_done, lineReady(line_addr));
     }
 
     if (l2r.writeback) {
@@ -136,8 +159,7 @@ MemSystem::accessLine(Addr line_addr, bool is_write, Cycle now,
     ++dram_reads_;
     dram_bytes_ += line;
     const Cycle ready = dram_start + dramLatencyAt(now);
-    line_ready_[line_addr] = ready;
-    pushFill(ready);
+    pushFill(line_addr, ready);
     obs::emit(sink_, obs::EventKind::DramRead, now, kNoCore, line_addr,
               line, ready);
     maybePrefetch(line_addr, now);
@@ -148,6 +170,7 @@ MemAccessResult
 MemSystem::access(Addr addr, unsigned bytes, bool is_write, Cycle now)
 {
     assert(bytes > 0);
+    settle(now);
     ++accesses_;
     const unsigned line = cfg_.vecCache.lineBytes;
     const Addr first = addr / line;
@@ -181,6 +204,7 @@ MemSystem::accessStrided(Addr addr, unsigned elem_bytes,
                          bool is_write, Cycle now)
 {
     assert(count > 0 && elem_bytes > 0);
+    settle(now);
     ++accesses_;
     const unsigned line = cfg_.vecCache.lineBytes;
 
@@ -221,6 +245,7 @@ MemSystem::scalarAccess(Addr addr, bool is_write, Cycle now)
     // Scalar references ride the same L2/DRAM path; the private scalar
     // L1s from Table 4 are approximated by the VecCache lookup since the
     // kernels issue almost no scalar memory traffic.
+    settle(now);
     return accessLine((addr / cfg_.l2.lineBytes) * cfg_.l2.lineBytes,
                       is_write, now, now + cfg_.vecCache.latency);
 }
@@ -234,48 +259,19 @@ MemSystem::reset()
     l2_busy_until_ = 0;
     dram_busy_until_ = 0;
     line_ready_.clear();
+    fills_.clear();
     frontier_.clear();
-    pending_fills_.clear();
-    fills_head_ = 0;
-}
-
-void
-MemSystem::pushFill(Cycle ready)
-{
-    if (pending_fills_.empty() || ready >= pending_fills_.back())
-        pending_fills_.push_back(ready);
-    else
-        pending_fills_.insert(
-            std::upper_bound(pending_fills_.begin() + fills_head_,
-                             pending_fills_.end(), ready),
-            ready);
 }
 
 Cycle
-MemSystem::nextEventAt(Cycle now)
+MemSystem::nextEventAt(Cycle now) const
 {
-    while (fills_head_ < pending_fills_.size() &&
-           pending_fills_[fills_head_] <= now)
-        ++fills_head_;
-    if (fills_head_ == pending_fills_.size()) {
-        pending_fills_.clear();
-        fills_head_ = 0;
-        return kCycleNever;
-    }
-    if (fills_head_ > 4096 && 2 * fills_head_ > pending_fills_.size()) {
-        pending_fills_.erase(pending_fills_.begin(),
-                             pending_fills_.begin() + fills_head_);
-        fills_head_ = 0;
-    }
-    return pending_fills_[fills_head_];
-}
-
-Cycle
-MemSystem::peekEventAt(Cycle now)
-{
-    const auto it = std::upper_bound(pending_fills_.begin() + fills_head_,
-                                     pending_fills_.end(), now);
-    return it == pending_fills_.end() ? kCycleNever : *it;
+    // Fills up to the last access are gone; any that landed since then
+    // are skipped by the search.
+    const auto it = std::upper_bound(
+        fills_.begin(), fills_.end(), now,
+        [](Cycle t, const Fill &f) { return t < f.ready; });
+    return it == fills_.end() ? kCycleNever : it->ready;
 }
 
 void
@@ -293,7 +289,7 @@ MemSystem::regStats(stats::Group &group) const
 template <class Self, class Ar>
 void
 MemSystem::io(Self &s, Ar &ar, std::vector<std::pair<Addr, Cycle>> &ready,
-              std::vector<Cycle> &fills,
+              std::vector<Fill> &fills,
               std::vector<std::pair<Addr, Addr>> &frontier)
 {
     ar.section("mem");
@@ -306,8 +302,10 @@ MemSystem::io(Self &s, Ar &ar, std::vector<std::pair<Addr, Cycle>> &ready,
         ar.u64(at);
     }
     ar.len(fills);
-    for (Cycle &at : fills)
-        ar.u64(at);
+    for (Fill &f : fills) {
+        ar.u64(f.ready);
+        ar.u64(f.line);
+    }
     ar.len(frontier);
     for (auto &[region, line] : frontier) {
         ar.u64(region);
@@ -322,35 +320,49 @@ MemSystem::io(Self &s, Ar &ar, std::vector<std::pair<Addr, Cycle>> &ready,
 }
 
 void
-MemSystem::save(ckpt::Writer &w) const
+MemSystem::save(ckpt::Writer &w, Cycle now) const
 {
-    // Sorted copies of the hash maps keep the byte stream deterministic.
-    std::vector<std::pair<Addr, Cycle>> ready(line_ready_.begin(),
-                                              line_ready_.end());
+    // Only fills landing after now: the resumed run accesses and
+    // probes at now or later, where earlier fills change nothing.
+    // Sorted copies of the hash maps keep the byte stream
+    // deterministic.
+    std::vector<std::pair<Addr, Cycle>> ready;
+    for (const auto &e : line_ready_)
+        if (e.second > now)
+            ready.push_back(e);
     std::sort(ready.begin(), ready.end());
+    std::vector<Fill> fills;
+    for (const Fill &f : fills_)
+        if (f.ready > now)
+            fills.push_back(f);
     std::vector<std::pair<Addr, Addr>> fr(frontier_.begin(),
                                           frontier_.end());
     std::sort(fr.begin(), fr.end());
-    // Fills still in flight (or not yet dropped), ascending.
-    std::vector<Cycle> fills(pending_fills_.begin() + fills_head_,
-                             pending_fills_.end());
     io(*this, w, ready, fills, fr);
 }
 
 void
-MemSystem::load(ckpt::Reader &r)
+MemSystem::load(ckpt::Reader &r, Cycle now)
 {
     std::vector<std::pair<Addr, Cycle>> ready;
-    std::vector<Cycle> fills;
+    std::vector<Fill> fills;
     std::vector<std::pair<Addr, Addr>> fr;
     io(*this, r, ready, fills, fr);
+    // nextEventAt() searches the fill list, so it must be in
+    // completion order; nothing saved may have landed already.
+    for (const auto &e : ready)
+        ckpt::Reader::check(e.second > now,
+                            "corrupt checkpoint (landed line fill)");
+    for (std::size_t i = 0; i < fills.size(); ++i)
+        ckpt::Reader::check(
+            fills[i].ready > now &&
+                (i == 0 || fills[i - 1].ready <= fills[i].ready),
+            "corrupt checkpoint (fill list order)");
     line_ready_.clear();
     line_ready_.insert(ready.begin(), ready.end());
+    fills_.assign(fills.begin(), fills.end());
     frontier_.clear();
     frontier_.insert(fr.begin(), fr.end());
-    pending_fills_ = std::move(fills);
-    std::sort(pending_fills_.begin(), pending_fills_.end());
-    fills_head_ = 0;
 }
 
 void
@@ -359,7 +371,7 @@ MemSystem::printState(std::ostream &os) const
     os << "vec_busy_until " << vec_busy_until_ << '\n'
        << "l2_busy_until " << l2_busy_until_ << '\n'
        << "dram_busy_until " << dram_busy_until_ << '\n'
-       << "inflight_fills " << line_ready_.size() << '\n'
+       << "inflight_fills " << inflightFills() << '\n'
        << "stream_frontiers " << frontier_.size() << '\n'
        << "accesses " << accesses_.value() << '\n'
        << "dram_reads " << dramReads() << '\n'

@@ -16,11 +16,13 @@
  *    of every demand stream, and
  *  - MSHR-style per-line readiness: a hit on a line whose fill is still
  *    in flight waits for the fill, so prefetching never teleports data.
+ *    Like an MSHR file, it holds only fills that have not landed yet.
  */
 
 #ifndef OCCAMY_MEM_MEMSYSTEM_HH
 #define OCCAMY_MEM_MEMSYSTEM_HH
 
+#include <deque>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -85,23 +87,16 @@ class MemSystem
     Cycle scalarAccess(Addr addr, bool is_write, Cycle now);
 
     /**
-     * Quiescence probe for the fast-forward engine: earliest future
-     * cycle at which an in-flight line fill completes, or kCycleNever
-     * when no fill is outstanding. The memory system has no tick() —
-     * its state only changes when a component calls access*() — so a
-     * pending fill is the only thing that can make a *waiting*
-     * consumer's world change without that consumer acting first.
+     * Quiescence probe for the fast-forward engine: earliest cycle
+     * after @p now at which an issued line fill completes (a fill
+     * whose line was filled again included), or kCycleNever when none
+     * is outstanding. The memory system has no tick() — its state only
+     * changes when a component calls access*() — so a pending fill is
+     * the only thing that can make a *waiting* consumer's world change
+     * without that consumer acting first. Pure: probing never changes
+     * state, so callers may probe as often as they like.
      */
-    Cycle nextEventAt(Cycle now);
-
-    /**
-     * The same answer as nextEventAt(), without its side effect on the
-     * checkpointed fill list. A cluster engine probes itself with this
-     * inside a tick window; the coordinator replays the machine-wide
-     * nextEventAt() calls of a lock-step run afterwards, so the saved
-     * list depends only on those calls, never on the window shape.
-     */
-    Cycle peekEventAt(Cycle now);
+    Cycle nextEventAt(Cycle now) const;
 
     const Cache &vecCache() const { return vec_cache_; }
     const Cache &l2() const { return l2_; }
@@ -110,16 +105,21 @@ class MemSystem
     std::uint64_t dramBytes() const { return dram_bytes_.value(); }
     std::uint64_t prefetches() const { return prefetches_.value(); }
 
+    /** Lines with a fill still in flight as of the last access. */
+    std::size_t inflightFills() const { return line_ready_.size(); }
+
     /** Drop all cached contents and reset busy pointers (tests only). */
     void reset();
 
     void regStats(stats::Group &group) const;
 
-    /** Checkpoint hooks: busy pointers, in-flight fills, prefetch
-     *  frontiers, counters and both cache levels. Unordered containers
-     *  are serialized key-sorted so the byte stream is deterministic. */
-    void save(ckpt::Writer &w) const;
-    void load(ckpt::Reader &r);
+    /** Checkpoint hooks: busy pointers, the fills that land after the
+     *  checkpoint cycle @p now (earlier ones cannot change a result or
+     *  a probe once the run resumes at @p now), prefetch frontiers,
+     *  counters and both cache levels. Unordered containers are
+     *  serialized key-sorted so the byte stream is deterministic. */
+    void save(ckpt::Writer &w, Cycle now) const;
+    void load(ckpt::Reader &r, Cycle now);
 
     /** One-line-per-fact state dump for live inspection. */
     void printState(std::ostream &os) const;
@@ -150,13 +150,20 @@ class MemSystem
     unsigned dramBytesPerCycle() const { return dram_bpc_; }
 
   private:
+    /** One issued line fill. */
+    struct Fill
+    {
+        Cycle ready;
+        Addr line;
+    };
+
     /** The checkpoint field list, shared by save() and load(); the
-     *  hash maps and the live fills travel as the vectors @p ready,
+     *  hash maps and the pending fills travel as the vectors @p ready,
      *  @p fills and @p frontier. */
     template <class Self, class Ar>
     static void io(Self &s, Ar &ar,
                    std::vector<std::pair<Addr, Cycle>> &ready,
-                   std::vector<Cycle> &fills,
+                   std::vector<Fill> &fills,
                    std::vector<std::pair<Addr, Addr>> &frontier);
 
     /** Effective DRAM fill latency at @p now (injected spikes added). */
@@ -178,8 +185,15 @@ class MemSystem
     /** Extend the stream frontier past @p trigger_line. */
     void maybePrefetch(Addr trigger_line, Cycle now);
 
-    /** Readiness of an in-flight fill covering @p line (0 if settled). */
-    Cycle lineReady(Addr line, Cycle now);
+    /** Ready cycle of the in-flight fill covering @p line (0 if
+     *  settled). */
+    Cycle lineReady(Addr line) const;
+
+    /** Record a fill of @p line that lands at @p ready. */
+    void pushFill(Addr line, Cycle ready);
+
+    /** Retire every fill that landed by @p now (the access cycle). */
+    void settle(Cycle now);
 
     /** Reserve @p bytes of bandwidth at a level. @return service start. */
     static Cycle reserve(Cycle &busy_until, unsigned bytes,
@@ -199,19 +213,16 @@ class MemSystem
     Cycle l2_busy_until_ = 0;
     Cycle dram_busy_until_ = 0;
 
-    /** Line address -> fill-ready cycle (MSHR-style). */
+    /** Line address -> ready cycle of its latest fill, for fills that
+     *  land after the last access (MSHR-style): settle() drops the
+     *  rest, so this holds only misses still in flight. */
     std::unordered_map<Addr, Cycle> line_ready_;
 
-    /** Ready cycles of fills still in flight, mirroring line_ready_
-     *  inserts, ascending from fills_head_ (fills complete in nearly
-     *  issue order, so an insert is almost always an append). Heads
-     *  <= now are dropped lazily by nextEventAt(), so the probe stays
-     *  cheap instead of scanning the map; peekEventAt() searches past
-     *  them without dropping any. */
-    std::vector<Cycle> pending_fills_;
-    std::size_t fills_head_ = 0;    ///< First entry not yet dropped.
-
-    void pushFill(Cycle ready);
+    /** The same fills in completion order, plus any whose line was
+     *  filled again before they landed (nextEventAt() reports every
+     *  completion). Fills complete in nearly issue order, so an insert
+     *  is almost always an append and settle() pops from the front. */
+    std::deque<Fill> fills_;
 
     /** 4 KB region -> highest line prefetched for that stream. */
     std::unordered_map<Addr, Addr> frontier_;

@@ -121,9 +121,8 @@ ClusterEngine::coreWake(Cycle now) const
 ClusterEngine::State
 ClusterEngine::classify(const Probe &p, Cycle t)
 {
-    if (p.coproc <= t + 1 || p.core <= t + 1)
-        return State::Busy;
-    return p.mem <= t + 1 ? State::MemOnly : State::Quiet;
+    return std::min({p.coproc, p.core, p.mem}) <= t + 1 ? State::Busy
+                                                         : State::Quiet;
 }
 
 void
@@ -144,7 +143,6 @@ ClusterEngine::beginWindow(Cycle now, const Knobs &k)
     assert(at_ == now);
     quiet_ = false;
     rq_ = false;
-    mem_only_.clear();
     stopped_ = false;
     edges_.clear();
     live_count_ = 0;
@@ -162,7 +160,6 @@ ClusterEngine::resume()
     rq_ = stop_state_ == State::Quiet;
     rq_probe_ = stop_probe_;
     rq_to_ = qwake_;
-    mem_only_.clear();
     stopped_ = false;
     edges_.clear();
 }
@@ -206,7 +203,7 @@ ClusterEngine::tickWindow(Cycle limit, const Knobs &k)
         if (p.coproc > t + 1) {
             p.core = coreWake(t);
             if (p.core > t + 1)
-                p.mem = mem_.peekEventAt(t);
+                p.mem = mem_.nextEventAt(t);
         }
         const State st = classify(p, t);
         if (st == State::Quiet) {
@@ -218,8 +215,6 @@ ClusterEngine::tickWindow(Cycle limit, const Knobs &k)
             stop_at_ = t;
             stop_probe_ = p;
             stop_state_ = st;
-        } else if (st == State::MemOnly) {
-            mem_only_.push_back(t);
         }
     }
 }
@@ -243,24 +238,15 @@ ClusterEngine::stateAt(Cycle t, Probe *probe) const
         *probe = stop_probe_;
         return t == stop_at_ ? stop_state_ : State::Quiet;
     }
-    return std::binary_search(mem_only_.begin(), mem_only_.end(), t)
-               ? State::MemOnly
-               : State::Busy;
+    return State::Busy;
 }
 
 Cycle
-ClusterEngine::nextCalm(Cycle c) const
+ClusterEngine::nextQuiet(Cycle c) const
 {
     if (rq_ && c < rq_to_)
         return c;
-    const Cycle busy_end = stopped() ? stop_at_ : at_;
-    if (c < busy_end) {
-        const auto it =
-            std::lower_bound(mem_only_.begin(), mem_only_.end(), c);
-        if (it != mem_only_.end())
-            return *it;
-        c = busy_end;
-    }
+    c = std::max(c, stopped() ? stop_at_ : at_);
     if (stopped() && c == stop_at_ && stop_state_ == State::Busy)
         ++c;
     return c < knownUntil() ? c : kCycleNever;

@@ -153,8 +153,8 @@ class ClusterEngine
     Cycle knownUntil() const;
 
     /** First cycle >= @p c (and < knownUntil()) whose recorded state
-     *  is not Busy; kCycleNever when there is none yet. */
-    Cycle nextCalm(Cycle c) const;
+     *  is Quiet; kCycleNever when there is none yet. */
+    Cycle nextQuiet(Cycle c) const;
 
     /** Quiescence probes after a tick: the three engine tiers of the
      *  fast-forward wake, in their tie-breaking order. */
@@ -168,8 +168,7 @@ class ClusterEngine
     /** What the probes said after cycle t. */
     enum class State : std::uint8_t
     {
-        Busy,       ///< Co-processor or a core acts at t + 1.
-        MemOnly,    ///< Only a line fill lands at t + 1.
+        Busy,       ///< Something acts or a line fill lands at t + 1.
         Quiet,      ///< Nothing before probe.wake; probe is valid.
     };
 
@@ -182,7 +181,7 @@ class ClusterEngine
     State stateAt(Cycle t, Probe *probe) const;
 
     /** Live co-processor and core probes at @p t (engine synchronized
-     *  just past @p t); mem is left to the caller, which must probe it
+     *  just past @p t); mem is left to the caller, which needs it
      *  (MemSystem::nextEventAt) only when every engine returned true:
      *  both tiers beyond t + 1. */
     bool probeLive(Cycle t, Probe *probe) const;
@@ -269,7 +268,6 @@ class ClusterEngine
     bool rq_ = false;           ///< Resumed inside a quiescent stretch...
     Probe rq_probe_;            ///< ...with these probes...
     Cycle rq_to_ = 0;           ///< ...lasting through rq_to_ - 1.
-    std::vector<Cycle> mem_only_;   ///< Busy ticks that were MemOnly.
     bool stopped_ = false;
     Cycle stop_at_ = 0;
     Probe stop_probe_;

@@ -697,22 +697,14 @@ System::advance(Cycle stop_at)
     };
 
     // Replayed decision at a cycle inside the window, from what the
-    // engines recorded. The lock-step ladder probed every memory (and
-    // so dropped its expired fills) whenever no co-processor or core
-    // acted next cycle; that side effect is replayed here too.
+    // engines recorded.
     auto replayedFastForward = [&]() -> Cycle {
         if (!opt.fastForward)
             return now + 1;
-        bool calm = true;
         bool quiet = true;
-        for (unsigned k = 0; k < x.ncl; ++k) {
-            const auto st = x.engines[k]->stateAt(now, &probes[k]);
-            calm &= st != ClusterEngine::State::Busy;
-            quiet &= st == ClusterEngine::State::Quiet;
-        }
-        if (calm)
-            for (auto &eng : x.engines)
-                eng->mem().nextEventAt(now);
+        for (unsigned k = 0; k < x.ncl; ++k)
+            quiet &= x.engines[k]->stateAt(now, &probes[k]) ==
+                     ClusterEngine::State::Quiet;
         return quiet ? fastForwardFrom() : now + 1;
     };
 
@@ -740,12 +732,13 @@ System::advance(Cycle stop_at)
     };
 
     // The first cycle after `now` within [.., bound] at which every
-    // engine recorded a non-busy state (bound when there is none).
-    auto nextCalm = [&](Cycle from, Cycle bound) {
+    // engine recorded a quiet state, the only cycles at which the
+    // replay can skip (bound when there is none).
+    auto nextQuiet = [&](Cycle from, Cycle bound) {
         for (Cycle c = from;;) {
             Cycle m = c;
             for (auto &eng : x.engines)
-                m = std::max(m, eng->nextCalm(c));
+                m = std::max(m, eng->nextQuiet(c));
             if (m == c || m >= bound)
                 return std::min(m, bound);
             c = m;
@@ -1040,7 +1033,7 @@ System::advance(Cycle stop_at)
                             !eng->edges().empty())
                             to = std::min(to, eng->stopCycle());
                     if (opt.fastForward)
-                        to = nextCalm(now + 1, to);
+                        to = nextQuiet(now + 1, to);
                 } else {
                     to = now + 1;
                 }
@@ -1441,9 +1434,9 @@ System::io(X &x, Ar &ar, double &busy, unsigned &region,
 
     // Components: per cluster its memory system then its co-processor
     // (the flat order on a 1-cluster machine), then every core in
-    // global id order.
+    // global id order. The memory keeps only fills landing after now.
     for (auto &eng : x.engines) {
-        ar.io(eng->mem());
+        ar.io(eng->mem(), x.now);
         ar.io(eng->coproc());
     }
     ar.same(std::uint64_t{x.cfg.numCores}, "checkpoint core count mismatch");

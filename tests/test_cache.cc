@@ -2,11 +2,14 @@
  * @file
  * Unit and property tests for the set-associative cache tag model:
  * hit/miss behaviour, true-LRU replacement, dirty-eviction writebacks,
- * and geometry sweeps.
+ * geometry sweeps, and the checkpoint of its valid ways.
  */
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "ckpt/ckpt.hh"
 #include "mem/cache.hh"
 
 namespace occamy
@@ -109,6 +112,113 @@ TEST(Cache, StatsRegistration)
     EXPECT_DOUBLE_EQ(g.get("vec.hits"), 1.0);
     EXPECT_DOUBLE_EQ(g.get("vec.misses"), 1.0);
     EXPECT_DOUBLE_EQ(g.get("vec.miss_rate"), 0.5);
+}
+
+/** A checkpoint holding @p c alone, header and trailer included. */
+std::string
+saved(const Cache &c)
+{
+    std::ostringstream os(std::ios::binary);
+    ckpt::Writer w(os);
+    c.save(w);
+    w.finish();
+    return os.str();
+}
+
+void
+restore(Cache &c, const std::string &bytes)
+{
+    std::istringstream is(bytes, std::ios::binary);
+    ckpt::Reader r(is);
+    c.load(r);
+    r.finish();
+}
+
+/** Lines 0 (dirty) and 4 in set 0, line 1 in set 1. */
+Cache
+warmSmallCache()
+{
+    Cache c("t", smallCache());
+    c.access(0 * 64, true);
+    c.access(4 * 64, false);
+    c.access(1 * 64, false);
+    c.access(0 * 64, false);
+    return c;
+}
+
+TEST(CacheCkpt, ValidWaysRestoreTheWholeTagArray)
+{
+    Cache a = warmSmallCache();
+    const std::string bytes = saved(a);
+    Cache b("t", smallCache());
+    b.access(2 * 64, true);     // Stale contents the load must clear.
+    restore(b, bytes);
+    EXPECT_EQ(saved(b), bytes);
+    EXPECT_FALSE(b.contains(2 * 64));
+
+    // Both evict the same victims from here on: 4 (LRU, clean), then
+    // 0 (dirty, written back).
+    for (Addr line : {8u, 12u, 2u}) {
+        const CacheAccessResult ra = a.access(line * 64, false);
+        const CacheAccessResult rb = b.access(line * 64, false);
+        EXPECT_EQ(ra.hit, rb.hit) << line;
+        EXPECT_EQ(ra.writeback, rb.writeback) << line;
+        EXPECT_EQ(ra.victimLine, rb.victimLine) << line;
+    }
+    EXPECT_EQ(saved(a), saved(b));
+}
+
+TEST(CacheCkpt, OnlyValidWaysAreSaved)
+{
+    // 3 of 8 ways valid: 21 bytes each (u32 index, u64 tag, dirty
+    // byte, u64 LRU stamp) after the section header, clock, geometry
+    // and count; three counters follow.
+    const std::string bytes = saved(warmSmallCache());
+    const std::size_t ways = bytes.find("cache.t") + 7 + 3 * 8;
+    EXPECT_EQ(bytes.size(), ways + 3 * 21 + 3 * 8 + 8);
+    EXPECT_EQ(saved(Cache("t", smallCache())).size(), ways + 3 * 8 + 8);
+}
+
+/** Restore @p bytes into a fresh small cache, expecting a ckpt::Error
+ *  whose message holds @p needle. */
+void
+expectReject(const std::string &bytes, const std::string &needle)
+{
+    Cache c("t", smallCache());
+    try {
+        restore(c, bytes);
+        FAIL() << "restore accepted a bad checkpoint (wanted: " << needle
+               << ")";
+    } catch (const ckpt::Error &e) {
+        EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+            << "actual message: " << e.what();
+    }
+}
+
+TEST(CacheCkpt, CorruptWayListIsRejected)
+{
+    const std::string good = saved(warmSmallCache());
+    const std::size_t count = good.find("cache.t") + 7 + 2 * 8;
+    const std::size_t first = count + 8, second = first + 21;
+    ASSERT_EQ(good[count], 3);
+    ASSERT_EQ(good[first], 0);      // Set 0, way 0: line 0.
+    ASSERT_EQ(good[second], 1);     // Set 0, way 1: line 4.
+
+    std::string bad = good;
+    bad[count] = 9;                 // More valid ways than ways.
+    expectReject(bad, "valid way count");
+
+    bad = good;
+    bad[first] = 8;                 // Past the last way.
+    expectReject(bad, "way index");
+
+    bad = good;
+    bad[second] = 0;                // Repeats the first index.
+    expectReject(bad, "not increasing");
+
+    bad = good;
+    bad[first + 4] = 1;             // Tag of line 1 parked in set 0.
+    expectReject(bad, "tag outside its set");
 }
 
 /** Geometry sweep: capacity and conflict behaviour must hold for any

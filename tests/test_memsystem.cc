@@ -2,11 +2,14 @@
  * @file
  * Tests for the memory-system timing model: hit/miss latencies,
  * bandwidth occupancy, the stream prefetcher and its MSHR-style
- * line-readiness, store-buffer semantics, and DRAM-bandwidth bounds on
+ * line-readiness (which, like an MSHR file, holds only fills in
+ * flight), store-buffer semantics, and DRAM-bandwidth bounds on
  * streaming access patterns.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "mem/memsystem.hh"
 
@@ -111,6 +114,52 @@ TEST(MemSystem, StreamingThroughputIsDramBandwidthBound)
     const Cycle floor = bytes / cfg.dramBytesPerCycle;
     EXPECT_GE(done, floor);
     EXPECT_LE(done, floor * 3 / 2);   // Within 50% of peak bandwidth.
+}
+
+TEST(MemSystem, FillStateStaysBounded)
+{
+    // Stream 64k distinct lines, each touched once, paced at half the
+    // DRAM bandwidth: at any moment only about a DRAM latency's worth
+    // of fills (plus the prefetch run-ahead) is in flight, however
+    // many lines went by. Without the prefetcher every line is a
+    // demand miss whose fill lands after its only access.
+    for (const unsigned degree : {0u, MachineConfig{}.prefetchDegree}) {
+        MachineConfig cfg;
+        cfg.prefetchDegree = degree;
+        MemSystem mem(cfg);
+        const unsigned line = cfg.vecCache.lineBytes;
+        const Cycle pace = 2 * line / cfg.dramBytesPerCycle;
+        constexpr Addr kLines = 64 * 1024;
+        std::size_t peak = 0;
+        for (Addr l = 0; l < kLines; ++l) {
+            mem.access(l * line, line, false, l * pace);
+            peak = std::max(peak, mem.inflightFills());
+        }
+        EXPECT_GE(mem.dramReads() + mem.prefetches(), kLines);
+        EXPECT_LE(peak, 2048u) << "prefetch degree " << degree;
+    }
+}
+
+TEST(MemSystem, RefilledLineKeepsItsLaterFill)
+{
+    // Direct-mapped 4-set VecCache and L2 and a slow DRAM: line 4
+    // evicts line 0 from both levels before line 0's fill lands, so
+    // line 0's second miss issues a second, later fill.
+    MachineConfig cfg = noPrefetchConfig();
+    cfg.vecCache.sizeBytes = cfg.l2.sizeBytes = 4 * 64;
+    cfg.vecCache.assoc = cfg.l2.assoc = 1;
+    cfg.dramBytesPerCycle = 1;
+    MemSystem mem(cfg);
+    const Cycle first = mem.access(0, 64, false, 0).dataReady;
+    mem.access(4 * 64, 64, false, 1);
+    const Cycle second = mem.access(0, 64, false, 2).dataReady;
+    ASSERT_GT(second, first + cfg.vecCache.latency);
+
+    // The probe reports the first fill although the line moved on.
+    EXPECT_EQ(mem.nextEventAt(2), first);
+    // Once the first fill landed, line 0 still waits for the second.
+    mem.access(64, 64, false, first);
+    EXPECT_EQ(mem.access(0, 64, false, first + 1).dataReady, second);
 }
 
 TEST(MemSystem, WidthSplitsAcrossLines)
