@@ -1,7 +1,10 @@
 #include "common/cliopts.hh"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 
 namespace occamy::cliopts
 {
@@ -35,17 +38,42 @@ parseBool(const std::string &v, bool &out)
     return false;
 }
 
+/** A decimal integer in [@p min, @p max]: no sign, no trailing text,
+ *  nothing strtoull reports out of range. */
 bool
-parseUnsigned(const std::string &v, std::uint64_t &out)
+parseUnsigned(const std::string &v, std::uint64_t &out,
+              std::uint64_t min = 0,
+              std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
-    if (v.empty())
+    if (v.empty() || v[0] == '-')
         return false;
     char *end = nullptr;
+    errno = 0;
     const unsigned long long n = std::strtoull(v.c_str(), &end, 10);
-    if (end == v.c_str() || *end != '\0' || v[0] == '-')
+    if (end == v.c_str() || *end != '\0' || errno == ERANGE || n < min ||
+        n > max)
         return false;
     out = static_cast<std::uint64_t>(n);
     return true;
+}
+
+constexpr std::uint64_t kUnsignedMax = std::numeric_limits<unsigned>::max();
+
+/** Value handler of an integer option of type T, at least @p min. */
+template <class T>
+std::function<bool(const std::string &, std::string &)>
+integer(const std::string &name, T *target, T min)
+{
+    return [name, target, min](const std::string &v, std::string &err) {
+        std::uint64_t n = 0;
+        if (!parseUnsigned(v, n, min, std::numeric_limits<T>::max())) {
+            err = "--" + name + " wants an integer >= " +
+                  std::to_string(min) + ", got \"" + v + "\"";
+            return false;
+        }
+        *target = static_cast<T>(n);
+        return true;
+    };
 }
 
 } // namespace
@@ -103,23 +131,7 @@ OptionSet::value(const std::string &name, unsigned *target,
                  const std::string &metavar, const std::string &help,
                  unsigned min)
 {
-    Option o;
-    o.name = name;
-    o.metavar = metavar;
-    o.help = help;
-    o.takesValue = true;
-    o.apply = [name, target, min](const std::string &v,
-                                  std::string &err) {
-        std::uint64_t n = 0;
-        if (!parseUnsigned(v, n) || n < min) {
-            err = "--" + name + " wants an integer >= " +
-                  std::to_string(min) + ", got \"" + v + "\"";
-            return false;
-        }
-        *target = static_cast<unsigned>(n);
-        return true;
-    };
-    return add(std::move(o));
+    return custom(name, metavar, help, integer(name, target, min));
 }
 
 OptionSet &
@@ -127,23 +139,7 @@ OptionSet::value(const std::string &name, std::uint64_t *target,
                  const std::string &metavar, const std::string &help,
                  std::uint64_t min)
 {
-    Option o;
-    o.name = name;
-    o.metavar = metavar;
-    o.help = help;
-    o.takesValue = true;
-    o.apply = [name, target, min](const std::string &v,
-                                  std::string &err) {
-        std::uint64_t n = 0;
-        if (!parseUnsigned(v, n) || n < min) {
-            err = "--" + name + " wants an integer >= " +
-                  std::to_string(min) + ", got \"" + v + "\"";
-            return false;
-        }
-        *target = n;
-        return true;
-    };
-    return add(std::move(o));
+    return custom(name, metavar, help, integer(name, target, min));
 }
 
 OptionSet &
@@ -161,7 +157,7 @@ OptionSet::value(const std::string &name, double *target,
         char *end = nullptr;
         const double d = std::strtod(v.c_str(), &end);
         if (v.empty() || end == v.c_str() || *end != '\0' ||
-            (positive && d <= 0)) {
+            !std::isfinite(d) || (positive && d <= 0)) {
             err = "--" + name + " wants a " +
                   (positive ? "positive number" : "number") +
                   ", got \"" + v + "\"";
@@ -379,8 +375,8 @@ parseTopology(const std::string &spec, unsigned &clusters,
     const auto x = spec.find_first_of("xX");
     std::uint64_t c = 0, k = 0;
     if (x == std::string::npos ||
-        !parseUnsigned(spec.substr(0, x), c) ||
-        !parseUnsigned(spec.substr(x + 1), k) || c == 0 || k == 0) {
+        !parseUnsigned(spec.substr(0, x), c, 1, kUnsignedMax) ||
+        !parseUnsigned(spec.substr(x + 1), k, 1, kUnsignedMax)) {
         err = "bad topology \"" + spec +
               "\" (want CxK, e.g. 4x4 = 4 clusters of 4 cores)";
         return false;
@@ -388,6 +384,39 @@ parseTopology(const std::string &spec, unsigned &clusters,
     clusters = static_cast<unsigned>(c);
     cores_per_cluster = static_cast<unsigned>(k);
     return true;
+}
+
+std::function<bool(const std::string &, std::string &)>
+flatCores(unsigned &clusters, unsigned &cores)
+{
+    return [&clusters, &cores](const std::string &v, std::string &err) {
+        std::uint64_t n = 0;
+        if (!parseUnsigned(v, n, 1, kUnsignedMax)) {
+            err = "--cores wants a positive integer, got \"" + v + "\"";
+            return false;
+        }
+        clusters = 1;
+        cores = static_cast<unsigned>(n);
+        return true;
+    };
+}
+
+std::vector<std::string>
+splitCommas(const std::string &s)
+{
+    std::vector<std::string> out;
+    std::string item;
+    for (const char c : s) {
+        if (c != ',') {
+            item.push_back(c);
+        } else if (!item.empty()) {
+            out.push_back(std::move(item));
+            item.clear();
+        }
+    }
+    if (!item.empty())
+        out.push_back(std::move(item));
+    return out;
 }
 
 } // namespace occamy::cliopts

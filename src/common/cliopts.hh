@@ -62,14 +62,15 @@ class OptionSet
     /** `--name V` storing into a variable, with type-checked parses. */
     OptionSet &value(const std::string &name, std::string *target,
                      const std::string &metavar, const std::string &help);
-    /** Unsigned value; rejects values below @p min. */
+    /** Unsigned value; rejects values below @p min or beyond the
+     *  target type. */
     OptionSet &value(const std::string &name, unsigned *target,
                      const std::string &metavar, const std::string &help,
                      unsigned min = 0);
     OptionSet &value(const std::string &name, std::uint64_t *target,
                      const std::string &metavar, const std::string &help,
                      std::uint64_t min = 0);
-    /** Double value; @p positive rejects values <= 0. */
+    /** Finite double value; @p positive rejects values <= 0. */
     OptionSet &value(const std::string &name, double *target,
                      const std::string &metavar, const std::string &help,
                      bool positive = false);
@@ -148,6 +149,15 @@ class OptionSet
  */
 bool parseTopology(const std::string &spec, unsigned &clusters,
                    unsigned &cores_per_cluster, std::string &err);
+
+/** Value handler of "--cores N", the flat spelling of --topology 1xN:
+ *  sets @p clusters to 1 and @p cores to N >= 1. The references must
+ *  outlive the OptionSet. */
+std::function<bool(const std::string &, std::string &)>
+flatCores(unsigned &clusters, unsigned &cores);
+
+/** The non-empty items of a comma-separated list. */
+std::vector<std::string> splitCommas(const std::string &s);
 
 } // namespace occamy::cliopts
 

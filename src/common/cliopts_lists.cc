@@ -1,6 +1,7 @@
 #include "common/cliopts_lists.hh"
 
 #include <cstdio>
+#include <cstdlib>
 
 #include "policy/sharing_model.hh"
 #include "traffic/admission.hh"
@@ -121,6 +122,27 @@ addListOptions(OptionSet &set, unsigned which)
         set.action("list-policies",
                    "list registered sharing policies and exit",
                    printPolicies);
+}
+
+std::optional<SharingPolicy>
+parsePolicy(const std::string &s)
+{
+    if (const policy::SharingModel *m = policy::modelByName(s))
+        return m->id();
+    return std::nullopt;
+}
+
+workloads::Workload
+lookupWorkload(const std::string &token)
+{
+    if (token.rfind("CV", 0) == 0)
+        return workloads::opencvWorkload(
+            static_cast<unsigned>(std::atoi(token.c_str() + 2)));
+    if (token.rfind("WL", 0) == 0)
+        return workloads::specWorkload(
+            static_cast<unsigned>(std::atoi(token.c_str() + 2)));
+    return workloads::specWorkload(
+        static_cast<unsigned>(std::atoi(token.c_str())));
 }
 
 } // namespace occamy::cliopts

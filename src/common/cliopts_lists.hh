@@ -1,17 +1,23 @@
 /**
  * @file
- * Shared registry-listing actions for the occamy CLIs.
+ * Shared registry lookups and listing actions for the occamy CLIs.
  *
  * occamy-sim and occamy-batchrun print the same catalogs (--list-
  * policies, --list-workloads, ...); this registers the exact listing
  * actions a tool wants onto its OptionSet so both tools share one
- * implementation and one output format.
+ * implementation and one output format. The front ends also resolve
+ * policy names and workload ids through the same two lookups.
  */
 
 #ifndef OCCAMY_COMMON_CLIOPTS_LISTS_HH
 #define OCCAMY_COMMON_CLIOPTS_LISTS_HH
 
+#include <optional>
+#include <string>
+
 #include "common/cliopts.hh"
+#include "common/config.hh"
+#include "workloads/suite.hh"
 
 namespace occamy::cliopts
 {
@@ -31,6 +37,13 @@ inline constexpr unsigned kListAdmission = 1u << 5;
  * `set.alias("list", "list-workloads")`.
  */
 void addListOptions(OptionSet &set, unsigned which);
+
+/** The registered policy named @p s (key or alias), if any. */
+std::optional<SharingPolicy> parsePolicy(const std::string &s);
+
+/** The catalog workload for "WLn", "CVn" or a bare SPEC number n.
+ *  Throws std::out_of_range for an id outside the catalog. */
+workloads::Workload lookupWorkload(const std::string &token);
 
 } // namespace occamy::cliopts
 

@@ -1,6 +1,5 @@
 #include "obs/export.hh"
 
-#include <cstdio>
 #include <cstring>
 #include <iomanip>
 #include <istream>
@@ -8,39 +7,13 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/json.hh"
+
 namespace occamy::obs
 {
 
 namespace
 {
-
-/** JSON-escape a string (quotes, backslashes, control characters). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char hex[8];
-                std::snprintf(hex, sizeof hex, "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                out += hex;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 /** Track id of an event: per-core events ride the core's track,
  *  machine-wide events get a synthetic track after the cores. */

@@ -5,6 +5,7 @@
 #include <iomanip>
 #include <sstream>
 
+#include "common/json.hh"
 #include "sim/trace.hh"
 
 namespace occamy::runner
@@ -63,26 +64,6 @@ trafficSweepJobs(const traffic::TrafficConfig &base,
 
 namespace
 {
-
-/** Escape for a JSON string literal (labels can be arbitrary). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out.push_back('\\');
-        if (static_cast<unsigned char>(c) < 0x20) {
-            char buf[8];
-            std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-            out += buf;
-        } else {
-            out.push_back(c);
-        }
-    }
-    return out;
-}
 
 /** Deterministic fixed-notation double for JSON/CSV export. */
 std::string

@@ -7,8 +7,11 @@ namespace occamy
 {
 
 ClusterEngine::ClusterEngine(unsigned id, const MachineConfig &view,
-                             const std::string &stats_prefix)
-    : id_(id), view_(view), mem_(view_), coproc_(view_, mem_),
+                             const std::string &stats_prefix,
+                             bool full_width, unsigned bucket,
+                             bool fast_forward)
+    : id_(id), view_(view), full_width_(full_width), bucket_(bucket),
+      fast_forward_(fast_forward), mem_(view_), coproc_(view_, mem_),
       mem_group_(stats_prefix + ".mem"), cp_group_(stats_prefix + ".coproc")
 {
 }
@@ -46,7 +49,7 @@ ClusterEngine::regStats()
 }
 
 void
-ClusterEngine::tickCycle(Cycle now, bool full_width, unsigned bucket)
+ClusterEngine::tickCycle(Cycle now)
 {
     coproc_.tick(now);
     for (auto &core : cores_)
@@ -56,7 +59,7 @@ ClusterEngine::tickCycle(Cycle now, bool full_width, unsigned bucket)
     // busy lanes are capped cluster-wide and attributed proportionally.
     // The cap is what still works: hard faults shrink the shared unit.
     fts_scale_ = 1.0;
-    if (full_width) {
+    if (full_width_) {
         unsigned sum = 0;
         for (unsigned i = 0; i < numCores(); ++i)
             sum += coproc_.busyLanes(static_cast<CoreId>(i));
@@ -64,12 +67,12 @@ ClusterEngine::tickCycle(Cycle now, bool full_width, unsigned bucket)
         fts_scale_ = sum > cap ? static_cast<double>(cap) / sum : 1.0;
     }
 
-    const std::size_t b = static_cast<std::size_t>(now / bucket);
+    const std::size_t b = static_cast<std::size_t>(now / bucket_);
     for (unsigned i = 0; i < numCores(); ++i) {
         const unsigned alloc =
             coproc_.allocatedLanes(static_cast<CoreId>(i));
         double busy = coproc_.busyLanes(static_cast<CoreId>(i));
-        if (full_width)
+        if (full_width_)
             busy *= fts_scale_;
         else
             busy = std::min<double>(busy, alloc);
@@ -85,9 +88,9 @@ ClusterEngine::tickCycle(Cycle now, bool full_width, unsigned bucket)
 }
 
 void
-ClusterEngine::synthesizeSkipped(Cycle from, Cycle to, unsigned bucket)
+ClusterEngine::synthesizeSkipped(Cycle from, Cycle to)
 {
-    const std::size_t last_b = static_cast<std::size_t>(to / bucket);
+    const std::size_t last_b = static_cast<std::size_t>(to / bucket_);
     for (unsigned i = 0; i < numCores(); ++i) {
         if (busy_buckets_[i].size() <= last_b) {
             busy_buckets_[i].resize(last_b + 1, 0.0);
@@ -98,9 +101,9 @@ ClusterEngine::synthesizeSkipped(Cycle from, Cycle to, unsigned bucket)
         if (alloc == 0)
             continue;
         for (Cycle cy = from; cy <= to;) {
-            const std::size_t b = static_cast<std::size_t>(cy / bucket);
+            const std::size_t b = static_cast<std::size_t>(cy / bucket_);
             const Cycle bucket_last =
-                (static_cast<Cycle>(b) + 1) * bucket - 1;
+                (static_cast<Cycle>(b) + 1) * bucket_ - 1;
             const Cycle upto = std::min(bucket_last, to);
             alloc_buckets_[i][b] += static_cast<double>(alloc) *
                                     static_cast<double>(upto - cy + 1);
@@ -109,37 +112,21 @@ ClusterEngine::synthesizeSkipped(Cycle from, Cycle to, unsigned bucket)
     }
 }
 
-Cycle
-ClusterEngine::coreWake(Cycle now) const
-{
-    Cycle wake = kCycleNever;
-    for (const auto &core : cores_)
-        wake = std::min(wake, core->nextEventAt(now));
-    return wake;
-}
-
-ClusterEngine::State
-ClusterEngine::classify(const Probe &p, Cycle t)
-{
-    return std::min({p.coproc, p.core, p.mem}) <= t + 1 ? State::Busy
-                                                         : State::Quiet;
-}
-
 void
-ClusterEngine::skipTo(Cycle to, unsigned bucket)
+ClusterEngine::skipTo(Cycle to)
 {
     if (at_ >= to)
         return;
     assert(quiet_ && to <= qwake_);
-    synthesizeSkipped(at_, to - 1, bucket);
+    synthesizeSkipped(at_, to - 1);
     coproc_.skipCycles(to - at_);
     at_ = to;
 }
 
 void
-ClusterEngine::beginWindow(Cycle now, const Knobs &k)
+ClusterEngine::beginWindow(Cycle now)
 {
-    skipTo(now, k.bucket);
+    skipTo(now);
     assert(at_ == now);
     quiet_ = false;
     rq_ = false;
@@ -147,8 +134,7 @@ ClusterEngine::beginWindow(Cycle now, const Knobs &k)
     edges_.clear();
     live_count_ = 0;
     for (unsigned i = 0; i < numCores(); ++i) {
-        const CoreId c = static_cast<CoreId>(i);
-        live_[i] = !cores_[i]->doneEmitting() || !coproc_.coreDrained(c);
+        live_[i] = !drained(static_cast<CoreId>(i));
         live_count_ += live_[i];
     }
 }
@@ -165,29 +151,28 @@ ClusterEngine::resume()
 }
 
 void
-ClusterEngine::tickWindow(Cycle limit, const Knobs &k)
+ClusterEngine::tickWindow(Cycle limit)
 {
     while (!stopped() && at_ < limit) {
         if (quiet_ && at_ < qwake_) {
-            skipTo(std::min(qwake_, limit), k.bucket);
+            skipTo(std::min(qwake_, limit));
             continue;
         }
         const Cycle t = at_++;
         quiet_ = false;
         if (buffer_)
             buffer_->setCycle(t);
-        tickCycle(t, k.fullWidth, k.bucket);
+        tickCycle(t);
 
         for (unsigned i = 0; live_count_ > 0 && i < numCores(); ++i) {
             const CoreId c = static_cast<CoreId>(i);
-            if (live_[i] && cores_[i]->doneEmitting() &&
-                coproc_.coreDrained(c)) {
+            if (live_[i] && drained(c)) {
                 live_[i] = false;
                 --live_count_;
                 edges_.push_back(c);
             }
         }
-        if (!k.fastForward) {
+        if (!fast_forward_) {
             if (!edges_.empty()) {
                 stopped_ = true;
                 stop_at_ = t;
@@ -196,20 +181,11 @@ ClusterEngine::tickWindow(Cycle limit, const Knobs &k)
             continue;
         }
 
-        // The lock-step wake ladder, for this engine alone: a later
-        // tier is only probed while every earlier one is beyond t + 1.
+        // The lock-step wake ladder, for this engine alone.
         Probe p;
-        p.coproc = coproc_.nextEventAt(t);
-        if (p.coproc > t + 1) {
-            p.core = coreWake(t);
-            if (p.core > t + 1)
-                p.mem = mem_.nextEventAt(t);
-        }
-        const State st = classify(p, t);
-        if (st == State::Quiet) {
-            quiet_ = true;
-            qwake_ = std::min({p.coproc, p.core, p.mem});
-        }
+        const State st = probeLive(t, &p);
+        if (st == State::Quiet)
+            markQuiet(p);
         if (st == State::Quiet || !edges_.empty()) {
             stopped_ = true;
             stop_at_ = t;
@@ -252,14 +228,20 @@ ClusterEngine::nextQuiet(Cycle c) const
     return c < knownUntil() ? c : kCycleNever;
 }
 
-bool
+ClusterEngine::State
 ClusterEngine::probeLive(Cycle t, Probe *probe) const
 {
     *probe = Probe{};
     probe->coproc = coproc_.nextEventAt(t);
-    if (probe->coproc > t + 1)
-        probe->core = coreWake(t);
-    return probe->coproc > t + 1 && probe->core > t + 1;
+    if (probe->coproc > t + 1) {
+        for (const auto &core : cores_)
+            probe->core = std::min(probe->core, core->nextEventAt(t));
+        if (probe->core > t + 1)
+            probe->mem = mem_.nextEventAt(t);
+    }
+    return std::min({probe->coproc, probe->core, probe->mem}) > t + 1
+               ? State::Quiet
+               : State::Busy;
 }
 
 void

@@ -5,24 +5,22 @@
  * One ClusterEngine owns everything a cluster touches while ticking: its
  * flat K-core config view, memory system, co-processor, scalar cores,
  * per-core busy/allocated-lane accounting, and (when event tracing is
- * on) a private obs::BufferSink. PR 8 made clusters the only component
- * boundary with no intra-cycle cross edges — cluster k's coproc, mem,
- * and cores reference nothing of cluster j, sharing policies are
- * immortal const singletons, and the fault injector attaches to cluster
- * 0 alone — so independent engines can tick the same cycle on separate
- * threads with no locks at all. System::advance is the coordinator: it
- * runs every serial, cross-cluster step (arbiter rebalance, batch-queue
- * and traffic admission, watchdog, fast-forward accounting) and merges
- * engine-buffered events in cluster-id order so the run's artifacts
- * are byte-identical for 1 vs N worker threads (DESIGN.md §15).
+ * on) a private obs::BufferSink. Clusters share no mutable component
+ * (policies are immortal const singletons, the fault injector attaches
+ * to cluster 0 alone), so engines tick the same cycle on separate
+ * threads with no locks.
  *
- * Engines tick in windows: tickWindow() runs this cluster's own cycle
- * loop — ticks, its own fast-forward over quiescent stretches, and
- * completion detection — until a stop the coordinator must see (a core
- * finishing, or the engine turning quiescent) or the window limit. It
- * records just enough (stateAt()) for the coordinator to replay the
- * machine-wide fast-forward decision a lock-step run would have taken
- * at every cycle of the window.
+ * The Coordinator (sim/coordinator.hh) drives the engines in windows:
+ * its runRound() calls tickWindow(), which runs this cluster's own
+ * cycle loop — ticks, fast-forward over quiescent stretches, and
+ * completion detection — until a stop the Coordinator must see (a core
+ * becoming drained(), or the engine turning quiescent) or the round's
+ * limit. stateAt() records just enough for the Coordinator's
+ * replayedFastForward() to take the machine-wide decision a lock-step
+ * run would have taken at every cycle of the window; every serial,
+ * cross-cluster step (arbiter, dispatch, admission, watchdog) and the
+ * cluster-order merge of buffered events stay with the Coordinator
+ * (DESIGN.md §15).
  */
 
 #ifndef OCCAMY_SIM_CLUSTER_ENGINE_HH
@@ -53,9 +51,13 @@ class ClusterEngine
      *        a flat machine).
      * @param stats_prefix Stats-group prefix, e.g. "system" or
      *        "system.cluster2".
+     * @param full_width FTS busy-lane capping; @p bucket the timeline
+     *        bucket in cycles; @p fast_forward skips quiescent
+     *        stretches. Run constants of every tick window.
      */
     ClusterEngine(unsigned id, const MachineConfig &view,
-                  const std::string &stats_prefix);
+                  const std::string &stats_prefix, bool full_width,
+                  unsigned bucket, bool fast_forward);
     ~ClusterEngine();
 
     unsigned id() const { return id_; }
@@ -67,7 +69,7 @@ class ClusterEngine
     stats::Group &memGroup() { return mem_group_; }
     stats::Group &cpGroup() { return cp_group_; }
 
-    // --- Boot-time wiring (System::boot). ---
+    // --- Boot-time wiring (the Coordinator's constructor). ---
 
     /** Adopt the next local core (construction order = local id). */
     void addCore(std::unique_ptr<ScalarCore> core);
@@ -96,24 +98,16 @@ class ClusterEngine
 
     // --- Tick windows (worker or coordinator thread). ---
 
-    /** Run-wide knobs of tickWindow(). */
-    struct Knobs
-    {
-        bool fullWidth = false;     ///< FTS busy-lane capping.
-        unsigned bucket = 1000;     ///< Timeline bucket, cycles.
-        bool fastForward = true;    ///< Skip quiescent stretches.
-    };
-
     /**
      * Start a window at @p now: skip forward to it if behind (the
      * machine-wide run skipped those cycles, so this engine is
      * quiescent there), forget the previous window's records, and make
      * the next tickWindow() tick @p now itself — the coordinator's
      * pre-tick actions may have changed what this engine's probes say.
-     * Also re-reads which local cores are live (not yet done and
-     * drained). Coordinator only, between rounds.
+     * Also re-reads which local cores are live (not yet drained()).
+     * Coordinator only, between rounds.
      */
-    void beginWindow(Cycle now, const Knobs &k);
+    void beginWindow(Cycle now);
 
     /**
      * Tick and fast-forward from at() until @p limit (exclusive) or a
@@ -121,7 +115,7 @@ class ClusterEngine
      * drained (an edge), or the first tick after which the engine is
      * quiescent (every probe > cycle + 1). Touches only this cluster.
      */
-    void tickWindow(Cycle limit, const Knobs &k);
+    void tickWindow(Cycle limit);
 
     /** Next cycle this engine will tick or skip. */
     Cycle at() const { return at_; }
@@ -146,6 +140,14 @@ class ClusterEngine
 
     /** Some local core is still running (or owed) work. */
     bool hasLiveCore() const { return live_count_ > 0; }
+    /** Local core @p c was live at beginWindow() and has not become
+     *  drained() at a tick since. */
+    bool live(CoreId c) const { return live_[c]; }
+    /** Local core @p c is done emitting and its pipeline is drained. */
+    bool drained(CoreId c) const
+    {
+        return cores_[c]->doneEmitting() && coproc_.coreDrained(c);
+    }
 
     /** First cycle whose post-tick probes the coordinator cannot yet
      *  read with stateAt(): every earlier one was ticked, or lies in a
@@ -180,11 +182,10 @@ class ClusterEngine
      */
     State stateAt(Cycle t, Probe *probe) const;
 
-    /** Live co-processor and core probes at @p t (engine synchronized
-     *  just past @p t); mem is left to the caller, which needs it
-     *  (MemSystem::nextEventAt) only when every engine returned true:
-     *  both tiers beyond t + 1. */
-    bool probeLive(Cycle t, Probe *probe) const;
+    /** The lock-step wake ladder on live state at @p t (the engine
+     *  synchronized just past @p t): a later tier is only probed while
+     *  every earlier one is beyond t + 1. Quiet iff all three are. */
+    State probeLive(Cycle t, Probe *probe) const;
 
     /** Record live probes @p p (every tier beyond its cycle + 1) as the
      *  pending quiescent stretch. The coordinator's serial step at a
@@ -196,7 +197,7 @@ class ClusterEngine
     /** Skip forward to @p to (exclusive) across a quiescent stretch:
      *  synthesize the bucket accounting and advance skip-invariant
      *  co-processor state. Coordinator only. */
-    void skipTo(Cycle to, unsigned bucket);
+    void skipTo(Cycle to);
 
     /** Flush buffered events of cycles <= @p upto downstream
      *  (coordinator, cluster order). No-op when unbuffered. */
@@ -225,11 +226,11 @@ class ClusterEngine
     }
 
   private:
-    /** Earliest wake over the local cores. */
-    Cycle coreWake(Cycle now) const;
-
     unsigned id_;
     MachineConfig view_;
+    bool full_width_;
+    unsigned bucket_;
+    bool fast_forward_;
     MemSystem mem_;
     CoProcessor coproc_;
 
@@ -248,15 +249,12 @@ class ClusterEngine
      *  construction order — the global tick order restricted to this
      *  cluster), then the cycle's lane accounting (FTS busy-lane
      *  scaling, busy/allocated bucket sums, the busy-lane integral). */
-    void tickCycle(Cycle now, bool full_width, unsigned bucket);
+    void tickCycle(Cycle now);
 
     /** Account a skipped quiescent span [from, to]: busy adds 0.0 per
      *  cycle (exact — nothing issues while quiescent) and alloc adds
      *  the lanes currently allocated, which cannot change mid-span. */
-    void synthesizeSkipped(Cycle from, Cycle to, unsigned bucket);
-
-    /** Classify @p p after a tick at @p t. */
-    static State classify(const Probe &p, Cycle t);
+    void synthesizeSkipped(Cycle from, Cycle to);
 
     Cycle at_ = 0;              ///< Next cycle to tick or skip.
     /** Pending quiescent stretch: the last tick left every probe

@@ -35,6 +35,8 @@
 namespace occamy
 {
 
+class Coordinator;
+
 /** Per-phase outcome. */
 struct PhaseResult
 {
@@ -271,7 +273,7 @@ class System
 {
   public:
     explicit System(MachineConfig cfg);
-    ~System();      ///< Out of line: Ctx is complete only in system.cc.
+    ~System();      ///< Out of line: Coordinator is incomplete here.
 
     /**
      * Assign a workload (list of kernel loops) to a core. Must be
@@ -346,7 +348,7 @@ class System
     void boot(const RunOptions &opt = {});
 
     /** @return true between boot()/restoreCheckpoint() and finalize(). */
-    bool booted() const { return ctx_ != nullptr; }
+    bool booted() const { return co_ != nullptr; }
 
     /** Current cycle of the booted run (the next cycle to execute). */
     Cycle now() const;
@@ -398,16 +400,11 @@ class System
     const MachineConfig &config() const { return cfg_; }
 
   private:
-    struct Ctx;
-
-    /** Compile a workload, bind its arrays to the next address region,
-     *  and record the compile for deterministic checkpoint replay. */
-    const Program *compileAndBind(Ctx &x, CoreId c,
-                                  const std::string &name,
-                                  const std::vector<kir::Loop> &loops);
+    /** The booted run (co_) reads the workloads and the queue. */
+    friend class Coordinator;
 
     /** Config+workload+options digest stored in checkpoints. */
-    std::uint64_t fingerprint(const Ctx &x) const;
+    std::uint64_t fingerprint(const Coordinator &x) const;
 
     /** The checkpoint field list, shared by saveCheckpoint() and
      *  restoreCheckpoint(). @p busy, @p region and @p strs are the
@@ -435,7 +432,7 @@ class System
     unsigned admission_cap_ = 4;
     Cycle admission_refill_ = 0;
 
-    std::unique_ptr<Ctx> ctx_;
+    std::unique_ptr<Coordinator> co_;
 };
 
 /**

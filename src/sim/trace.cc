@@ -4,6 +4,8 @@
 #include <iomanip>
 #include <sstream>
 
+#include "common/json.hh"
+
 namespace occamy::trace
 {
 
@@ -24,33 +26,6 @@ csvField(const std::string &s)
         out += c;
     }
     out += '"';
-    return out;
-}
-
-/** JSON string contents (no surrounding quotes). */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                constexpr char hex[] = "0123456789abcdef";
-                out += "\\u00";
-                out += hex[(c >> 4) & 0xf];
-                out += hex[c & 0xf];
-            } else {
-                out += c;
-            }
-        }
-    }
     return out;
 }
 

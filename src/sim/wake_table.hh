@@ -8,8 +8,8 @@
  * arbiter's rebalance boundary, per-core dispatch deadlines, the
  * snapshot boundary, fault-plan boundaries, watchdog deadlines and the
  * traffic session's arrival and admission wakes. Each is registered
- * once per advance() call — and only when its feature is configured —
- * and serves two purposes:
+ * once at boot (Coordinator::registerWakes), only when its feature is
+ * configured, and serves two purposes:
  *
  *  - evaluate(at) is the machine-level tier of the fast-forward wake:
  *    the earliest candidate after cycle @p at, ties keeping the first

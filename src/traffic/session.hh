@@ -127,6 +127,14 @@ class Session
                    ? std::max(next_admission_, at + 1)
                    : kCycleNever;
     }
+    /** First cycle >= @p from at which due() holds (kCycleNever =
+     *  none). The wakes answer for "after from - 1"; from == 0 wraps
+     *  to the raw next cycle, which is what cycle 0 needs. */
+    Cycle
+    firstDue(Cycle from) const
+    {
+        return std::min(arrivalWake(from - 1), admissionWake(from - 1));
+    }
 
     bool hasAdmission() const { return admission_ != nullptr; }
 

@@ -1,6 +1,7 @@
 #include "traffic/traffic.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
@@ -119,8 +120,9 @@ generate(const TrafficConfig &cfg)
     if (cfg.jobsPerTenant == 0)
         throw std::invalid_argument("traffic needs at least one job "
                                     "per tenant");
-    if (cfg.meanGapCycles <= 0.0)
-        throw std::invalid_argument("traffic mean gap must be positive");
+    if (!std::isfinite(cfg.meanGapCycles) || cfg.meanGapCycles <= 0.0)
+        throw std::invalid_argument("traffic mean gap must be a positive, "
+                                    "finite number");
 
     const std::vector<workloads::Workload> catalog = resolveCatalog(cfg);
     if (catalog.empty())

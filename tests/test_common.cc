@@ -9,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "common/cliopts.hh"
 #include "common/config.hh"
 #include "common/log.hh"
 #include "common/stats.hh"
@@ -259,6 +260,90 @@ TEST(Types, LaneArithmetic)
     EXPECT_EQ(kBytesPerBu, 16u);
     static_assert(kBuBits == 128);
     static_assert(kLaneBits == 32);
+}
+
+
+TEST(CliOpts, IntegersRejectValuesBeyondTheirType)
+{
+    unsigned tenants = 7;
+    std::uint64_t cycles = 9;
+    cliopts::OptionSet set("t", "test");
+    set.value("tenants", &tenants, "N", "h", 1)
+        .value("max-cycles", &cycles, "N", "h");
+    std::string err;
+    // 2^32 used to narrow to 0 after passing the >= 1 check.
+    EXPECT_FALSE(set.set("tenants", "4294967296", err));
+    EXPECT_EQ(err, "--tenants wants an integer >= 1, got \"4294967296\"");
+    EXPECT_EQ(tenants, 7u);
+    EXPECT_TRUE(set.set("tenants", "4294967295", err));
+    EXPECT_EQ(tenants, 4294967295u);
+    // strtoull's ERANGE result is not ULLONG_MAX.
+    EXPECT_FALSE(set.set("max_cycles", "18446744073709551616", err));
+    EXPECT_EQ(cycles, 9u);
+    EXPECT_TRUE(set.set("max_cycles", "18446744073709551615", err));
+    EXPECT_EQ(cycles, 18446744073709551615u);
+    for (const char *bad : {"-1", "", "1e6", "12x"})
+        EXPECT_FALSE(set.set("tenants", bad, err)) << bad;
+
+    const char *argv[] = {"t", "--tenants", "4294967296"};
+    const cliopts::ParseResult pr =
+        set.parse(3, const_cast<char **>(argv));
+    EXPECT_EQ(pr.status, cliopts::Status::Error);
+    EXPECT_EQ(pr.error, "--tenants wants an integer >= 1, got "
+                        "\"4294967296\"");
+}
+
+TEST(CliOpts, DoublesRejectNonFiniteValues)
+{
+    double rate = 3.0, any = 4.0;
+    cliopts::OptionSet set("t", "test");
+    set.value("traffic-rate", &rate, "G", "h", true)
+        .value("scale", &any, "X", "h");
+    std::string err;
+    // NaN <= 0 is false, so NaN used to pass the positive check.
+    for (const char *bad : {"nan", "NAN", "inf", "-inf", "1e999"}) {
+        EXPECT_FALSE(set.set("traffic_rate", bad, err)) << bad;
+        EXPECT_EQ(err, std::string("--traffic-rate wants a positive "
+                                   "number, got \"") + bad + "\"");
+        EXPECT_FALSE(set.set("scale", bad, err)) << bad;
+    }
+    EXPECT_EQ(rate, 3.0);
+    EXPECT_EQ(any, 4.0);
+    EXPECT_TRUE(set.set("traffic_rate", "2.5", err));
+    EXPECT_EQ(rate, 2.5);
+    EXPECT_FALSE(set.set("traffic_rate", "0", err));
+    EXPECT_TRUE(set.set("scale", "-1.5", err));
+}
+
+TEST(CliOpts, TopologyAndCoresRejectOverflow)
+{
+    unsigned clusters = 2, cores = 2;
+    std::string err;
+    EXPECT_FALSE(
+        cliopts::parseTopology("4294967297x4", clusters, cores, err));
+    EXPECT_FALSE(cliopts::parseTopology("4x0", clusters, cores, err));
+    EXPECT_TRUE(cliopts::parseTopology("4x8", clusters, cores, err));
+    EXPECT_EQ(clusters, 4u);
+    EXPECT_EQ(cores, 8u);
+
+    cliopts::OptionSet set("t", "test");
+    set.custom("cores", "N", "h", cliopts::flatCores(clusters, cores));
+    EXPECT_FALSE(set.set("cores", "4294967296", err));
+    EXPECT_EQ(err, "--cores wants a positive integer, got \"4294967296\"");
+    EXPECT_FALSE(set.set("cores", "-3", err));
+    EXPECT_FALSE(set.set("cores", "0", err));
+    EXPECT_EQ(clusters, 4u);
+    EXPECT_TRUE(set.set("cores", "3", err));
+    EXPECT_EQ(clusters, 1u);
+    EXPECT_EQ(cores, 3u);
+}
+
+TEST(CliOpts, SplitCommasDropsEmptyItems)
+{
+    using V = std::vector<std::string>;
+    EXPECT_EQ(cliopts::splitCommas(",WL8,,CV5,"), (V{"WL8", "CV5"}));
+    EXPECT_EQ(cliopts::splitCommas(""), V{});
+    EXPECT_EQ(cliopts::splitCommas("6+16"), V{"6+16"});
 }
 
 } // namespace

@@ -490,5 +490,20 @@ TEST(Runner, BatchJobsRunThroughTheQueue)
     EXPECT_EQ(r.result.batch.size(), 2u);
 }
 
+
+TEST(Runner, SweepJsonEscapesControlCharactersInShortForm)
+{
+    runner::SweepResult sweep;
+    runner::JobResult j;
+    j.label = "a\nb\t\"c\"\\";
+    j.error = "x\ry\x01";
+    sweep.jobs.push_back(j);
+    const std::string json = runner::sweepToJson(sweep);
+    EXPECT_NE(json.find(R"("label":"a\nb\t\"c\"\\")"), std::string::npos)
+        << json;
+    EXPECT_NE(json.find(R"("error":"x\ry\u0001")"), std::string::npos)
+        << json;
+}
+
 } // namespace
 } // namespace occamy

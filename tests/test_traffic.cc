@@ -292,6 +292,18 @@ TEST(TrafficDeterminism, GenerateRejectsInvalidConfigs)
         EXPECT_TRUE(a.workload == "WL8" || a.workload == "CV3");
 }
 
+TEST(TrafficDeterminism, GenerateRejectsNonFiniteGaps)
+{
+    // A NaN or infinite gap would reach the float-to-cycle conversion
+    // of every sampled gap, which is undefined for such values.
+    traffic::TrafficConfig cfg;
+    cfg.process = "poisson";
+    for (const double gap : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+        cfg.meanGapCycles = gap;
+        EXPECT_THROW(traffic::generate(cfg), std::invalid_argument) << gap;
+    }
+}
+
 TEST(TrafficDeterminism, RegistriesResolveEveryKeyAndRejectUnknowns)
 {
     for (const traffic::ArrivalProcess *p : traffic::allProcesses()) {

@@ -5,6 +5,7 @@
 # is fine — switching or comparing on it is the smell this guards
 # against, because such logic belongs in a policy::SharingModel hook.
 # (2) No file under src/traffic/ includes a src/sim/ header.
+# (3) Only src/sim/ and tests/ include the cycle-loop internals.
 #
 # Usage: lint_policy_layering.sh [repo-root]   (exit 0 = clean)
 
@@ -53,3 +54,17 @@ if [ -n "$hits" ]; then
     exit 1
 fi
 echo "traffic layering: clean"
+
+# The cycle loop's internals (Coordinator, ClusterEngine, TickPool,
+# WakeTable) sit behind System: tools, benches, examples, the runner
+# and perfbench drive a run through sim/system.hh only.
+hits=$(grep -rnE '^[[:space:]]*#[[:space:]]*include[[:space:]]*[<"]sim/(coordinator|cluster_engine|tick_pool|wake_table)\.hh' \
+           . --include='*.cc' --include='*.hh' \
+           | grep -vE '^\./(src/sim|tests)/' \
+           | grep -vE '^\./(build|\.bench_build)[^/]*/')
+if [ -n "$hits" ]; then
+    echo "cycle-loop layering violation (include outside src/sim, tests):"
+    echo "$hits"
+    exit 1
+fi
+echo "cycle-loop layering: clean"

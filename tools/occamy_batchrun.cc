@@ -23,7 +23,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -84,33 +83,6 @@ struct Options
     unsigned admissionCap = 4;      ///< Per-tenant cap / bucket size.
 };
 
-std::optional<SharingPolicy>
-parsePolicy(const std::string &s)
-{
-    if (const policy::SharingModel *m = policy::modelByName(s))
-        return m->id();
-    return std::nullopt;
-}
-
-std::vector<std::string>
-splitCommas(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::string item;
-    for (char c : s) {
-        if (c == ',') {
-            if (!item.empty())
-                out.push_back(item);
-            item.clear();
-        } else {
-            item.push_back(c);
-        }
-    }
-    if (!item.empty())
-        out.push_back(item);
-    return out;
-}
-
 /** Resolve --pairs into catalog entries; empty return = bad selector. */
 std::vector<workloads::Pair>
 selectPairs(const std::string &spec)
@@ -124,7 +96,7 @@ selectPairs(const std::string &spec)
         return workloads::opencvPairs();
 
     std::vector<workloads::Pair> out;
-    for (const std::string &token : splitCommas(spec)) {
+    for (const std::string &token : cliopts::splitCommas(spec)) {
         if (token.find('+') != std::string::npos) {
             bool found = false;
             for (const auto &p : all)
@@ -172,8 +144,8 @@ optionTable(Options &opt)
                     opt.policies.clear();
                     if (v == "all")
                         return true;    // = every registered policy.
-                    for (const std::string &tok : splitCommas(v)) {
-                        auto p = parsePolicy(tok);
+                    for (const std::string &tok : cliopts::splitCommas(v)) {
+                        auto p = cliopts::parsePolicy(tok);
                         if (!p) {
                             err = "unknown policy: " + tok +
                                   " (see --list-policies)";
@@ -194,19 +166,7 @@ optionTable(Options &opt)
         .custom("cores", "N",
                 "flat core count per job (default 2); shorthand for\n"
                 "--topology 1xN",
-                [&opt](const std::string &v, std::string &err) {
-                    char *end = nullptr;
-                    const unsigned long long n =
-                        std::strtoull(v.c_str(), &end, 10);
-                    if (v.empty() || *end != '\0' || n == 0) {
-                        err = "--cores wants a positive integer, got \"" +
-                              v + "\"";
-                        return false;
-                    }
-                    opt.clusters = 1;
-                    opt.cores = static_cast<unsigned>(n);
-                    return true;
-                })
+                cliopts::flatCores(opt.clusters, opt.cores))
         .value("max-cycles", &opt.maxCycles, "N",
                "per-job simulation cap (default 4e7)")
         .value("json-out", &opt.jsonOut, "FILE",

@@ -54,6 +54,8 @@
 #include <vector>
 
 #include "common/cliopts.hh"
+#include "common/cliopts_lists.hh"
+#include "common/json.hh"
 #include "fault/fault.hh"
 #include "obs/events.hh"
 #include "obs/sink.hh"
@@ -173,31 +175,6 @@ parseFlat(const std::string &line, Kv &out, std::string &err)
     }
 }
 
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size() + 8);
-    for (unsigned char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (c < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                out += buf;
-            } else {
-                out.push_back(static_cast<char>(c));
-            }
-        }
-    }
-    return out;
-}
-
 /** Incremental one-line JSON response builder. */
 class Reply
 {
@@ -279,57 +256,6 @@ getStr(const Kv &m, const std::string &k, const std::string &dflt = "")
 {
     const auto it = m.find(k);
     return it == m.end() ? dflt : it->second;
-}
-
-std::uint64_t
-getU64(const Kv &m, const std::string &k, std::uint64_t dflt = 0)
-{
-    const auto it = m.find(k);
-    return it == m.end()
-               ? dflt
-               : static_cast<std::uint64_t>(std::atoll(it->second.c_str()));
-}
-
-bool
-getBool(const Kv &m, const std::string &k, bool dflt)
-{
-    const auto it = m.find(k);
-    if (it == m.end())
-        return dflt;
-    return it->second == "true" || it->second == "on" ||
-           it->second == "1";
-}
-
-workloads::Workload
-lookupWorkload(const std::string &token)
-{
-    if (token.rfind("CV", 0) == 0)
-        return workloads::opencvWorkload(
-            static_cast<unsigned>(std::atoi(token.c_str() + 2)));
-    if (token.rfind("WL", 0) == 0)
-        return workloads::specWorkload(
-            static_cast<unsigned>(std::atoi(token.c_str() + 2)));
-    return workloads::specWorkload(
-        static_cast<unsigned>(std::atoi(token.c_str())));
-}
-
-std::vector<std::string>
-splitCommas(const std::string &s)
-{
-    std::vector<std::string> out;
-    std::string item;
-    for (char c : s) {
-        if (c == ',') {
-            if (!item.empty())
-                out.push_back(item);
-            item.clear();
-        } else {
-            item.push_back(c);
-        }
-    }
-    if (!item.empty())
-        out.push_back(item);
-    return out;
 }
 
 /** One booted simulation the daemon holds: a pooled instance or the
@@ -437,22 +363,51 @@ simSpecOptions(SimSpec &s)
     return set;
 }
 
-/** Parse a request's config keys into a SimSpec. Non-config keys
- *  (cmd, id, count, file, ...) pass through untouched; a config key
- *  with a bad value throws with the table's error message. */
+/** Apply the keys of @p m that @p set knows; the rest (cmd, id, file,
+ *  ...) pass through untouched. A bad value throws with the table's
+ *  error message, which names the key. */
+void
+applyKeys(const cliopts::OptionSet &set, const Kv &m)
+{
+    for (const auto &[k, v] : m) {
+        std::string err;
+        if (set.has(k) && !set.set(k, v, err))
+            throw std::runtime_error(err);
+    }
+}
+
+/** Parse a request's config keys into a SimSpec. */
 SimSpec
 parseSpec(const Kv &m)
 {
     SimSpec s;
-    const cliopts::OptionSet set = simSpecOptions(s);
-    for (const auto &[k, v] : m) {
-        if (!set.has(k))
-            continue;
-        std::string err;
-        if (!set.set(k, v, err))
-            throw std::runtime_error(err);
-    }
+    applyKeys(simSpecOptions(s), m);
     return s;
+}
+
+/** The numeric request keys outside the config table, validated by
+ *  the same parsers. */
+struct RequestArgs
+{
+    std::uint64_t cycles = 100'000;         ///< step
+    std::uint64_t count = 1;                ///< pool
+    std::uint64_t progressEvery = 2'000'000; ///< run, finalize
+    std::uint64_t deadlineMs = 0;           ///< run, finalize; 0 = none
+    unsigned jobs = 0;                      ///< sweep; 0 = default
+};
+
+RequestArgs
+parseArgs(const Kv &m)
+{
+    RequestArgs a;
+    cliopts::OptionSet set("occamy-serve", "request keys");
+    set.value("cycles", &a.cycles, "N", "cycles to step")
+        .value("count", &a.count, "N", "instances to pool")
+        .value("progress-every", &a.progressEvery, "N", "progress period")
+        .value("deadline-ms", &a.deadlineMs, "MS", "wall-clock budget")
+        .value("jobs", &a.jobs, "N", "sweep worker threads");
+    applyKeys(set, m);
+    return a;
 }
 
 /** Canonical identity of a request's simulation parameters: a pooled
@@ -553,14 +508,14 @@ makeEntry(const Kv &m, bool boot)
             throw std::runtime_error("bad pair (want e.g. \"6+16\"): " +
                                      s.pair);
         const workloads::Workload w0 =
-            lookupWorkload(s.pair.substr(0, plus));
+            cliopts::lookupWorkload(s.pair.substr(0, plus));
         const workloads::Workload w1 =
-            lookupWorkload(s.pair.substr(plus + 1));
+            cliopts::lookupWorkload(s.pair.substr(plus + 1));
         e->sys->setWorkload(0, w0.name, w0.loops);
         if (e->cfg.numCores > 1)
             e->sys->setWorkload(1, w1.name, w1.loops);
-        for (const std::string &token : splitCommas(s.batch)) {
-            const workloads::Workload w = lookupWorkload(token);
+        for (const std::string &token : cliopts::splitCommas(s.batch)) {
+            const workloads::Workload w = cliopts::lookupWorkload(token);
             e->sys->enqueueWorkload(w.name, w.loops);
         }
         e->label = s.pair + "/" + model->key();
@@ -789,7 +744,7 @@ cmdHello(Daemon &, const Kv &req)
 void
 cmdPool(Daemon &d, const Kv &req)
 {
-    const std::uint64_t count = getU64(req, "count", 1);
+    const std::uint64_t count = parseArgs(req).count;
     const std::string key = specKey(req);
     for (std::uint64_t i = 0; i < count; ++i) {
         auto e = makeEntry(req, /*boot=*/true);
@@ -831,12 +786,10 @@ acquire(Daemon &d, const Kv &req, bool &pool_hit)
  *  into a structured "busy" error (the session keeps its progress, so
  *  a client may simply retry). 0 / absent = no deadline. */
 bool
-streamToCompletion(SimEntry &e, const Kv &req)
+streamToCompletion(SimEntry &e, const Kv &req, const RequestArgs &args)
 {
-    const Cycle chunk = std::max<Cycle>(getU64(req, "progress_every",
-                                               2'000'000),
-                                        1);
-    const std::uint64_t deadline_ms = getU64(req, "deadline_ms", 0);
+    const Cycle chunk = std::max<Cycle>(args.progressEvery, 1);
+    const std::uint64_t deadline_ms = args.deadlineMs;
     const auto t0 = std::chrono::steady_clock::now();
     while (!e.sys->advance(e.sys->now() + chunk)) {
         if (deadline_ms) {
@@ -905,17 +858,16 @@ cmdRun(Daemon &d, const Kv &req)
                   "busy", 100);
         return;
     }
+    const RequestArgs args = parseArgs(req);
     bool pool_hit = false;
     auto e = acquire(d, req, pool_hit);
-    if (!streamToCompletion(*e, req)) {
+    if (!streamToCompletion(*e, req, args)) {
         // Deadline tripped mid-run: the one-shot run is abandoned.
         sendError(req,
                   "deadline_ms exceeded at cycle " +
                       std::to_string(e->sys->now()) +
                       " before completion",
-                  "busy",
-                  static_cast<std::int64_t>(
-                      getU64(req, "deadline_ms", 0)));
+                  "busy", static_cast<std::int64_t>(args.deadlineMs));
         return;
     }
     const RunResult res = e->sys->finalize();
@@ -935,7 +887,7 @@ cmdSweep(Daemon &, const Kv &req)
         pairs = workloads::opencvPairs();
     else {
         const auto all = workloads::allPairs();
-        for (const std::string &token : splitCommas(pair_spec))
+        for (const std::string &token : cliopts::splitCommas(pair_spec))
             for (const auto &p : all)
                 if (p.label == token)
                     pairs.push_back(p);
@@ -954,18 +906,17 @@ cmdSweep(Daemon &, const Kv &req)
         throw std::runtime_error("unknown policy: " + pol);
     }
 
-    auto jobs = runner::pairSweepJobs(
-        pairs, policies, getU64(req, "max_cycles", 40'000'000));
+    const SimSpec s = parseSpec(req);
+    auto jobs = runner::pairSweepJobs(pairs, policies, s.maxCycles);
     for (auto &spec : jobs) {
-        spec.fastForward = getBool(req, "fast_forward", true);
-        spec.watchdogCycles = getU64(req, "watchdog_cycles", 0);
-        spec.faultPlan = getStr(req, "fault_plan");
-        spec.faultSeed = getU64(req, "fault_seed", 0);
+        spec.fastForward = s.fastForward;
+        spec.watchdogCycles = s.watchdogCycles;
+        spec.faultPlan = s.faultPlan;
+        spec.faultSeed = s.faultSeed;
     }
 
     runner::RunnerOptions ropt;
-    ropt.numThreads =
-        static_cast<unsigned>(getU64(req, "jobs", 0));
+    ropt.numThreads = parseArgs(req).jobs;
     // Progress callbacks land on this (coordinating) thread, so the
     // NDJSON stream stays well-formed.
     ropt.onProgress = [&req](const runner::Progress &p) {
@@ -1032,8 +983,8 @@ needSession(Daemon &d)
 void
 cmdStep(Daemon &d, const Kv &req)
 {
+    const Cycle cycles = parseArgs(req).cycles;
     SimEntry &e = needSession(d);
-    const Cycle cycles = getU64(req, "cycles", 100'000);
     const bool finished = e.sys->advance(e.sys->now() + cycles);
     Reply r(req);
     r.boolean("ok", true)
@@ -1050,17 +1001,16 @@ cmdStep(Daemon &d, const Kv &req)
 void
 cmdFinalize(Daemon &d, const Kv &req)
 {
+    const RequestArgs args = parseArgs(req);
     SimEntry &e = needSession(d);
-    if (!streamToCompletion(e, req)) {
+    if (!streamToCompletion(e, req, args)) {
         // The session keeps its progress; the client may finalize
         // again (possibly with a larger deadline).
         sendError(req,
                   "deadline_ms exceeded at cycle " +
                       std::to_string(e.sys->now()) +
                       "; session kept, retry finalize",
-                  "busy",
-                  static_cast<std::int64_t>(
-                      getU64(req, "deadline_ms", 0)));
+                  "busy", static_cast<std::int64_t>(args.deadlineMs));
         return;
     }
     const RunResult res = e.sys->finalize();

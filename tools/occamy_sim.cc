@@ -22,7 +22,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -71,27 +70,6 @@ struct Options
     unsigned simThreads = 1;
 };
 
-std::optional<SharingPolicy>
-parsePolicy(const std::string &s)
-{
-    if (const policy::SharingModel *m = policy::modelByName(s))
-        return m->id();
-    return std::nullopt;
-}
-
-workloads::Workload
-lookupWorkload(const std::string &token)
-{
-    if (token.rfind("CV", 0) == 0)
-        return workloads::opencvWorkload(
-            static_cast<unsigned>(std::atoi(token.c_str() + 2)));
-    if (token.rfind("WL", 0) == 0)
-        return workloads::specWorkload(
-            static_cast<unsigned>(std::atoi(token.c_str() + 2)));
-    return workloads::specWorkload(
-        static_cast<unsigned>(std::atoi(token.c_str())));
-}
-
 /** The whole flag surface, declared once. */
 cliopts::OptionSet
 optionTable(Options &opt)
@@ -109,7 +87,7 @@ optionTable(Options &opt)
                            opt.policies.push_back(m->id());
                        return true;
                    }
-                   if (auto p = parsePolicy(v)) {
+                   if (auto p = cliopts::parsePolicy(v)) {
                        opt.policies = {*p};
                        return true;
                    }
@@ -128,19 +106,7 @@ optionTable(Options &opt)
         .custom("cores", "N",
                 "number of scalar cores (default 2); shorthand for\n"
                 "--topology 1xN",
-                [&opt](const std::string &v, std::string &err) {
-                    std::uint64_t n = 0;
-                    char *end = nullptr;
-                    n = std::strtoull(v.c_str(), &end, 10);
-                    if (v.empty() || *end != '\0' || n == 0) {
-                        err = "--cores wants a positive integer, got \"" +
-                              v + "\"";
-                        return false;
-                    }
-                    opt.clusters = 1;
-                    opt.cores = static_cast<unsigned>(n);
-                    return true;
-                })
+                cliopts::flatCores(opt.clusters, opt.cores))
         .value("pair", &opt.pair, "A+B",
                "workload ids for core0+core1 (default 6+16)")
         .flag("opencv", &opt.opencv,
@@ -148,19 +114,7 @@ optionTable(Options &opt)
         .custom("batch", "L",
                 "comma-separated WLn/CVn list, FCFS scheduled",
                 [&opt](const std::string &v, std::string &) {
-                    opt.batch.clear();
-                    std::string item;
-                    for (const char *p = v.c_str();; ++p) {
-                        if (*p == ',' || *p == '\0') {
-                            if (!item.empty())
-                                opt.batch.push_back(item);
-                            item.clear();
-                            if (*p == '\0')
-                                break;
-                        } else {
-                            item.push_back(*p);
-                        }
-                    }
+                    opt.batch = cliopts::splitCommas(v);
                     return true;
                 })
         .value("max-cycles", &opt.maxCycles, "N",
@@ -381,7 +335,8 @@ main(int argc, char **argv)
                     spec.workloads.emplace_back(w1.name, w1.loops);
             } else {
                 for (const auto &token : opt.batch) {
-                    const workloads::Workload w = lookupWorkload(token);
+                    const workloads::Workload w =
+                        cliopts::lookupWorkload(token);
                     spec.batch.emplace_back(w.name, w.loops);
                 }
             }
