@@ -1,7 +1,8 @@
 #include "common/cliopts_lists.hh"
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <string_view>
 
 #include "policy/sharing_model.hh"
 #include "traffic/admission.hh"
@@ -14,6 +15,17 @@ namespace occamy::cliopts
 
 namespace
 {
+
+/** The catalog id spelled by all of @p digits, or 0 (never an id) when
+ *  anything else is there too. */
+unsigned
+catalogId(std::string_view digits)
+{
+    unsigned id = 0;
+    const char *const end = digits.data() + digits.size();
+    const auto [stop, ec] = std::from_chars(digits.data(), end, id);
+    return ec == std::errc{} && stop == end ? id : 0;
+}
 
 int
 printPolicies()
@@ -135,14 +147,12 @@ parsePolicy(const std::string &s)
 workloads::Workload
 lookupWorkload(const std::string &token)
 {
-    if (token.rfind("CV", 0) == 0)
-        return workloads::opencvWorkload(
-            static_cast<unsigned>(std::atoi(token.c_str() + 2)));
-    if (token.rfind("WL", 0) == 0)
-        return workloads::specWorkload(
-            static_cast<unsigned>(std::atoi(token.c_str() + 2)));
-    return workloads::specWorkload(
-        static_cast<unsigned>(std::atoi(token.c_str())));
+    const std::string_view t = token;
+    if (t.starts_with("CV"))
+        return workloads::opencvWorkload(catalogId(t.substr(2)));
+    if (t.starts_with("WL"))
+        return workloads::specWorkload(catalogId(t.substr(2)));
+    return workloads::specWorkload(catalogId(t));
 }
 
 } // namespace occamy::cliopts

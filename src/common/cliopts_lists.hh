@@ -42,7 +42,8 @@ void addListOptions(OptionSet &set, unsigned which);
 std::optional<SharingPolicy> parsePolicy(const std::string &s);
 
 /** The catalog workload for "WLn", "CVn" or a bare SPEC number n.
- *  Throws std::out_of_range for an id outside the catalog. */
+ *  Throws std::out_of_range for an id outside the catalog, or for a
+ *  token with anything but the id's digits after its prefix. */
 workloads::Workload lookupWorkload(const std::string &token);
 
 } // namespace occamy::cliopts

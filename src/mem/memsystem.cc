@@ -172,9 +172,9 @@ MemSystem::access(Addr addr, unsigned bytes, bool is_write, Cycle now)
     assert(bytes > 0);
     settle(now);
     ++accesses_;
-    const unsigned line = cfg_.vecCache.lineBytes;
-    const Addr first = addr / line;
-    const Addr last = (addr + bytes - 1) / line;
+    const unsigned shift = vec_cache_.lineShift();
+    const Addr first = addr >> shift;
+    const Addr last = (addr + bytes - 1) >> shift;
 
     // Port occupancy is proportional to the access width (the 2x64 B
     // VecCache ports move B bytes in B/128 cycles).
@@ -187,7 +187,7 @@ MemSystem::access(Addr addr, unsigned bytes, bool is_write, Cycle now)
 
     Cycle done = now;
     for (Addr l = first; l <= last; ++l)
-        done = std::max(done, accessLine(l * line, is_write, now,
+        done = std::max(done, accessLine(l << shift, is_write, now,
                                          vec_done));
 
     MemAccessResult res;
@@ -206,7 +206,7 @@ MemSystem::accessStrided(Addr addr, unsigned elem_bytes,
     assert(count > 0 && elem_bytes > 0);
     settle(now);
     ++accesses_;
-    const unsigned line = cfg_.vecCache.lineBytes;
+    const unsigned shift = vec_cache_.lineShift();
 
     // Gathers move one element per port beat (16 B of port time each),
     // the classic SVE gather cost.
@@ -226,7 +226,7 @@ MemSystem::accessStrided(Addr addr, unsigned elem_bytes,
         const Addr a =
             addr + static_cast<Addr>(static_cast<std::int64_t>(k) *
                                      stride * elem_bytes);
-        const Addr la = a / line * line;
+        const Addr la = a >> shift << shift;
         if (la == prev_line)
             continue;
         prev_line = la;
@@ -246,7 +246,7 @@ MemSystem::scalarAccess(Addr addr, bool is_write, Cycle now)
     // L1s from Table 4 are approximated by the VecCache lookup since the
     // kernels issue almost no scalar memory traffic.
     settle(now);
-    return accessLine((addr / cfg_.l2.lineBytes) * cfg_.l2.lineBytes,
+    return accessLine(addr >> l2_.lineShift() << l2_.lineShift(),
                       is_write, now, now + cfg_.vecCache.latency);
 }
 

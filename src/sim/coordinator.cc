@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <fstream>
 
 #include "ckpt/ckpt.hh"
@@ -16,6 +17,18 @@ namespace
 
 /** Ticked-cycle mask of the wall-clock check (one per 65,536). */
 constexpr Cycle kWallCheckMask = 0xFFFF;
+
+/** One cluster's slice of the shared L2: the largest power-of-two
+ *  number of whole sets that fits in 1/C of it (exactly 1/C when C is
+ *  a power of two), so each slice is a valid Cache geometry. */
+std::uint64_t
+l2SliceBytes(const CacheConfig &l2, unsigned clusters)
+{
+    const std::uint64_t set =
+        static_cast<std::uint64_t>(l2.lineBytes) * l2.assoc;
+    const std::uint64_t sets = l2.sizeBytes / clusters / set;
+    return std::bit_floor(std::max<std::uint64_t>(sets, 1)) * set;
+}
 
 } // namespace
 
@@ -33,10 +46,6 @@ Coordinator::Coordinator(const System &s, const RunOptions &o)
     // Traffic arrivals make entries wait for their effective arrival
     // cycle (and for admission, if a policy is installed); a plain
     // batch queue has no session and every entry is available at once.
-    // Built before the engines, like the arbiter: its job table then
-    // sits below the large cache arrays on the heap, so tearing a run
-    // down does not return those pages to the OS for the next boot to
-    // fault in again (which doubled boot time when built after).
     if (sys.has_traffic_)
         traffic = std::make_unique<traffic::Session>(
             sys.queue_meta_, cfg.numCores, sys.admission_,
@@ -142,11 +151,12 @@ Coordinator::clusterViews() const
         MachineConfig v = cfg;
         if (arbiter) {
             // K local cores, the per-cluster ExeBU count, this
-            // cluster's initial DRAM grant, a 1/C slice of the L2.
+            // cluster's initial DRAM grant, an L2 slice of at most
+            // 1/C.
             v.numClusters = 1;
             v.numCores = cpk;
             v.dramBytesPerCycle = arbiter->shares()[k];
-            v.l2.sizeBytes = std::max<std::uint64_t>(cfg.l2.sizeBytes / ncl, 1);
+            v.l2.sizeBytes = l2SliceBytes(cfg.l2, ncl);
             v.l2.bytesPerCycle = std::max(cfg.l2.bytesPerCycle / ncl, 1u);
         }
         if (model.wantsOfflineStaticPlan() && v.staticPlan.empty()) {

@@ -23,12 +23,14 @@ Rng::expMean(double mean)
 namespace
 {
 
-/** Clamp a sampled gap to a whole positive cycle count. */
+/** Clamp a sampled gap to a whole cycle count in [1, kArrivalCap]. */
 Cycle
 gapCycles(double g)
 {
     if (g < 1.0)
         return 1;
+    if (!(g < static_cast<double>(kArrivalCap)))
+        return kArrivalCap;
     return static_cast<Cycle>(g);
 }
 

@@ -19,6 +19,12 @@
 namespace occamy::traffic
 {
 
+/** Longest gap and latest arrival a stream produces: sampled gaps and
+ *  the running stream clock saturate here, a quarter of the cycle
+ *  range, so adding an SLO budget, an admission backoff or a dispatch
+ *  delay to an arrival cannot wrap. */
+inline constexpr Cycle kArrivalCap = Cycle{1} << 62;
+
 /** Mutable per-tenant-stream sampling state. */
 struct StreamState
 {
@@ -55,9 +61,10 @@ class ArrivalProcess
     virtual bool closedLoop() const { return false; }
 
     /**
-     * Sample the next inter-arrival gap (>= 1 cycle) for one tenant
-     * stream. @p st carries the stream's RNG and clock; the caller
-     * advances st.clock by the returned gap.
+     * Sample the next inter-arrival gap (1 to kArrivalCap cycles) for
+     * one tenant stream. @p st carries the stream's RNG and clock; the
+     * caller advances st.clock by the returned gap, saturating at
+     * kArrivalCap.
      */
     virtual Cycle nextGap(StreamState &st,
                           const TrafficConfig &cfg) const = 0;

@@ -143,7 +143,7 @@ generate(const TrafficConfig &cfg)
         StreamState st(mixSeed(cfg.seed, t));
         for (std::uint64_t j = 0; j < cfg.jobsPerTenant; ++j) {
             const Cycle gap = proc->nextGap(st, cfg);
-            st.clock += gap;
+            st.clock = std::min(st.clock + gap, kArrivalCap);
 
             TenantJob tj;
             tj.seqInTenant = j;

@@ -2,14 +2,18 @@
  * @file
  * Unit and property tests for the set-associative cache tag model:
  * hit/miss behaviour, true-LRU replacement, dirty-eviction writebacks,
- * geometry sweeps, and the checkpoint of its valid ways.
+ * geometry sweeps, the checkpoint of its valid ways, and the host
+ * memory its storage costs.
  */
 
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <type_traits>
 
 #include "ckpt/ckpt.hh"
+#include "host_memory.hh"
 #include "mem/cache.hh"
 
 namespace occamy
@@ -100,6 +104,21 @@ TEST(Cache, ContainsDoesNotTouchState)
     EXPECT_TRUE(c.contains(0 * 64));
     c.access(8 * 64, false);     // Should still evict a (LRU).
     EXPECT_FALSE(c.contains(0 * 64));
+}
+
+TEST(Cache, GeometryMustIndexByShiftAndMask)
+{
+    // Three sets of 2 x 64 B, 48 B lines, no ways, no sets.
+    for (const CacheConfig &bad :
+         {CacheConfig{384, 2, 64, 1, 64}, CacheConfig{768, 2, 48, 1, 64},
+          CacheConfig{512, 0, 64, 1, 64}, CacheConfig{0, 2, 64, 1, 64}})
+        EXPECT_THROW(Cache("t", bad), std::invalid_argument)
+            << bad.sizeBytes << " B, " << bad.assoc << " x "
+            << bad.lineBytes << " B";
+    // The associativity need not be a power of two.
+    EXPECT_NO_THROW(Cache("t", CacheConfig{4 * 3 * 64, 3, 64, 1, 64}));
+    static_assert(!std::is_copy_constructible_v<Cache>,
+                  "a copy would unmap the tag array twice");
 }
 
 TEST(Cache, StatsRegistration)
@@ -219,6 +238,72 @@ TEST(CacheCkpt, CorruptWayListIsRejected)
     bad = good;
     bad[first + 4] = 1;             // Tag of line 1 parked in set 0.
     expectReject(bad, "tag outside its set");
+}
+
+TEST(CacheCkpt, TagBeyondThePackedFormIsRejected)
+{
+    // A tag word holds line + 1 below its dirty bit; a larger tag
+    // cannot be stored and must not load as an invalid way.
+    std::string bad = saved(warmSmallCache());
+    const std::size_t tag = bad.find("cache.t") + 7 + 3 * 8 + 4;
+    ASSERT_EQ(bad[tag], 0);         // Set 0, way 0: line 0.
+    for (std::size_t b = 0; b < 8; ++b)
+        bad[tag + b] = static_cast<char>(0xFC);
+    expectReject(bad, "tag does not fit");
+}
+
+/** The paper's 8 MB, 16-way L2 (Table 4): 8192 sets. */
+CacheConfig
+tableFourL2()
+{
+    return CacheConfig{8ull << 20, 16, 64, 18, 64};
+}
+
+TEST(CacheMemory, UntouchedSetsCostNoHostMemory)
+{
+    // The tag arrays (2 MB here) are demand-zero pages: only the sets
+    // that lines land in become resident.
+    const double before = test::residentAnonMb();
+    Cache c("l2", tableFourL2());
+    for (Addr line = 0; line < 64; ++line)
+        c.access(line * 64, line % 2 == 0);
+    EXPECT_EQ(c.misses(), 64u);
+    EXPECT_LT(test::residentAnonMb() - before, 1.0);
+}
+
+TEST(CacheMemory, FlushHandsThePagesBack)
+{
+    Cache c("l2", tableFourL2());
+    const double before = test::residentAnonMb();
+    for (Addr line = 0; line < 8192 * 16; ++line)
+        c.access(line * 64, true);
+    EXPECT_GT(test::residentAnonMb() - before, 1.5);
+    c.flush();
+    EXPECT_LT(test::residentAnonMb() - before, 0.5);
+    EXPECT_FALSE(c.contains(0));
+    EXPECT_FALSE(c.access(64, false).hit);
+}
+
+TEST(CacheCkpt, SparseRestoreRestoresEveryValidWayAndTouchesOnlyThem)
+{
+    // One line every 256 sets (32 KB of tags apart), a third dirty.
+    auto line = [](Addr k) { return (k * 8192 + k * 256) * 64; };
+    Cache a("l2", tableFourL2());
+    for (Addr k = 0; k < 32; ++k)
+        a.access(line(k), k % 3 == 0);
+    const std::string bytes = saved(a);
+
+    const double before = test::residentAnonMb();
+    Cache b("l2", tableFourL2());
+    b.access(5 * 64, true);         // Stale lines the restore must drop.
+    b.access(8191 * 64, false);
+    restore(b, bytes);
+    EXPECT_LT(test::residentAnonMb() - before, 1.0);
+    EXPECT_EQ(saved(b), bytes);
+    for (Addr k = 0; k < 32; ++k)
+        EXPECT_TRUE(b.contains(line(k))) << k;
+    EXPECT_FALSE(b.contains(5 * 64));
+    EXPECT_FALSE(b.contains(8191 * 64));
 }
 
 /** Geometry sweep: capacity and conflict behaviour must hold for any

@@ -10,6 +10,7 @@
 #include <stdexcept>
 
 #include "common/cliopts.hh"
+#include "common/cliopts_lists.hh"
 #include "common/config.hh"
 #include "common/log.hh"
 #include "common/stats.hh"
@@ -344,6 +345,19 @@ TEST(CliOpts, SplitCommasDropsEmptyItems)
     EXPECT_EQ(cliopts::splitCommas(",WL8,,CV5,"), (V{"WL8", "CV5"}));
     EXPECT_EQ(cliopts::splitCommas(""), V{});
     EXPECT_EQ(cliopts::splitCommas("6+16"), V{"6+16"});
+}
+
+TEST(CliOpts, WorkloadIdsAreWholeNumbers)
+{
+    EXPECT_EQ(cliopts::lookupWorkload("WL8").name, "WL8");
+    EXPECT_EQ(cliopts::lookupWorkload("CV5").name, "CV5");
+    EXPECT_EQ(cliopts::lookupWorkload("16").name, "WL16");
+    // Trailing junk, signs, blanks and overflow are not ids; they take
+    // the unknown-id path instead of naming the numeric prefix.
+    for (const char *bad : {"WL8x", "CV5junk", "6abc", "16xyz", "WL", "",
+                            " 8", "WL+8", "CV-5", "WL4294967304"})
+        EXPECT_THROW(cliopts::lookupWorkload(bad), std::out_of_range)
+            << '"' << bad << '"';
 }
 
 } // namespace

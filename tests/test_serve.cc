@@ -150,6 +150,8 @@ TEST_F(Serve, StructuredErrors)
             "not json",
             R"({"cmd":"frobnicate","id":"unknown"})",
             R"({"cmd":"load","id":"load","pair":"6+16"})",
+            // Workload ids are whole numbers, not numeric prefixes.
+            R"({"cmd":"load","id":"junkpair","pair":"6abc+16xyz"})",
             // Malformed numbers outside the config table: each names
             // its key instead of being read as a prefix.
             R"({"cmd":"step","id":"cycles","cycles":"1e6"})",
@@ -176,6 +178,10 @@ TEST_F(Serve, StructuredErrors)
     EXPECT_EQ(field(r[""][1], "error").rfind("parse error", 0), 0u);
     EXPECT_EQ(field(r["unknown"].back(), "error"),
               "unknown cmd: \\\"frobnicate\\\"");
+    ASSERT_EQ(r["junkpair"].size(), 1u);
+    EXPECT_EQ(field(r["junkpair"][0], "code"), "error");
+    EXPECT_EQ(field(r["junkpair"][0], "error"),
+              "SPEC workload id out of range");
 
     const std::map<std::string, std::string> named{
         {"cycles", "--cycles"},          {"count", "--count"},

@@ -14,9 +14,11 @@
 #include <ctime>
 #include <thread>
 
+#include "host_memory.hh"
 #include "sim/system.hh"
 #include "sim/trace.hh"
 #include "workloads/phases.hh"
+#include "workloads/suite.hh"
 
 namespace occamy
 {
@@ -45,6 +47,28 @@ runPairOn(SharingPolicy p)
     sys.setWorkload(0, "mem", memWorkload());
     sys.setWorkload(1, "comp", compWorkload());
     return sys.run({.maxCycles = 10'000'000});
+}
+
+TEST(System, BootTouchesNoCacheSets)
+{
+    // The paper's 6+16 machine holds an 8 MB L2 and a 128 KB VecCache;
+    // their tag arrays cost host memory only where lines land, so a
+    // booted instance that has not run is cheap to keep in a pool. The
+    // first boot pays one-time set-up (and allocator arenas), so the
+    // second is measured.
+    const workloads::Workload w6 = workloads::specWorkload(6);
+    const workloads::Workload w16 = workloads::specWorkload(16);
+    double grown = 0.0;
+    for (int boot = 0; boot < 2; ++boot) {
+        const double before = test::residentAnonMb();
+        System sys(MachineConfig::forPolicy(SharingPolicy::Elastic, 2));
+        sys.setWorkload(0, w6.name, w6.loops);
+        sys.setWorkload(1, w16.name, w16.loops);
+        sys.boot();
+        grown = test::residentAnonMb() - before;
+        sys.finalize();
+    }
+    EXPECT_LT(grown, 1.0);
 }
 
 TEST(System, AllPoliciesComplete)
@@ -447,6 +471,35 @@ TEST(System, SixteenCoreClusteredMachineCompletes)
     for (const auto &core : r.cores)
         EXPECT_GT(core.finish, 0u);
     ASSERT_EQ(r.clusters.size(), 4u);
+}
+
+TEST(System, NonPowerOfTwoClusterCountsMatchAcrossThreads)
+{
+    // Each cluster gets the largest power-of-two number of whole L2
+    // sets within 1/C of the L2 (2 of 8 MB for C = 3, 1 MB for C = 6);
+    // a fractional slice once aborted these machines at boot.
+    for (const unsigned clusters : {3u, 6u}) {
+        SCOPED_TRACE(clusters);
+        const RunResult serial = runClustered(
+            SharingPolicy::Elastic, clusters, 2,
+            {.maxCycles = 10'000'000, .simThreads = 1});
+        const RunResult threaded = runClustered(
+            SharingPolicy::Elastic, clusters, 2,
+            {.maxCycles = 10'000'000, .simThreads = 3});
+        EXPECT_FALSE(serial.timedOut);
+        EXPECT_EQ(serial.clusters.size(), clusters);
+        EXPECT_EQ(trace::toJson(serial), trace::toJson(threaded));
+        EXPECT_EQ(serial.statsText, threaded.statsText);
+    }
+
+    System sys(MachineConfig::Builder(SharingPolicy::Elastic)
+                   .topology(3, 2)
+                   .build());
+    sys.boot();
+    EXPECT_NE(sys.inspect("system.cluster2.mem")
+                  .find("l2.size_bytes 2097152\n"),
+              std::string::npos);
+    sys.finalize();
 }
 
 TEST(System, BatchWorkMigratesAcrossClusters)

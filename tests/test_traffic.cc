@@ -304,6 +304,33 @@ TEST(TrafficDeterminism, GenerateRejectsNonFiniteGaps)
     }
 }
 
+TEST(TrafficDeterminism, HugeGapsSaturateInsteadOfWrapping)
+{
+    // Gaps beyond 2^64 cycles once overflowed the float-to-cycle cast
+    // and wrapped the stream clock, putting arrivals at cycle 0. They
+    // saturate now, leaving headroom for deadlines and backoffs.
+    traffic::TrafficConfig cfg;
+    cfg.process = "poisson";
+    cfg.tenants = 1;
+    cfg.jobsPerTenant = 2;
+    cfg.meanGapCycles = 1e300;
+    const auto stream = traffic::generate(cfg);
+    ASSERT_EQ(stream.size(), 2u);
+    EXPECT_EQ(stream[0].arriveAt, traffic::kArrivalCap);
+    EXPECT_EQ(stream[1].arriveAt, traffic::kArrivalCap);
+
+    // The run reaches its cycle cap with nothing arrived, instead of
+    // completing a job that arrived at cycle 0.
+    runner::JobSpec spec;
+    spec.label = "huge-gap";
+    spec.cfg = MachineConfig::forPolicy(SharingPolicy::Elastic, 2);
+    spec.traffic = cfg;
+    spec.maxCycles = 20'000;
+    const runner::JobResult r = runner::Runner::runOne(spec);
+    EXPECT_TRUE(r.result.timedOut);
+    EXPECT_EQ(r.trafficMetrics.completed, 0u);
+}
+
 TEST(TrafficDeterminism, RegistriesResolveEveryKeyAndRejectUnknowns)
 {
     for (const traffic::ArrivalProcess *p : traffic::allProcesses()) {
