@@ -79,14 +79,16 @@ main(int argc, char **argv)
     // One flat job list: fault-regime-major, then the policy x
     // scheduler cross from trafficSweepJobs (policy-major).
     std::vector<runner::JobSpec> jobs;
+    runner::JobSpec tmpl;
+    tmpl.traffic = base;
     for (const auto &regime : kFaultRegimes) {
         std::vector<SharingPolicy> pols(std::begin(kSharingLadder),
                                         std::end(kSharingLadder));
-        auto block = runner::trafficSweepJobs(base, pols, scheds);
+        tmpl.faultPlan = regime.plan;
+        auto block = runner::trafficSweepJobs(tmpl, pols, scheds);
         for (auto &spec : block) {
             spec.id = jobs.size();
             spec.label += std::string("/") + regime.label;
-            spec.faultPlan = regime.plan;
             jobs.push_back(std::move(spec));
         }
     }

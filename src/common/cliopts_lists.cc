@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cstdio>
+#include <stdexcept>
 #include <string_view>
 
 #include "policy/sharing_model.hh"
@@ -153,6 +154,18 @@ lookupWorkload(const std::string &token)
     if (t.starts_with("WL"))
         return workloads::specWorkload(catalogId(t.substr(2)));
     return workloads::specWorkload(catalogId(t));
+}
+
+std::pair<workloads::Workload, workloads::Workload>
+lookupPair(const std::string &spec, bool opencv)
+{
+    const auto plus = spec.find('+');
+    if (plus == std::string::npos)
+        throw std::invalid_argument("bad pair (want e.g. \"6+16\"): " +
+                                    spec);
+    const std::string prefix = opencv ? "CV" : "";
+    return {lookupWorkload(prefix + spec.substr(0, plus)),
+            lookupWorkload(prefix + spec.substr(plus + 1))};
 }
 
 } // namespace occamy::cliopts

@@ -14,6 +14,7 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "common/cliopts.hh"
 #include "common/config.hh"
@@ -45,6 +46,13 @@ std::optional<SharingPolicy> parsePolicy(const std::string &s);
  *  Throws std::out_of_range for an id outside the catalog, or for a
  *  token with anything but the id's digits after its prefix. */
 workloads::Workload lookupWorkload(const std::string &token);
+
+/** The two workloads of a pair spec "A+B", each half resolved by
+ *  lookupWorkload; with @p opencv, bare ids name OpenCV workloads.
+ *  Throws std::invalid_argument when there is no '+', and what
+ *  lookupWorkload throws for a bad half. */
+std::pair<workloads::Workload, workloads::Workload>
+lookupPair(const std::string &spec, bool opencv = false);
 
 } // namespace occamy::cliopts
 

@@ -9,6 +9,7 @@
 #include <memory>
 #include <mutex>
 #include <new>
+#include <optional>
 #include <stdexcept>
 #include <system_error>
 #include <thread>
@@ -61,6 +62,76 @@ stderrProgress()
     };
 }
 
+Job::Job(const JobSpec &spec) : sys_(spec.cfg)
+{
+    // System::setWorkload range-checks the core id, so a spec with
+    // more slots than cores fails here.
+    for (std::size_t c = 0; c < spec.workloads.size(); ++c)
+        sys_.setWorkload(static_cast<CoreId>(c), spec.workloads[c].first,
+                         spec.workloads[c].second);
+    for (const auto &[name, loops] : spec.batch)
+        sys_.enqueueWorkload(name, loops);
+    // The stream is a pure function of the config, so the same spec
+    // yields the same arrivals on any thread.
+    if (spec.traffic.enabled()) {
+        const traffic::Dispatcher *disp =
+            traffic::dispatcherByName(spec.traffic.scheduler);
+        if (!disp)
+            throw std::invalid_argument("unknown traffic scheduler: " +
+                                        spec.traffic.scheduler);
+        for (const traffic::Arrival &a : traffic::generate(spec.traffic))
+            sys_.enqueueArrival(a);
+        sys_.setDispatcher(disp);
+        has_traffic_ = true;
+        // "none" (the default) installs nothing at all, keeping the
+        // run byte-identical to pre-admission builds.
+        if (spec.traffic.admissionEnabled()) {
+            const traffic::AdmissionPolicy *adm =
+                traffic::admissionByName(spec.traffic.admission);
+            if (!adm)
+                throw std::invalid_argument("unknown admission policy: " +
+                                            spec.traffic.admission);
+            if (spec.traffic.admissionCap < 1)
+                throw std::invalid_argument("admission cap must be >= 1");
+            sys_.setAdmission(
+                adm, spec.traffic.admissionCap,
+                static_cast<Cycle>(spec.traffic.meanGapCycles));
+            has_admission_ = true;
+        }
+    }
+    // The sink lives with this job only; no other thread ever sees it
+    // (stats.hh concurrency contract).
+    if (spec.traceEvents != 0)
+        sink_ = std::make_unique<obs::RingSink>(spec.traceCapacity,
+                                                spec.traceEvents);
+    opt_.maxCycles = spec.maxCycles;
+    opt_.bucket = spec.bucket;
+    opt_.sink = sink_.get();
+    opt_.snapshotEvery = spec.snapshotEvery;
+    opt_.fastForward = spec.fastForward;
+    opt_.ffStats = &ff_;
+    opt_.watchdogCycles = spec.watchdogCycles;
+    opt_.wallClockLimitSec = spec.wallClockLimitSec;
+    opt_.checkpointOut = spec.checkpointOut;
+    opt_.checkpointEvery = spec.checkpointEvery;
+    opt_.simThreads = spec.simThreads;
+    if (!spec.faultPlan.empty())
+        plan_ = fault::FaultPlan::parse(spec.faultPlan);
+    else if (spec.faultSeed)
+        plan_ = fault::FaultPlan::random(spec.faultSeed, spec.cfg);
+    if (!plan_.empty())
+        opt_.faultPlan = &plan_;
+}
+
+void
+Job::boot(std::istream *ckpt)
+{
+    if (ckpt)
+        sys_.restoreCheckpoint(*ckpt, opt_);
+    else
+        sys_.boot(opt_);
+}
+
 JobResult
 Runner::runOne(const JobSpec &spec, unsigned transient_retries)
 {
@@ -77,85 +148,19 @@ Runner::runOne(const JobSpec &spec, unsigned transient_retries)
         out.result = RunResult{};
         out.trace = obs::TraceBuffer{};
         out.ff = FastForwardStats{};
-        // The sink lives on this worker thread for exactly this job;
-        // no other thread ever sees it (stats.hh concurrency contract).
         // Held outside the try so a throwing or timed-out run still
-        // hands back the partial trace it captured.
-        std::unique_ptr<obs::RingSink> sink;
-        if (spec.traceEvents != 0)
-            sink = std::make_unique<obs::RingSink>(spec.traceCapacity,
-                                                   spec.traceEvents);
+        // hands back the partial trace it captured. Everything inside
+        // the try is a contained per-job failure: a bad name, a
+        // malformed fault plan or a mismatched checkpoint fails this
+        // job, not the sweep.
+        std::optional<Job> job;
         bool transient = false;
         try {
-            System sys(spec.cfg);
-            // System::setWorkload range-checks the core id, so a spec
-            // with more slots than cores becomes a contained per-job
-            // failure.
-            for (std::size_t c = 0; c < spec.workloads.size(); ++c)
-                sys.setWorkload(static_cast<CoreId>(c),
-                                spec.workloads[c].first,
-                                spec.workloads[c].second);
-            for (const auto &[name, loops] : spec.batch)
-                sys.enqueueWorkload(name, loops);
-            // Traffic expansion on the worker thread: a bad process or
-            // scheduler name fails this job, not the sweep. The stream
-            // is a pure function of the config, so the same spec yields
-            // the same arrivals on any thread.
-            if (spec.traffic.enabled()) {
-                const traffic::Dispatcher *disp =
-                    traffic::dispatcherByName(spec.traffic.scheduler);
-                if (!disp)
-                    throw std::invalid_argument(
-                        "unknown traffic scheduler: " +
-                        spec.traffic.scheduler);
-                for (const traffic::Arrival &a :
-                     traffic::generate(spec.traffic))
-                    sys.enqueueArrival(a);
-                sys.setDispatcher(disp);
-                // Admission control: validated here so a bad name or
-                // cap is a contained per-job failure too. "none" (the
-                // default) installs nothing at all, keeping the run
-                // byte-identical to pre-admission builds.
-                if (spec.traffic.admissionEnabled()) {
-                    const traffic::AdmissionPolicy *adm =
-                        traffic::admissionByName(spec.traffic.admission);
-                    if (!adm)
-                        throw std::invalid_argument(
-                            "unknown admission policy: " +
-                            spec.traffic.admission);
-                    if (spec.traffic.admissionCap < 1)
-                        throw std::invalid_argument(
-                            "admission cap must be >= 1");
-                    sys.setAdmission(
-                        adm, spec.traffic.admissionCap,
-                        static_cast<Cycle>(spec.traffic.meanGapCycles));
-                    out.hasAdmission = true;
-                }
-            }
-            RunOptions ropt;
-            ropt.maxCycles = spec.maxCycles;
-            ropt.bucket = spec.bucket;
-            ropt.snapshotEvery = spec.snapshotEvery;
-            ropt.fastForward = spec.fastForward;
-            ropt.watchdogCycles = spec.watchdogCycles;
-            ropt.wallClockLimitSec = spec.wallClockLimitSec;
-            ropt.checkpointOut = spec.checkpointOut;
-            ropt.checkpointEvery = spec.checkpointEvery;
-            ropt.simThreads = spec.simThreads;
-            ropt.ffStats = &out.ff;
-            if (sink)
-                ropt.sink = sink.get();
-            // Parsed inside the try: a malformed plan fails this job,
-            // not the sweep.
-            fault::FaultPlan plan;
-            if (!spec.faultPlan.empty())
-                plan = fault::FaultPlan::parse(spec.faultPlan);
-            else if (spec.faultSeed)
-                plan = fault::FaultPlan::random(spec.faultSeed,
-                                                spec.cfg);
-            if (!plan.empty())
-                ropt.faultPlan = &plan;
-            if (!spec.restoreFrom.empty()) {
+            job.emplace(spec);
+            out.hasAdmission = job->hasAdmission();
+            if (spec.restoreFrom.empty()) {
+                job->boot();
+            } else {
                 // Resume mid-run: boot + load + run the remainder.
                 std::ifstream ckpt_is(spec.restoreFrom,
                                       std::ios::binary);
@@ -163,13 +168,12 @@ Runner::runOne(const JobSpec &spec, unsigned transient_retries)
                     throw std::runtime_error(
                         "cannot open checkpoint file: " +
                         spec.restoreFrom);
-                sys.restoreCheckpoint(ckpt_is, ropt);
-                sys.advance();
-                out.result = sys.finalize();
-            } else {
-                out.result = sys.run(ropt);
+                job->boot(&ckpt_is);
             }
-            if (spec.traffic.enabled()) {
+            job->sys().advance();
+            out.result = job->sys().finalize();
+            out.ff = job->ff();
+            if (job->hasTraffic()) {
                 out.hasTraffic = true;
                 out.trafficTenants = spec.traffic.tenants;
                 out.trafficMetrics = traffic::computeMetrics(
@@ -202,8 +206,8 @@ Runner::runOne(const JobSpec &spec, unsigned transient_retries)
             out.status = JobStatus::Failed;
             out.error = "unknown exception";
         }
-        if (sink)
-            out.trace = sink->take();
+        if (job && job->sink())
+            out.trace = job->sink()->take();
         out.retriesUsed = attempt;
         if (out.ok() || !transient || attempt >= transient_retries)
             break;

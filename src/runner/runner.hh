@@ -23,6 +23,8 @@
 
 #include <cstddef>
 #include <functional>
+#include <iosfwd>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -136,6 +138,57 @@ struct JobSpec
      *  registry lookups happen on the worker thread, so a bad process
      *  or scheduler name is a contained per-job failure. */
     traffic::TrafficConfig traffic;
+};
+
+/**
+ * One JobSpec made live: the boot path every front end shares.
+ * Runner::runOne drives a Job to completion; occamy-serve pools,
+ * steps, checkpoints and restores one. A Job owns its System and
+ * everything the System's RunOptions borrow (the trace sink, the
+ * fault plan and the fast-forward stats), so it is never copied or
+ * moved.
+ */
+class Job
+{
+  public:
+    /**
+     * Set @p spec up without executing a cycle: build the System, bind
+     * the workloads, queue the batch or expand the traffic stream,
+     * install its dispatcher and admission policy, derive the
+     * RunOptions and parse the fault plan. Throws on a bad spec
+     * (unknown scheduler or admission name, more workloads than cores,
+     * a malformed fault plan, ...). Nothing is traced before boot(),
+     * so a throw here loses no trace.
+     */
+    explicit Job(const JobSpec &spec);
+
+    Job(const Job &) = delete;
+    Job &operator=(const Job &) = delete;
+
+    /** Boot at cycle 0, or resume from the checkpoint stream @p ckpt
+     *  when it is non-null (System::restoreCheckpoint). */
+    void boot(std::istream *ckpt = nullptr);
+
+    System &sys() { return sys_; }
+    const System &sys() const { return sys_; }
+
+    /** The job's trace ring; null when JobSpec::traceEvents is 0. */
+    obs::RingSink *sink() { return sink_.get(); }
+
+    /** Fast-forward accounting, written by System::finalize. */
+    const FastForwardStats &ff() const { return ff_; }
+
+    bool hasTraffic() const { return has_traffic_; }
+    bool hasAdmission() const { return has_admission_; }
+
+  private:
+    std::unique_ptr<obs::RingSink> sink_;
+    fault::FaultPlan plan_;
+    FastForwardStats ff_;
+    RunOptions opt_;
+    System sys_;
+    bool has_traffic_ = false;
+    bool has_admission_ = false;
 };
 
 /** Terminal state of one job. */

@@ -1,15 +1,89 @@
 #include "runner/sweep.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <iomanip>
 #include <sstream>
+#include <stdexcept>
 
+#include "common/cliopts.hh"
 #include "common/json.hh"
 #include "sim/trace.hh"
 
 namespace occamy::runner
 {
+
+std::vector<workloads::Pair>
+selectPairs(const std::string &spec)
+{
+    const auto all = workloads::allPairs();
+    if (spec == "all")
+        return all;
+    if (spec == "spec")
+        return workloads::specPairs();
+    if (spec == "opencv")
+        return workloads::opencvPairs();
+
+    std::vector<workloads::Pair> out;
+    for (const std::string &token : cliopts::splitCommas(spec)) {
+        std::size_t idx = 0;
+        const char *const end = token.data() + token.size();
+        const auto [stop, ec] = std::from_chars(token.data(), end, idx);
+        if (ec == std::errc{} && stop == end) {
+            if (idx < 1 || idx > all.size())
+                throw std::invalid_argument(
+                    "pair index " + token + " out of range 1.." +
+                    std::to_string(all.size()));
+            out.push_back(all[idx - 1]);
+            continue;
+        }
+        const auto it =
+            std::find_if(all.begin(), all.end(),
+                         [&](const auto &p) { return p.label == token; });
+        if (it == all.end())
+            throw std::invalid_argument("unknown pair label: " + token);
+        out.push_back(*it);
+    }
+    if (out.empty())
+        throw std::invalid_argument("no pairs match: " + spec);
+    return out;
+}
+
+namespace
+{
+
+/** @p tmpl's machine shape (clusters x cores per cluster) under
+ *  @p policy. */
+MachineConfig
+jobConfig(const JobSpec &tmpl, SharingPolicy policy)
+{
+    return MachineConfig::Builder(policy)
+        .topology(tmpl.cfg.numClusters, tmpl.cfg.coresPerCluster())
+        .build();
+}
+
+} // namespace
+
+std::vector<JobSpec>
+pairSweepJobs(const JobSpec &tmpl,
+              const std::vector<workloads::Pair> &pairs,
+              const std::vector<SharingPolicy> &policies)
+{
+    std::vector<JobSpec> jobs;
+    jobs.reserve(pairs.size() * policies.size());
+    for (const auto &pair : pairs) {
+        for (SharingPolicy p : policies) {
+            JobSpec &spec = jobs.emplace_back(tmpl);
+            spec.id = jobs.size() - 1;
+            spec.label = pair.label + "/" + policyName(p);
+            spec.cfg = jobConfig(tmpl, p);
+            spec.workloads = {{pair.core0.name, pair.core0.loops},
+                              {pair.core1.name, pair.core1.loops}};
+        }
+    }
+    return jobs;
+}
 
 std::vector<JobSpec>
 pairSweepJobs(const std::vector<workloads::Pair> &pairs,
@@ -17,46 +91,30 @@ pairSweepJobs(const std::vector<workloads::Pair> &pairs,
               Cycle max_cycles,
               const std::function<void(MachineConfig &)> &tweak)
 {
-    std::vector<JobSpec> jobs;
-    jobs.reserve(pairs.size() * policies.size());
-    for (const auto &pair : pairs) {
-        for (SharingPolicy p : policies) {
-            JobSpec spec;
-            spec.id = jobs.size();
-            spec.label = pair.label + "/" + policyName(p);
-            spec.cfg = MachineConfig::forPolicy(p, 2);
-            if (tweak)
-                tweak(spec.cfg);
-            spec.workloads = {{pair.core0.name, pair.core0.loops},
-                              {pair.core1.name, pair.core1.loops}};
-            spec.maxCycles = max_cycles;
-            jobs.push_back(std::move(spec));
-        }
-    }
+    JobSpec tmpl;
+    tmpl.maxCycles = max_cycles;
+    std::vector<JobSpec> jobs = pairSweepJobs(tmpl, pairs, policies);
+    if (tweak)
+        for (JobSpec &spec : jobs)
+            tweak(spec.cfg);
     return jobs;
 }
 
 std::vector<JobSpec>
-trafficSweepJobs(const traffic::TrafficConfig &base,
+trafficSweepJobs(const JobSpec &tmpl,
                  const std::vector<SharingPolicy> &policies,
-                 const std::vector<std::string> &schedulers,
-                 Cycle max_cycles,
-                 const std::function<void(MachineConfig &)> &tweak)
+                 const std::vector<std::string> &schedulers)
 {
     std::vector<JobSpec> jobs;
     jobs.reserve(policies.size() * schedulers.size());
     for (SharingPolicy p : policies) {
         for (const std::string &sched : schedulers) {
-            JobSpec spec;
-            spec.id = jobs.size();
-            spec.label = base.process + "/" + policyName(p) + "/" + sched;
-            spec.cfg = MachineConfig::forPolicy(p, 2);
-            if (tweak)
-                tweak(spec.cfg);
-            spec.traffic = base;
+            JobSpec &spec = jobs.emplace_back(tmpl);
+            spec.id = jobs.size() - 1;
+            spec.label = tmpl.traffic.process + "/" + policyName(p) + "/" +
+                         sched;
+            spec.cfg = jobConfig(tmpl, p);
             spec.traffic.scheduler = sched;
-            spec.maxCycles = max_cycles;
-            jobs.push_back(std::move(spec));
         }
     }
     return jobs;

@@ -21,12 +21,27 @@ namespace occamy::runner
 {
 
 /**
+ * Resolve a pair selector: "all", "spec", "opencv", or a comma list of
+ * 1-based indices into workloads::allPairs() and/or labels like
+ * "6+16". Throws std::invalid_argument naming the first token that is
+ * neither, or when the list selects nothing.
+ */
+std::vector<workloads::Pair> selectPairs(const std::string &spec);
+
+/**
  * Build the job list for @p pairs x @p policies, pair-major (all
  * policies of pair 0, then pair 1, ...), with ids assigned 0..n-1 and
- * labels "<pair>/<policy>". Each job gets
- * MachineConfig::forPolicy(policy, 2) with @p tweak (if non-null)
- * applied to the config after the preset.
+ * labels "<pair>/<policy>". Every job is a copy of @p tmpl with its
+ * id, label, workloads and cfg set: the cfg is @p tmpl.cfg's topology
+ * (clusters x cores per cluster) under the job's policy.
  */
+std::vector<JobSpec> pairSweepJobs(
+    const JobSpec &tmpl, const std::vector<workloads::Pair> &pairs,
+    const std::vector<SharingPolicy> &policies);
+
+/** The pair sweep on flat 2-core machines (a default JobSpec
+ *  template) capped at @p max_cycles, with @p tweak (if non-null)
+ *  applied to each job's config. */
 std::vector<JobSpec> pairSweepJobs(
     const std::vector<workloads::Pair> &pairs,
     const std::vector<SharingPolicy> &policies,
@@ -34,21 +49,17 @@ std::vector<JobSpec> pairSweepJobs(
     const std::function<void(MachineConfig &)> &tweak = nullptr);
 
 /**
- * Build the traffic-ablation job list: @p base (one traffic config —
- * process, tenants, seed, rate, SLO) crossed with @p policies x
+ * Build the traffic-ablation job list: @p tmpl's traffic config
+ * (process, tenants, seed, rate, SLO) crossed with @p policies x
  * @p schedulers, policy-major, ids 0..n-1 and labels
  * "<process>/<policy>/<scheduler>". Every job replays the identical
  * arrival stream (same seed), so the sweep isolates the scheduling
- * discipline and sharing policy. Each job gets
- * MachineConfig::forPolicy(policy, 2) with @p tweak (if non-null)
- * applied after the preset.
+ * discipline and sharing policy. Jobs are copies of @p tmpl, machines
+ * as in pairSweepJobs.
  */
 std::vector<JobSpec> trafficSweepJobs(
-    const traffic::TrafficConfig &base,
-    const std::vector<SharingPolicy> &policies,
-    const std::vector<std::string> &schedulers,
-    Cycle max_cycles = 40'000'000,
-    const std::function<void(MachineConfig &)> &tweak = nullptr);
+    const JobSpec &tmpl, const std::vector<SharingPolicy> &policies,
+    const std::vector<std::string> &schedulers);
 
 /**
  * Render the whole sweep as one JSON object:

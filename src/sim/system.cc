@@ -94,7 +94,11 @@ System::finalize()
         x.now < x.opt.maxCycles ? x.now + 1 : x.opt.maxCycles;
     if (x.opt.ffStats)
         *x.opt.ffStats = x.ff;
-    result.cycles = std::max<Cycle>(x.last_finish, 1);
+    // A run that hit its cap or was killed reports the cycles it
+    // covered, not the last completion before the cut.
+    const bool cut = result.timedOut || result.wallKilled;
+    result.cycles =
+        std::max<Cycle>(cut ? x.ff.cyclesSimulated : x.last_finish, 1);
     // Each engine accumulated its own share of the busy-lane integral
     // during the (possibly parallel) tick phases; summing the shares
     // in cluster-id order makes the total independent of the thread
@@ -120,11 +124,14 @@ System::finalize()
         cr.reconfigEvents = core.reconfigEvents();
         cr.reinitInsts = core.reinitInsts();
 
+        // A cut run's unfinished cores close their open phase there.
+        const Cycle open_end =
+            cut && !x.done[c] ? result.cycles : x.finish[c];
         for (const PhaseTrace &t : core.phases()) {
             PhaseResult pr;
             pr.name = t.name;
             pr.start = t.start;
-            pr.end = t.end ? t.end : x.finish[c];
+            pr.end = t.end ? t.end : open_end;
             pr.firstVl = t.firstVl;
             pr.lastVl = t.lastVl;
             pr.computeIssued =

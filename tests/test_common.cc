@@ -360,5 +360,22 @@ TEST(CliOpts, WorkloadIdsAreWholeNumbers)
             << '"' << bad << '"';
 }
 
+TEST(CliOpts, PairHalvesAreWholeWorkloadIds)
+{
+    const auto [w6, w16] = cliopts::lookupPair("6+16");
+    EXPECT_EQ(w6.name, "WL6");
+    EXPECT_EQ(w16.name, "WL16");
+    // --opencv reads bare ids as OpenCV workloads.
+    const auto [cv6, cv3] = cliopts::lookupPair("6+3", true);
+    EXPECT_EQ(cv6.name, "CV6");
+    EXPECT_EQ(cv3.name, "CV3");
+    // A half with trailing text is not the id it starts with.
+    for (const char *bad : {"6abc+16", "6+16xyz", "6abc+16xyz", "+16"})
+        EXPECT_THROW(cliopts::lookupPair(bad), std::out_of_range)
+            << '"' << bad << '"';
+    EXPECT_THROW(cliopts::lookupPair("CV6+3", true), std::out_of_range);
+    EXPECT_THROW(cliopts::lookupPair("616"), std::invalid_argument);
+}
+
 } // namespace
 } // namespace occamy

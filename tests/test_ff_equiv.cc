@@ -11,6 +11,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -210,38 +211,75 @@ runThreaded(runner::JobSpec spec, unsigned threads)
     return r;
 }
 
+/** One cell of the clustered 1-vs-N matrix. */
+struct MatrixCell
+{
+    SharingPolicy policy;
+    bool traffic;
+    std::uint64_t faultSeed;
+    bool ff;
+
+    /** Cell label, e.g. "Occamy_batch_faults_ff" (the gtest suffix). */
+    std::string name() const
+    {
+        return std::string(policyName(policy)) +
+               (traffic ? "_traffic" : "_batch") +
+               (faultSeed ? "_faults" : "") + (ff ? "_ff" : "_ticked");
+    }
+
+    friend void PrintTo(const MatrixCell &cell, std::ostream *os)
+    {
+        *os << cell.name();
+    }
+};
+
+std::vector<MatrixCell>
+matrixCells()
+{
+    std::vector<MatrixCell> cells;
+    for (const SharingPolicy policy :
+         {SharingPolicy::Elastic, SharingPolicy::Private})
+        for (const bool traffic : {false, true})
+            for (const std::uint64_t fault_seed :
+                 {std::uint64_t{0}, std::uint64_t{7}})
+                for (const bool ff : {true, false})
+                    cells.push_back({policy, traffic, fault_seed, ff});
+    return cells;
+}
+
+/** One test per cell, so ctest can run the cells side by side. */
+class ClusteredMatrix : public ::testing::TestWithParam<MatrixCell>
+{
+};
+
 /** The tentpole contract (DESIGN.md §15): every observable artifact of
  *  a clustered run is byte-identical whether the per-cluster engines
  *  tick serially or on a worker pool, across policy x fault plan x
  *  traffic x fast-forward. */
-TEST(SimThreadsEquiv, ClusteredMatrixIsByteIdenticalOneVsN)
+TEST_P(ClusteredMatrix, IsByteIdenticalOneVsN)
 {
-    for (const SharingPolicy policy :
-         {SharingPolicy::Elastic, SharingPolicy::Private}) {
-        for (const bool traffic : {false, true}) {
-            for (const std::uint64_t fault_seed :
-                 {std::uint64_t{0}, std::uint64_t{7}}) {
-                for (const bool ff : {true, false}) {
-                    runner::JobSpec spec = clusteredSpec(policy, traffic);
-                    spec.label = std::string("4x2/") +
-                                 policyName(policy) +
-                                 (traffic ? "/traffic" : "/batch") +
-                                 (fault_seed ? "/faults" : "") +
-                                 (ff ? "/ff" : "/ticked");
-                    SCOPED_TRACE(spec.label);
-                    spec.fastForward = ff;
-                    spec.faultSeed = fault_seed;
-                    spec.watchdogCycles = 50'000;
-                    const runner::JobResult serial = runThreaded(spec, 1);
-                    // 4 workers = one per cluster; 3 leaves a cluster
-                    // to work-stealing, covering uneven division.
-                    expectIdentical(serial, runThreaded(spec, 4));
-                    expectIdentical(serial, runThreaded(spec, 3));
-                }
-            }
-        }
-    }
+    const MatrixCell &cell = GetParam();
+    runner::JobSpec spec = clusteredSpec(cell.policy, cell.traffic);
+    spec.label = "4x2/" + cell.name();
+    spec.fastForward = cell.ff;
+    spec.faultSeed = cell.faultSeed;
+    spec.watchdogCycles = 50'000;
+    const runner::JobResult serial = runThreaded(spec, 1);
+    // 4 workers = one per cluster; 3 leaves a cluster to work-stealing,
+    // covering uneven division.
+    expectIdentical(serial, runThreaded(spec, 4));
+    expectIdentical(serial, runThreaded(spec, 3));
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    SimThreadsEquiv, ClusteredMatrix, ::testing::ValuesIn(matrixCells()),
+    [](const ::testing::TestParamInfo<MatrixCell> &info) {
+        std::string name = info.param.name();
+        for (char &c : name)
+            if (c == '-')
+                c = '_';
+        return name;
+    });
 
 /** Fast-forward accounting is written into checkpoints, sweep JSON and
  *  serve replies, so it must not depend on how the cycle loop is

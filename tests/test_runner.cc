@@ -11,11 +11,14 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "obs/export.hh"
 #include "runner/runner.hh"
 #include "runner/sweep.hh"
+#include "sim/trace.hh"
 #include "workloads/phases.hh"
 #include "workloads/suite.hh"
 
@@ -212,7 +215,8 @@ TEST(Runner, TrafficSweepDeterministicAcrossThreadCounts)
     // The acceptance property of the traffic engine: the same seeded
     // sweep exports byte-identical JSON and CSV whether it runs on one
     // worker thread or four.
-    traffic::TrafficConfig tc;
+    runner::JobSpec tmpl;
+    traffic::TrafficConfig &tc = tmpl.traffic;
     tc.process = "poisson";
     tc.tenants = 4;
     tc.seed = 7;
@@ -220,7 +224,7 @@ TEST(Runner, TrafficSweepDeterministicAcrossThreadCounts)
     tc.meanGapCycles = 100'000.0;
     tc.sloCycles = 1'500'000;
     const auto jobs = runner::trafficSweepJobs(
-        tc, {SharingPolicy::Private, SharingPolicy::Elastic},
+        tmpl, {SharingPolicy::Private, SharingPolicy::Elastic},
         {"fcfs", "sjf", "edf", "oi"});
     ASSERT_EQ(jobs.size(), 8u);
 
@@ -503,6 +507,152 @@ TEST(Runner, SweepJsonEscapesControlCharactersInShortForm)
         << json;
     EXPECT_NE(json.find(R"("error":"x\ry\u0001")"), std::string::npos)
         << json;
+}
+
+TEST(Runner, CappedRunReportsTheCyclesItCovered)
+{
+    runner::JobSpec spec;
+    spec.label = "capped";
+    spec.cfg = MachineConfig::forPolicy(SharingPolicy::Private, 2);
+    const auto w6 = workloads::specWorkload(6);
+    const auto w16 = workloads::specWorkload(16);
+    spec.workloads = {{w6.name, w6.loops}, {w16.name, w16.loops}};
+    spec.maxCycles = 2000;
+
+    const runner::JobResult r = runner::Runner::runOne(spec);
+    EXPECT_FALSE(r.ok());
+    ASSERT_TRUE(r.result.timedOut);
+    EXPECT_EQ(r.result.cycles, 2000u);
+    EXPECT_GT(r.result.simdUtil, 0.0);
+    EXPECT_LE(r.result.simdUtil, 1.0);
+    // Neither core finished, so each open phase ends at the cap.
+    for (const CoreRunResult &core : r.result.cores) {
+        ASSERT_FALSE(core.phases.empty());
+        EXPECT_EQ(core.phases.back().end, 2000u);
+        for (const PhaseResult &ph : core.phases)
+            EXPECT_LE(ph.issueRate, 2.0);
+    }
+}
+
+TEST(Runner, SelectPairsNamesTheBadToken)
+{
+    EXPECT_EQ(runner::selectPairs("spec").size(), 16u);
+    const auto two = runner::selectPairs("1,6+16");
+    ASSERT_EQ(two.size(), 2u);
+    EXPECT_EQ(two[0].label, workloads::allPairs()[0].label);
+    EXPECT_EQ(two[1].label, "6+16");
+    for (const char *bad : {"6+16,bogus", "0", "26", "1x", "6+99", ","}) {
+        try {
+            runner::selectPairs(bad);
+            ADD_FAILURE() << "accepted " << bad;
+        } catch (const std::invalid_argument &e) {
+            const std::string token =
+                std::string(bad) == "6+16,bogus" ? "bogus" : bad;
+            EXPECT_NE(std::string(e.what()).find(token), std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+/** @p tb's events from cycle @p from on, one line each, with interned
+ *  names resolved: string ids are private to the sink that made them. */
+std::vector<std::string>
+eventLines(const obs::TraceBuffer &tb, Cycle from)
+{
+    std::vector<std::string> out;
+    for (const obs::Event &e : tb.events) {
+        if (e.cycle < from)
+            continue;
+        const bool named = e.kind == obs::EventKind::PhaseBegin ||
+                           e.kind == obs::EventKind::PhaseEnd ||
+                           e.kind == obs::EventKind::BatchDispatch;
+        std::ostringstream os;
+        os << e.cycle << ' ' << static_cast<int>(e.kind) << ' ' << e.core
+           << ' ' << (named ? tb.str(e.a) : std::to_string(e.a)) << ' '
+           << e.b << ' ' << e.x << ' ' << e.y;
+        out.push_back(os.str());
+    }
+    return out;
+}
+
+void
+expectSameRun(const RunResult &got, const RunResult &want)
+{
+    EXPECT_EQ(trace::toJson(got), trace::toJson(want));
+    EXPECT_EQ(got.statsText, want.statsText);
+    ASSERT_EQ(got.cores.size(), want.cores.size());
+    for (std::size_t c = 0; c < got.cores.size(); ++c) {
+        EXPECT_EQ(got.cores[c].busyLanesTimeline,
+                  want.cores[c].busyLanesTimeline);
+        EXPECT_EQ(got.cores[c].allocLanesTimeline,
+                  want.cores[c].allocLanesTimeline);
+    }
+}
+
+/** occamy-serve's use of the one boot path: boot a Job, advance it in
+ *  steps, checkpoint it, finish it; restore the checkpoint into a
+ *  second Job and finish that too. Both must match Runner::runOne. */
+TEST(Runner, SteppedAndRestoredJobsMatchRunOne)
+{
+    runner::JobSpec flat;
+    flat.label = "6+16/Occamy";
+    flat.cfg = MachineConfig::forPolicy(SharingPolicy::Elastic, 2);
+    const auto w6 = workloads::specWorkload(6);
+    const auto w16 = workloads::specWorkload(16);
+    flat.workloads = {{w6.name, w6.loops}, {w16.name, w16.loops}};
+
+    runner::JobSpec traffic;
+    traffic.label = "bursty/Occamy/fcfs 2x2";
+    traffic.cfg = MachineConfig::Builder(SharingPolicy::Elastic)
+                      .topology(2, 2)
+                      .build();
+    traffic.traffic.process = "bursty";
+    traffic.traffic.tenants = 2;
+    traffic.traffic.seed = 3;
+    traffic.traffic.jobsPerTenant = 2;
+    traffic.traffic.meanGapCycles = 20'000;
+    traffic.traffic.sloCycles = 150'000;
+    traffic.traffic.admission = "slo-aware";
+    traffic.traffic.admissionCap = 2;
+
+    constexpr Cycle kStep = 25'000;
+    constexpr Cycle kCkptAt = 2 * kStep;
+    for (runner::JobSpec spec : {flat, traffic}) {
+        SCOPED_TRACE(spec.label);
+        // Every category but the per-instruction ones, which would
+        // only make the comparison slow.
+        spec.traceEvents = obs::kEvAll & ~(obs::kEvPipeline | obs::kEvMem);
+        spec.snapshotEvery = 20'000;
+        const runner::JobResult ref = runner::Runner::runOne(spec);
+        ASSERT_TRUE(ref.ok()) << ref.error;
+        ASSERT_FALSE(eventLines(ref.trace, kCkptAt).empty());
+
+        runner::Job stepped(spec);
+        EXPECT_EQ(stepped.hasTraffic(), spec.traffic.enabled());
+        EXPECT_EQ(stepped.hasAdmission(), spec.traffic.enabled());
+        stepped.boot();
+        std::stringstream ckpt;
+        while (!stepped.sys().advance(stepped.sys().now() + kStep))
+            if (stepped.sys().now() == kCkptAt)
+                stepped.sys().saveCheckpoint(ckpt);
+        ASSERT_GT(ckpt.str().size(), 0u) << "finished before the save";
+        const RunResult got = stepped.sys().finalize();
+        expectSameRun(got, ref.result);
+        EXPECT_EQ(stepped.ff().cyclesSimulated, ref.ff.cyclesSimulated);
+        std::ostringstream a, b;
+        obs::writeChromeTrace(a, stepped.sink()->take(), got.snapshots);
+        obs::writeChromeTrace(b, ref.trace, ref.result.snapshots);
+        EXPECT_EQ(a.str(), b.str());
+
+        runner::Job restored(spec);
+        restored.boot(&ckpt);
+        EXPECT_EQ(restored.sys().now(), kCkptAt);
+        while (!restored.sys().advance(restored.sys().now() + kStep)) {
+        }
+        expectSameRun(restored.sys().finalize(), ref.result);
+        EXPECT_EQ(eventLines(restored.sink()->take(), kCkptAt),
+                  eventLines(ref.trace, kCkptAt));
+    }
 }
 
 } // namespace

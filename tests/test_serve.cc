@@ -165,6 +165,12 @@ TEST_F(Serve, StructuredErrors)
             R"("policy":"occamy","fast_forward":"of"})",
             R"({"cmd":"sweep","id":"jobs","pairs":"6+16",)"
             R"("policy":"occamy","max_cycles":"1000","jobs":"1x"})",
+            // sweep selects pairs like occamy-batchrun: a bad token is
+            // an error naming it, and catalog indices are pairs.
+            R"({"cmd":"sweep","id":"badpair","pairs":"6+16,bogus",)"
+            R"("policy":"occamy","max_cycles":"1000"})",
+            R"({"cmd":"sweep","id":"indices","pairs":"1,2",)"
+            R"("policy":"occamy","max_cycles":"1000"})",
             R"({"cmd":"step","id":"alive","cycles":"1000"})",
             R"({"cmd":"shutdown","id":"bye"})",
         },
@@ -196,6 +202,12 @@ TEST_F(Serve, StructuredErrors)
         EXPECT_EQ(field(r[id][0], "error").rfind(key + " wants", 0), 0u)
             << r[id][0];
     }
+    ASSERT_EQ(r["badpair"].size(), 1u);
+    EXPECT_EQ(field(r["badpair"][0], "code"), "error");
+    EXPECT_EQ(field(r["badpair"][0], "error"), "unknown pair label: bogus");
+    ASSERT_FALSE(r["indices"].empty());
+    EXPECT_EQ(field(r["indices"].back(), "event"), "sweep_done");
+    EXPECT_EQ(field(r["indices"].back(), "jobs"), "2");
     // Rejected requests leave the session where it was.
     EXPECT_EQ(field(r["alive"].back(), "cycle"), "1000");
     EXPECT_EQ(field(r["bye"].back(), "event"), "bye");

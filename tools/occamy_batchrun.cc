@@ -21,7 +21,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -45,84 +44,29 @@ namespace
 
 struct Options
 {
+    /** Every job is a copy of this; the run flags write into it. */
+    runner::JobSpec tmpl;
     unsigned jobs = 0;                  // 0 = runner default
     std::string pairs = "spec";
     /** Empty = every registered policy, in registry order. */
     std::vector<SharingPolicy> policies;
     unsigned clusters = 1;
     unsigned cores = 2;                 // per cluster
-    Cycle maxCycles = 40'000'000;
     std::string jsonOut;
     std::string csvOut;
     bool progress = false;
     bool quiet = false;
     std::string traceOut;
     std::string traceEvents = "all";
-    Cycle snapshotEvery = 0;
-    bool fastForward = true;
     bool strictTimeout = false;
-    std::string faultPlan;
-    std::uint64_t faultSeed = 0;
-    Cycle watchdogCycles = 0;
-    double wallClockLimitSec = 0.0;
     unsigned retries = 0;
     std::string checkpointPrefix;
-    Cycle checkpointEvery = 0;
-    std::string restoreFrom;
-    unsigned simThreads = 1;
 
-    // Multi-tenant traffic mode (replaces the pair sweep when set).
-    std::string traffic;            ///< Arrival-process name; "" = off.
-    unsigned tenants = 2;
-    std::uint64_t arrivalSeed = 1;
+    // Multi-tenant traffic mode (replaces the pair sweep when
+    // tmpl.traffic.process is set).
     double sloMs = 0.0;             ///< SLO budget in milliseconds.
-    double trafficRate = 200'000.0; ///< Mean inter-arrival gap, cycles.
-    std::uint64_t trafficJobs = 4;  ///< Jobs per tenant stream.
     std::string scheduler = "fcfs"; ///< Dispatcher name or "all".
-    std::string admission = "none"; ///< Admission policy; "none" = off.
-    unsigned admissionCap = 4;      ///< Per-tenant cap / bucket size.
 };
-
-/** Resolve --pairs into catalog entries; empty return = bad selector. */
-std::vector<workloads::Pair>
-selectPairs(const std::string &spec)
-{
-    const auto all = workloads::allPairs();
-    if (spec == "all")
-        return all;
-    if (spec == "spec")
-        return workloads::specPairs();
-    if (spec == "opencv")
-        return workloads::opencvPairs();
-
-    std::vector<workloads::Pair> out;
-    for (const std::string &token : cliopts::splitCommas(spec)) {
-        if (token.find('+') != std::string::npos) {
-            bool found = false;
-            for (const auto &p : all)
-                if (p.label == token) {
-                    out.push_back(p);
-                    found = true;
-                    break;
-                }
-            if (!found) {
-                std::fprintf(stderr, "unknown pair label: %s\n",
-                             token.c_str());
-                return {};
-            }
-        } else {
-            const long idx = std::atol(token.c_str());
-            if (idx < 1 || idx > static_cast<long>(all.size())) {
-                std::fprintf(stderr,
-                             "pair index %s out of range 1..%zu\n",
-                             token.c_str(), all.size());
-                return {};
-            }
-            out.push_back(all[static_cast<std::size_t>(idx - 1)]);
-        }
-    }
-    return out;
-}
 
 /** The whole flag surface, declared once. */
 cliopts::OptionSet
@@ -167,7 +111,7 @@ optionTable(Options &opt)
                 "flat core count per job (default 2); shorthand for\n"
                 "--topology 1xN",
                 cliopts::flatCores(opt.clusters, opt.cores))
-        .value("max-cycles", &opt.maxCycles, "N",
+        .value("max-cycles", &opt.tmpl.maxCycles, "N",
                "per-job simulation cap (default 4e7)")
         .value("json-out", &opt.jsonOut, "FILE",
                "write the aggregated sweep JSON")
@@ -183,24 +127,24 @@ optionTable(Options &opt)
         .value("trace-events", &opt.traceEvents, "L",
                "categories: comma list of phase,pipeline,partition,\n"
                "reconfig,mem,sched,cluster or 'all'")
-        .value("snapshot-every", &opt.snapshotEvery, "N",
+        .value("snapshot-every", &opt.tmpl.snapshotEvery, "N",
                "metric snapshot each N cycles")
-        .onOff("fast-forward", &opt.fastForward,
+        .onOff("fast-forward", &opt.tmpl.fastForward,
                "skip quiescent cycle spans (default on; results are\n"
                "identical either way)")
         .flag("strict-timeout", &opt.strictTimeout,
               "exit 3 (with a stderr note) if any job hit its\n"
               "--max-cycles cap")
-        .value("fault-plan", &opt.faultPlan, "S",
+        .value("fault-plan", &opt.tmpl.faultPlan, "S",
                "deterministic fault plan applied to every job (see\n"
                "occamy-sim --help for the grammar)")
-        .value("fault-seed", &opt.faultSeed, "N",
+        .value("fault-seed", &opt.tmpl.faultSeed, "N",
                "seeded random fault plan per job (ignored when\n"
                "--fault-plan is given)")
-        .value("watchdog-cycles", &opt.watchdogCycles, "N",
+        .value("watchdog-cycles", &opt.tmpl.watchdogCycles, "N",
                "per-job livelock watchdog threshold (escalates stuck\n"
                "<VL> spins; default off)")
-        .value("wall-clock-limit", &opt.wallClockLimitSec, "S",
+        .value("wall-clock-limit", &opt.tmpl.wallClockLimitSec, "S",
                "kill any job after S seconds of host time (failed,\n"
                "partial result kept)")
         .value("retries", &opt.retries, "N",
@@ -210,41 +154,41 @@ optionTable(Options &opt)
                "per-job periodic checkpoints, written to\n"
                "PFX<label>.ckpt every --checkpoint-every cycles ('/'\n"
                "in labels becomes '_')")
-        .value("checkpoint-every", &opt.checkpointEvery, "N",
+        .value("checkpoint-every", &opt.tmpl.checkpointEvery, "N",
                "checkpoint period in cycles (required with\n"
                "--checkpoint-out)")
-        .value("restore", &opt.restoreFrom, "F",
+        .value("restore", &opt.tmpl.restoreFrom, "F",
                "resume from checkpoint F; the sweep must select\n"
                "exactly one pair and one policy")
-        .value("sim-threads", &opt.simThreads, "N",
+        .value("sim-threads", &opt.tmpl.simThreads, "N",
                "worker threads per job's own cycle loop (clustered\n"
                "machines only; byte-identical for any N; composes\n"
                "with --jobs)")
-        .value("traffic", &opt.traffic, "PROC",
+        .value("traffic", &opt.tmpl.traffic.process, "PROC",
                "multi-tenant traffic mode: stochastic arrivals from\n"
                "process PROC (poisson|bursty|diurnal|closed) swept\n"
                "over policy x scheduler instead of the pair sweep")
-        .value("tenants", &opt.tenants, "N", "tenant streams (default 2)",
-               1)
-        .value("arrival-seed", &opt.arrivalSeed, "N",
+        .value("tenants", &opt.tmpl.traffic.tenants, "N",
+               "tenant streams (default 2)", 1)
+        .value("arrival-seed", &opt.tmpl.traffic.seed, "N",
                "deterministic arrival-stream seed (default 1; same\n"
                "seed = byte-identical stream)")
         .value("slo-ms", &opt.sloMs, "X",
                "per-job SLO budget in milliseconds of simulated time\n"
                "(default: no deadline)", true)
-        .value("traffic-rate", &opt.trafficRate, "G",
+        .value("traffic-rate", &opt.tmpl.traffic.meanGapCycles, "G",
                "mean inter-arrival gap per tenant, cycles (default\n"
                "200000)", true)
-        .value("traffic-jobs", &opt.trafficJobs, "N",
+        .value("traffic-jobs", &opt.tmpl.traffic.jobsPerTenant, "N",
                "jobs generated per tenant (default 4)", 1)
         .value("scheduler", &opt.scheduler, "S",
                "dispatch discipline (fcfs|sjf|edf|oi) or 'all'\n"
                "(default fcfs)")
-        .value("admission", &opt.admission, "A",
+        .value("admission", &opt.tmpl.traffic.admission, "A",
                "admission policy for traffic mode (none|static-cap|\n"
                "token-bucket|slo-aware); 'none' (default) keeps every\n"
                "export byte-identical to admission-less builds")
-        .value("admission-cap", &opt.admissionCap, "N",
+        .value("admission-cap", &opt.tmpl.traffic.admissionCap, "N",
                "per-tenant in-flight cap / token-bucket size\n"
                "(default 4)", 1);
     cliopts::addListOptions(
@@ -277,28 +221,25 @@ main(int argc, char **argv)
         for (const policy::SharingModel *m : policy::allModels())
             opt.policies.push_back(m->id());
 
-    // Per-job machine override; null on the default 1x2 shape so the
-    // sweep presets stay byte-for-byte on MachineConfig::forPolicy.
-    std::function<void(MachineConfig &)> tweak;
-    if (opt.clusters != 1 || opt.cores != 2)
-        tweak = [&opt](MachineConfig &cfg) {
-            cfg = opt.clusters == 1
-                      ? MachineConfig::forPolicy(cfg.policy, opt.cores)
-                      : MachineConfig::Builder(cfg.policy)
-                            .topology(opt.clusters, opt.cores)
-                            .build();
-        };
+    runner::JobSpec &tmpl = opt.tmpl;
+    const traffic::TrafficConfig &tc = tmpl.traffic;
+    if (!opt.traceOut.empty())
+        tmpl.traceEvents = obs::parseEventMask(opt.traceEvents);
 
     std::vector<workloads::Pair> pairs;
     std::vector<runner::JobSpec> jobs;
     try {
-        if (!opt.traffic.empty()) {
+        // An infeasible --topology surfaces from the Builder here.
+        tmpl.cfg = MachineConfig::Builder(SharingPolicy::Elastic)
+                       .topology(opt.clusters, opt.cores)
+                       .build();
+        if (tc.enabled()) {
             // Traffic mode: policy x scheduler ablation over one
             // seeded arrival stream. Validate names up front so a typo
             // is a usage error, not N contained job failures.
-            if (!traffic::processByName(opt.traffic)) {
+            if (!traffic::processByName(tc.process)) {
                 std::fprintf(stderr, "unknown traffic process: %s\n",
-                             opt.traffic.c_str());
+                             tc.process.c_str());
                 return 2;
             }
             std::vector<std::string> scheds;
@@ -314,22 +255,13 @@ main(int argc, char **argv)
                 }
                 scheds = {opt.scheduler};
             }
-            if (opt.admission != "none" &&
-                !traffic::admissionByName(opt.admission)) {
+            if (tc.admission != "none" &&
+                !traffic::admissionByName(tc.admission)) {
                 std::fprintf(stderr, "unknown admission policy: %s\n",
-                             opt.admission.c_str());
+                             tc.admission.c_str());
                 return 2;
             }
-            traffic::TrafficConfig tc;
-            tc.process = opt.traffic;
-            tc.tenants = opt.tenants;
-            tc.seed = opt.arrivalSeed;
-            tc.jobsPerTenant = opt.trafficJobs;
-            tc.meanGapCycles = opt.trafficRate;
-            tc.admission = opt.admission;
-            tc.admissionCap = opt.admissionCap;
-            jobs = runner::trafficSweepJobs(tc, opt.policies, scheds,
-                                            opt.maxCycles, tweak);
+            jobs = runner::trafficSweepJobs(tmpl, opt.policies, scheds);
             // The SLO budget is given in simulated milliseconds;
             // convert against each job's own clock (ms x GHz x 1e6
             // cycles).
@@ -338,16 +270,10 @@ main(int argc, char **argv)
                     spec.traffic.sloCycles = static_cast<Cycle>(
                         opt.sloMs * spec.cfg.ghz * 1e6);
         } else {
-            pairs = selectPairs(opt.pairs);
-            if (pairs.empty()) {
-                cli.printHelp(stderr);
-                return 2;
-            }
-            jobs = runner::pairSweepJobs(pairs, opt.policies,
-                                         opt.maxCycles, tweak);
+            pairs = runner::selectPairs(opt.pairs);
+            jobs = runner::pairSweepJobs(tmpl, pairs, opt.policies);
         }
     } catch (const std::exception &e) {
-        // An infeasible --topology surfaces from the Builder here.
         std::fprintf(stderr, "error: %s\n", e.what());
         return 2;
     }
@@ -358,33 +284,20 @@ main(int argc, char **argv)
     if (opt.progress)
         ropt.onProgress = runner::stderrProgress();
 
-    if (!opt.restoreFrom.empty()) {
-        // A checkpoint names one run's state: tie it to one job.
-        if (jobs.size() != 1) {
-            std::fprintf(stderr, "--restore needs a sweep of exactly "
-                                 "one job (one pair, one policy)\n");
-            return 2;
-        }
-        jobs[0].restoreFrom = opt.restoreFrom;
+    // A checkpoint names one run's state: tie it to one job.
+    if (!tmpl.restoreFrom.empty() && jobs.size() != 1) {
+        std::fprintf(stderr, "--restore needs a sweep of exactly "
+                             "one job (one pair, one policy)\n");
+        return 2;
     }
-    for (auto &spec : jobs) {
-        if (!opt.traceOut.empty())
-            spec.traceEvents = obs::parseEventMask(opt.traceEvents);
-        spec.snapshotEvery = opt.snapshotEvery;
-        spec.fastForward = opt.fastForward;
-        spec.faultPlan = opt.faultPlan;
-        spec.faultSeed = opt.faultSeed;
-        spec.watchdogCycles = opt.watchdogCycles;
-        spec.wallClockLimitSec = opt.wallClockLimitSec;
-        spec.simThreads = opt.simThreads;
-        if (!opt.checkpointPrefix.empty() && opt.checkpointEvery) {
-            // One checkpoint file per job, named by its label.
+    if (!opt.checkpointPrefix.empty()) {
+        // One checkpoint file per job, named by its label.
+        for (auto &spec : jobs) {
             std::string label = spec.label;
             for (char &c : label)
                 if (c == '/')
                     c = '_';
             spec.checkpointOut = opt.checkpointPrefix + label + ".ckpt";
-            spec.checkpointEvery = opt.checkpointEvery;
         }
     }
 
@@ -434,7 +347,7 @@ main(int argc, char **argv)
 
         // Per-job SLO digest in traffic mode (full detail goes to the
         // JSON/CSV exports).
-        if (!opt.traffic.empty()) {
+        if (tc.enabled()) {
             for (const auto &j : sweep.jobs) {
                 if (!j.hasTraffic)
                     continue;
@@ -458,7 +371,7 @@ main(int argc, char **argv)
         }
 
         // GM per-core speedups over Private when the sweep has them.
-        if (opt.traffic.empty() && opt.policies.size() > 1 &&
+        if (!tc.enabled() && opt.policies.size() > 1 &&
             opt.policies[0] == SharingPolicy::Private && sweep.allOk()) {
             const std::size_t np = opt.policies.size();
             for (std::size_t p = 1; p < np; ++p) {
@@ -518,7 +431,7 @@ main(int argc, char **argv)
                          "%zu job(s) hit the %llu-cycle cap "
                          "(--strict-timeout)\n",
                          timed_out,
-                         static_cast<unsigned long long>(opt.maxCycles));
+                         static_cast<unsigned long long>(tmpl.maxCycles));
             return 3;
         }
     }

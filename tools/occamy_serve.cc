@@ -56,15 +56,12 @@
 #include "common/cliopts.hh"
 #include "common/cliopts_lists.hh"
 #include "common/json.hh"
-#include "fault/fault.hh"
 #include "obs/events.hh"
 #include "obs/sink.hh"
 #include "policy/sharing_model.hh"
 #include "runner/runner.hh"
 #include "runner/sweep.hh"
 #include "sim/system.hh"
-#include "traffic/admission.hh"
-#include "traffic/arrival.hh"
 #include "traffic/scheduler.hh"
 #include "workloads/suite.hh"
 
@@ -258,57 +255,20 @@ getStr(const Kv &m, const std::string &k, const std::string &dflt = "")
     return it == m.end() ? dflt : it->second;
 }
 
-/** One booted simulation the daemon holds: a pooled instance or the
- *  stepped session. Owns everything RunOptions borrows. */
-struct SimEntry
-{
-    std::string key;            ///< Pool identity (see specKey()).
-    std::string label;
-    MachineConfig cfg;
-    fault::FaultPlan plan;      ///< Storage behind opt.faultPlan.
-    std::unique_ptr<obs::RingSink> sink;
-    RunOptions opt;
-    FastForwardStats ff;
-    std::unique_ptr<System> sys;
-    bool hasTraffic = false;    ///< Traffic session (arrival stream).
-    bool hasAdmission = false;  ///< Admission policy installed.
-};
-
-/** Simulation parameters a request may set. Parsed through the same
- *  declarative option table the CLIs use (common/cliopts): the NDJSON
- *  key "max_cycles" is the flag --max-cycles, with the identical
- *  validation and error messages. */
+/** Simulation parameters a request may set: the JobSpec the request
+ *  runs plus the keys serve resolves into its config and workloads.
+ *  Parsed through the same declarative option table the CLIs use
+ *  (common/cliopts): the NDJSON key "max_cycles" is the flag
+ *  --max-cycles, with the identical validation and error messages. */
 struct SimSpec
 {
+    runner::JobSpec job;
     std::string policy = "occamy";
     std::string pair = "6+16";
     unsigned clusters = 1;
     unsigned cores = 2;             ///< Per cluster.
     std::string batch;
-    std::uint64_t maxCycles = 40'000'000;
-    std::uint64_t watchdogCycles = 0;
-    std::string faultPlan;
-    std::uint64_t faultSeed = 0;
-    std::uint64_t snapshotEvery = 0;
-    bool fastForward = true;
-    std::string checkpointOut;
-    std::uint64_t checkpointEvery = 0;
     std::string traceEvents;
-    std::uint64_t traceCapacity = 1u << 20;
-    unsigned simThreads = 1;
-
-    // Traffic session mode: a non-empty "traffic" swaps the pair/batch
-    // workload for a generated multi-tenant arrival stream (the same
-    // expansion occamy-batchrun's traffic mode uses).
-    std::string traffic;            ///< Arrival-process name; "" = off.
-    unsigned tenants = 2;
-    std::uint64_t arrivalSeed = 1;
-    std::uint64_t trafficJobs = 4;
-    double trafficRate = 200'000.0;
-    std::uint64_t sloCycles = 0;
-    std::string scheduler = "fcfs";
-    std::string admission = "none";
-    unsigned admissionCap = 4;
 };
 
 /** The config-key table: one entry per request key makeEntry honors. */
@@ -326,39 +286,43 @@ simSpecOptions(SimSpec &s)
                 })
         .value("cores", &s.cores, "N", "cores per cluster", 1)
         .value("batch", &s.batch, "L", "comma-separated workload list")
-        .value("max-cycles", &s.maxCycles, "N", "simulation cap")
-        .value("watchdog-cycles", &s.watchdogCycles, "N",
+        .value("max-cycles", &s.job.maxCycles, "N", "simulation cap")
+        .value("watchdog-cycles", &s.job.watchdogCycles, "N",
                "livelock watchdog threshold")
-        .value("fault-plan", &s.faultPlan, "S",
+        .value("fault-plan", &s.job.faultPlan, "S",
                "deterministic fault plan")
-        .value("fault-seed", &s.faultSeed, "N", "seeded fault plan")
-        .value("snapshot-every", &s.snapshotEvery, "N",
+        .value("fault-seed", &s.job.faultSeed, "N", "seeded fault plan")
+        .value("snapshot-every", &s.job.snapshotEvery, "N",
                "metric snapshot period")
-        .onOff("fast-forward", &s.fastForward,
+        .onOff("fast-forward", &s.job.fastForward,
                "skip quiescent cycle spans")
-        .value("checkpoint-out", &s.checkpointOut, "F",
+        .value("checkpoint-out", &s.job.checkpointOut, "F",
                "periodic checkpoint file")
-        .value("checkpoint-every", &s.checkpointEvery, "N",
+        .value("checkpoint-every", &s.job.checkpointEvery, "N",
                "checkpoint period")
         .value("trace-events", &s.traceEvents, "L",
                "extra event categories")
-        .value("trace-capacity", &s.traceCapacity, "N",
+        .value("trace-capacity", &s.job.traceCapacity, "N",
                "most events the ring keeps; the capacity reserves\n"
                "address space, and resident memory grows with the\n"
                "events actually recorded", 1)
-        .value("sim-threads", &s.simThreads, "N",
+        .value("sim-threads", &s.job.simThreads, "N",
                "cycle-loop worker threads (clustered machines)", 1)
-        .value("traffic", &s.traffic, "PROC",
+        .value("traffic", &s.job.traffic.process, "PROC",
                "traffic session: arrival process name")
-        .value("tenants", &s.tenants, "N", "tenant streams", 1)
-        .value("arrival-seed", &s.arrivalSeed, "N", "arrival seed")
-        .value("traffic-jobs", &s.trafficJobs, "N", "jobs per tenant", 1)
-        .value("traffic-rate", &s.trafficRate, "G",
+        .value("tenants", &s.job.traffic.tenants, "N", "tenant streams", 1)
+        .value("arrival-seed", &s.job.traffic.seed, "N", "arrival seed")
+        .value("traffic-jobs", &s.job.traffic.jobsPerTenant, "N",
+               "jobs per tenant", 1)
+        .value("traffic-rate", &s.job.traffic.meanGapCycles, "G",
                "mean inter-arrival gap, cycles", true)
-        .value("slo-cycles", &s.sloCycles, "N", "per-job SLO budget")
-        .value("scheduler", &s.scheduler, "S", "dispatch discipline")
-        .value("admission", &s.admission, "A", "admission policy")
-        .value("admission-cap", &s.admissionCap, "N",
+        .value("slo-cycles", &s.job.traffic.sloCycles, "N",
+               "per-job SLO budget")
+        .value("scheduler", &s.job.traffic.scheduler, "S",
+               "dispatch discipline")
+        .value("admission", &s.job.traffic.admission, "A",
+               "admission policy")
+        .value("admission-cap", &s.job.traffic.admissionCap, "N",
                "per-tenant in-flight cap / token-bucket size", 1);
     return set;
 }
@@ -411,29 +375,33 @@ parseArgs(const Kv &m)
 }
 
 /** Canonical identity of a request's simulation parameters: a pooled
- *  instance may serve a request iff the keys match exactly. */
+ *  instance may serve a request iff the keys match exactly. Engine
+ *  knobs that never change results, such as sim_threads, are left
+ *  out, so a pooled instance serves requests with any value of them. */
 std::string
 specKey(const SimSpec &s)
 {
+    const runner::JobSpec &j = s.job;
     std::string key =
         s.policy + "|" + s.pair + "|" +
         std::to_string(s.clusters) + "x" + std::to_string(s.cores) +
-        "|" + s.batch + "|" + std::to_string(s.maxCycles) + "|" +
-        std::to_string(s.watchdogCycles) + "|" + s.faultPlan + "|" +
-        std::to_string(s.faultSeed) + "|" +
-        std::to_string(s.snapshotEvery) + "|" +
-        (s.fastForward ? "ff" : "tick");
+        "|" + s.batch + "|" + std::to_string(j.maxCycles) + "|" +
+        std::to_string(j.watchdogCycles) + "|" + j.faultPlan + "|" +
+        std::to_string(j.faultSeed) + "|" +
+        std::to_string(j.snapshotEvery) + "|" +
+        (j.fastForward ? "ff" : "tick");
     // Traffic sessions extend the key (batch requests keep their
     // historical keys): a pooled batch instance never serves a traffic
     // request or vice versa.
-    if (!s.traffic.empty()) {
+    const traffic::TrafficConfig &t = j.traffic;
+    if (t.enabled()) {
         char rate[32];
-        std::snprintf(rate, sizeof rate, "%.6g", s.trafficRate);
-        key += "|tr:" + s.traffic + "|" + std::to_string(s.tenants) +
-               "|" + std::to_string(s.arrivalSeed) + "|" +
-               std::to_string(s.trafficJobs) + "|" + rate + "|" +
-               std::to_string(s.sloCycles) + "|" + s.scheduler + "|" +
-               s.admission + "|" + std::to_string(s.admissionCap);
+        std::snprintf(rate, sizeof rate, "%.6g", t.meanGapCycles);
+        key += "|tr:" + t.process + "|" + std::to_string(t.tenants) +
+               "|" + std::to_string(t.seed) + "|" +
+               std::to_string(t.jobsPerTenant) + "|" + rate + "|" +
+               std::to_string(t.sloCycles) + "|" + t.scheduler + "|" +
+               t.admission + "|" + std::to_string(t.admissionCap);
     }
     return key;
 }
@@ -444,113 +412,65 @@ specKey(const Kv &m)
     return specKey(parseSpec(m));
 }
 
+/** One booted simulation the daemon holds: a pooled instance or the
+ *  stepped session. */
+struct SimEntry
+{
+    SimEntry(const SimSpec &s, const runner::JobSpec &spec)
+        : key(specKey(s)), label(spec.label), job(spec)
+    {
+    }
+
+    std::string key;            ///< Pool identity (see specKey()).
+    std::string label;
+    runner::Job job;
+};
+
 /** Build a SimEntry from request params; boots unless told not to
- *  (restore boots through System::restoreCheckpoint instead). Throws
- *  std::runtime_error on bad params. */
+ *  (restore boots through Job::boot(&checkpoint) instead). The request
+ *  resolves into a JobSpec here; runner::Job sets it up exactly as a
+ *  runner job. Throws on bad params. */
 std::unique_ptr<SimEntry>
 makeEntry(const Kv &m, bool boot)
 {
     const SimSpec s = parseSpec(m);
-    auto e = std::make_unique<SimEntry>();
-    e->key = specKey(s);
-
+    runner::JobSpec spec = s.job;
     const policy::SharingModel *model = policy::modelByName(s.policy);
     if (!model)
         throw std::runtime_error("unknown policy: " + s.policy +
                                  " (see hello's policy list)");
-    e->cfg = s.clusters == 1
-                 ? MachineConfig::forPolicy(model->id(), s.cores)
-                 : MachineConfig::Builder(model->id())
-                       .topology(s.clusters, s.cores)
-                       .build();
-
-    e->sys = std::make_unique<System>(e->cfg);
-    if (!s.traffic.empty()) {
+    spec.cfg = MachineConfig::Builder(model->id())
+                   .topology(s.clusters, s.cores)
+                   .build();
+    if (spec.traffic.enabled()) {
         // Traffic session: the workload is a generated multi-tenant
         // arrival stream; the pair/batch keys are ignored.
-        traffic::TrafficConfig tc;
-        tc.process = s.traffic;
-        tc.tenants = s.tenants;
-        tc.seed = s.arrivalSeed;
-        tc.jobsPerTenant = s.trafficJobs;
-        tc.meanGapCycles = s.trafficRate;
-        tc.sloCycles = s.sloCycles;
-        tc.scheduler = s.scheduler;
-        tc.admission = s.admission;
-        tc.admissionCap = s.admissionCap;
-        const traffic::Dispatcher *disp =
-            traffic::dispatcherByName(tc.scheduler);
-        if (!disp)
+        if (!traffic::dispatcherByName(spec.traffic.scheduler))
             throw std::runtime_error("unknown scheduler: " +
-                                     tc.scheduler);
-        if (!traffic::processByName(tc.process))
-            throw std::runtime_error("unknown traffic process: " +
-                                     tc.process);
-        for (const traffic::Arrival &a : traffic::generate(tc))
-            e->sys->enqueueArrival(a);
-        e->sys->setDispatcher(disp);
-        if (tc.admissionEnabled()) {
-            const traffic::AdmissionPolicy *adm =
-                traffic::admissionByName(tc.admission);
-            if (!adm)
-                throw std::runtime_error("unknown admission policy: " +
-                                         tc.admission);
-            e->sys->setAdmission(
-                adm, tc.admissionCap,
-                static_cast<Cycle>(tc.meanGapCycles));
-            e->hasAdmission = true;
-        }
-        e->hasTraffic = true;
-        e->label = s.traffic + "/" + model->key() + "/" + tc.scheduler;
+                                     spec.traffic.scheduler);
+        spec.label = spec.traffic.process + "/" + model->key() + "/" +
+                     spec.traffic.scheduler;
     } else {
-        const auto plus = s.pair.find('+');
-        if (plus == std::string::npos)
-            throw std::runtime_error("bad pair (want e.g. \"6+16\"): " +
-                                     s.pair);
-        const workloads::Workload w0 =
-            cliopts::lookupWorkload(s.pair.substr(0, plus));
-        const workloads::Workload w1 =
-            cliopts::lookupWorkload(s.pair.substr(plus + 1));
-        e->sys->setWorkload(0, w0.name, w0.loops);
-        if (e->cfg.numCores > 1)
-            e->sys->setWorkload(1, w1.name, w1.loops);
+        const auto [w0, w1] = cliopts::lookupPair(s.pair);
+        spec.workloads.emplace_back(w0.name, w0.loops);
+        if (spec.cfg.numCores > 1)
+            spec.workloads.emplace_back(w1.name, w1.loops);
         for (const std::string &token : cliopts::splitCommas(s.batch)) {
             const workloads::Workload w = cliopts::lookupWorkload(token);
-            e->sys->enqueueWorkload(w.name, w.loops);
+            spec.batch.emplace_back(w.name, w.loops);
         }
-        e->label = s.pair + "/" + model->key();
+        spec.label = s.pair + "/" + model->key();
     }
-
-    e->opt.maxCycles = s.maxCycles;
-    e->opt.snapshotEvery = s.snapshotEvery;
-    e->opt.fastForward = s.fastForward;
-    e->opt.watchdogCycles = s.watchdogCycles;
-    e->opt.checkpointOut = s.checkpointOut;
-    e->opt.checkpointEvery = s.checkpointEvery;
-    // Not part of specKey: thread count never changes results, so a
-    // pooled instance may serve requests with any sim-threads value.
-    e->opt.simThreads = s.simThreads;
-    e->opt.ffStats = &e->ff;
-
     // Engine events always on: SystemBoot is the warm-pool proof and
     // CheckpointSave/Restore narrate the session. "trace_events" adds
     // simulated-hardware categories on top.
-    obs::EventMask mask = obs::kEvEngine;
+    spec.traceEvents = obs::kEvEngine;
     if (!s.traceEvents.empty())
-        mask |= obs::parseEventMask(s.traceEvents);
-    e->sink = std::make_unique<obs::RingSink>(
-        static_cast<std::size_t>(s.traceCapacity), mask);
-    e->opt.sink = e->sink.get();
+        spec.traceEvents |= obs::parseEventMask(s.traceEvents);
 
-    if (!s.faultPlan.empty())
-        e->plan = fault::FaultPlan::parse(s.faultPlan);
-    else if (s.faultSeed)
-        e->plan = fault::FaultPlan::random(s.faultSeed, e->cfg);
-    if (!e->plan.empty())
-        e->opt.faultPlan = &e->plan;
-
+    auto e = std::make_unique<SimEntry>(s, spec);
     if (boot)
-        e->sys->boot(e->opt);
+        e->job.boot();
     return e;
 }
 
@@ -624,7 +544,8 @@ kvToJsonLine(const Kv &m)
 void
 autoCheckpoint(Daemon &d)
 {
-    if (!d.session || !d.session->sys->booted() || d.ckptDir.empty())
+    if (!d.session || !d.session->job.sys().booted() ||
+        d.ckptDir.empty())
         return;
     const std::string base = "auto-" + std::to_string(d.ckptSeq++);
     const std::string ckpt = d.ckptDir + "/" + base + ".ckpt";
@@ -634,7 +555,7 @@ autoCheckpoint(Daemon &d)
         if (!os)
             throw std::runtime_error("auto-checkpoint: cannot open " +
                                      ckpt);
-        d.session->sys->saveCheckpoint(os);
+        d.session->job.sys().saveCheckpoint(os);
     }
     {
         std::ofstream os(meta, std::ios::trunc);
@@ -659,7 +580,7 @@ autoCheckpoint(Daemon &d)
     r.boolean("ok", true)
         .str("event", "auto_checkpoint")
         .str("file", ckpt)
-        .num("cycle", d.session->sys->now())
+        .num("cycle", d.session->job.sys().now())
         .num("after_requests", d.handled);
     r.send();
 }
@@ -699,7 +620,7 @@ recoverSession(Daemon &d, const std::string &dir)
         std::ifstream is(ckpt, std::ios::binary);
         if (!is)
             throw std::runtime_error("cannot open " + ckpt);
-        e->sys->restoreCheckpoint(is, e->opt);
+        e->job.boot(&is);
         d.session = std::move(e);
         d.sessionSpec = spec;
         Reply r{Kv{}};
@@ -707,7 +628,7 @@ recoverSession(Daemon &d, const std::string &dir)
             .str("event", "recovered")
             .str("file", ckpt)
             .str("label", d.session->label)
-            .num("cycle", d.session->sys->now())
+            .num("cycle", d.session->job.sys().now())
             // The honest loss statement: state up to this cycle is
             // back; every request handled after the checkpoint was
             // written is gone and must be replayed by the client.
@@ -750,7 +671,7 @@ cmdPool(Daemon &d, const Kv &req)
         auto e = makeEntry(req, /*boot=*/true);
         // Drain boot-time events now: anything the sink catches later
         // happened on a request path.
-        const obs::TraceBuffer tb = e->sink->take();
+        const obs::TraceBuffer tb = e->job.sink()->take();
         if (countBootEvents(tb) != 1)
             throw std::runtime_error("pool boot produced no SystemBoot "
                                      "event (engine tracing broken?)");
@@ -791,7 +712,7 @@ streamToCompletion(SimEntry &e, const Kv &req, const RequestArgs &args)
     const Cycle chunk = std::max<Cycle>(args.progressEvery, 1);
     const std::uint64_t deadline_ms = args.deadlineMs;
     const auto t0 = std::chrono::steady_clock::now();
-    while (!e.sys->advance(e.sys->now() + chunk)) {
+    while (!e.job.sys().advance(e.job.sys().now() + chunk)) {
         if (deadline_ms) {
             const double elapsed =
                 std::chrono::duration<double, std::milli>(
@@ -804,7 +725,7 @@ streamToCompletion(SimEntry &e, const Kv &req, const RequestArgs &args)
         p.boolean("ok", true)
             .str("event", "progress")
             .str("label", e.label)
-            .num("cycle", e.sys->now());
+            .num("cycle", e.job.sys().now());
         p.send();
     }
     return true;
@@ -814,7 +735,7 @@ void
 sendRunSummary(const Kv &req, SimEntry &e, const RunResult &res,
                bool pool_hit, const char *event)
 {
-    const obs::TraceBuffer tb = e.sink->take();
+    const obs::TraceBuffer tb = e.job.sink()->take();
     Reply r(req);
     r.boolean("ok", true)
         .str("event", event)
@@ -831,12 +752,12 @@ sendRunSummary(const Kv &req, SimEntry &e, const RunResult &res,
         .num("watchdog_trips", res.watchdogTrips)
         .num("lane_faults", res.laneFaults)
         .boolean("timed_out", res.timedOut)
-        .num("cycles_ticked", e.ff.cyclesTicked)
-        .num("cycles_simulated", e.ff.cyclesSimulated)
+        .num("cycles_ticked", e.job.ff().cyclesTicked)
+        .num("cycles_simulated", e.job.ff().cyclesSimulated)
         .num("events", tb.events.size());
-    if (e.hasTraffic)
+    if (e.job.hasTraffic())
         r.num("traffic_jobs", res.trafficJobs.size());
-    if (e.hasAdmission)
+    if (e.job.hasAdmission())
         r.num("jobs_shed", res.jobsShed)
             .num("job_deferrals", res.jobDeferrals)
             .num("overload_enters", res.overloadEnters);
@@ -850,8 +771,8 @@ cmdRun(Daemon &d, const Kv &req)
     // admission controller reports overload, new run requests (which
     // would boot and execute a whole extra simulation inline) are
     // refused with a back-off hint instead of queued behind the storm.
-    if (d.session && d.session->sys->booted() &&
-        d.session->sys->overloaded()) {
+    if (d.session && d.session->job.sys().booted() &&
+        d.session->job.sys().overloaded()) {
         sendError(req,
                   "daemon overloaded (live traffic session is "
                   "shedding); retry later",
@@ -865,35 +786,20 @@ cmdRun(Daemon &d, const Kv &req)
         // Deadline tripped mid-run: the one-shot run is abandoned.
         sendError(req,
                   "deadline_ms exceeded at cycle " +
-                      std::to_string(e->sys->now()) +
+                      std::to_string(e->job.sys().now()) +
                       " before completion",
                   "busy", static_cast<std::int64_t>(args.deadlineMs));
         return;
     }
-    const RunResult res = e->sys->finalize();
+    const RunResult res = e->job.sys().finalize();
     sendRunSummary(req, *e, res, pool_hit, "done");
 }
 
 void
 cmdSweep(Daemon &, const Kv &req)
 {
-    const std::string pair_spec = getStr(req, "pairs", "spec");
-    std::vector<workloads::Pair> pairs;
-    if (pair_spec == "all")
-        pairs = workloads::allPairs();
-    else if (pair_spec == "spec")
-        pairs = workloads::specPairs();
-    else if (pair_spec == "opencv")
-        pairs = workloads::opencvPairs();
-    else {
-        const auto all = workloads::allPairs();
-        for (const std::string &token : cliopts::splitCommas(pair_spec))
-            for (const auto &p : all)
-                if (p.label == token)
-                    pairs.push_back(p);
-    }
-    if (pairs.empty())
-        throw std::runtime_error("no pairs match: " + pair_spec);
+    const std::vector<workloads::Pair> pairs =
+        runner::selectPairs(getStr(req, "pairs", "spec"));
 
     std::vector<SharingPolicy> policies;
     const std::string pol = getStr(req, "policy", "all");
@@ -906,14 +812,13 @@ cmdSweep(Daemon &, const Kv &req)
         throw std::runtime_error("unknown policy: " + pol);
     }
 
-    const SimSpec s = parseSpec(req);
-    auto jobs = runner::pairSweepJobs(pairs, policies, s.maxCycles);
-    for (auto &spec : jobs) {
-        spec.fastForward = s.fastForward;
-        spec.watchdogCycles = s.watchdogCycles;
-        spec.faultPlan = s.faultPlan;
-        spec.faultSeed = s.faultSeed;
-    }
+    // Every job is a copy of the request's JobSpec. Its machine shape
+    // is the flat 2-core default, as it always was for sweeps; jobs
+    // cannot share one checkpoint file, so checkpoint_out stays a
+    // session key.
+    runner::JobSpec tmpl = parseSpec(req).job;
+    tmpl.checkpointOut.clear();
+    auto jobs = runner::pairSweepJobs(tmpl, pairs, policies);
 
     runner::RunnerOptions ropt;
     ropt.numThreads = parseArgs(req).jobs;
@@ -960,21 +865,21 @@ cmdLoad(Daemon &d, const Kv &req)
     d.session = acquire(d, req, pool_hit);
     d.sessionSpec = req;
     d.sessionSpec.erase("id");
-    const obs::TraceBuffer tb = d.session->sink->take();
+    const obs::TraceBuffer tb = d.session->job.sink()->take();
     Reply r(req);
     r.boolean("ok", true)
         .str("event", "loaded")
         .str("label", d.session->label)
         .boolean("pool_hit", pool_hit)
         .num("boot_events_on_request_path", countBootEvents(tb))
-        .num("cycle", d.session->sys->now());
+        .num("cycle", d.session->job.sys().now());
     r.send();
 }
 
 SimEntry &
 needSession(Daemon &d)
 {
-    if (!d.session || !d.session->sys->booted())
+    if (!d.session || !d.session->job.sys().booted())
         throw std::runtime_error("no live session (use load or restore "
                                  "first)");
     return *d.session;
@@ -985,16 +890,16 @@ cmdStep(Daemon &d, const Kv &req)
 {
     const Cycle cycles = parseArgs(req).cycles;
     SimEntry &e = needSession(d);
-    const bool finished = e.sys->advance(e.sys->now() + cycles);
+    const bool finished = e.job.sys().advance(e.job.sys().now() + cycles);
     Reply r(req);
     r.boolean("ok", true)
         .str("event", "stepped")
-        .num("cycle", e.sys->now())
+        .num("cycle", e.job.sys().now())
         .boolean("finished", finished);
     // Live overload telemetry for traffic sessions, so a client can
     // throttle itself before its requests start bouncing with "busy".
-    if (e.hasAdmission)
-        r.boolean("overloaded", e.sys->overloaded());
+    if (e.job.hasAdmission())
+        r.boolean("overloaded", e.job.sys().overloaded());
     r.send();
 }
 
@@ -1008,12 +913,12 @@ cmdFinalize(Daemon &d, const Kv &req)
         // again (possibly with a larger deadline).
         sendError(req,
                   "deadline_ms exceeded at cycle " +
-                      std::to_string(e.sys->now()) +
+                      std::to_string(e.job.sys().now()) +
                       "; session kept, retry finalize",
                   "busy", static_cast<std::int64_t>(args.deadlineMs));
         return;
     }
-    const RunResult res = e.sys->finalize();
+    const RunResult res = e.job.sys().finalize();
     sendRunSummary(req, e, res, false, "finalized");
     d.session.reset();
 }
@@ -1027,8 +932,8 @@ cmdInspect(Daemon &d, const Kv &req)
     r.boolean("ok", true)
         .str("event", "inspect")
         .str("path", path)
-        .num("cycle", e.sys->now())
-        .str("state", e.sys->inspect(path));
+        .num("cycle", e.job.sys().now())
+        .str("state", e.job.sys().inspect(path));
     r.send();
 }
 
@@ -1037,7 +942,7 @@ cmdPaths(Daemon &d, const Kv &req)
 {
     SimEntry &e = needSession(d);
     std::string joined;
-    for (const std::string &p : e.sys->componentPaths()) {
+    for (const std::string &p : e.job.sys().componentPaths()) {
         if (!joined.empty())
             joined += ",";
         joined += p;
@@ -1057,14 +962,14 @@ cmdCheckpoint(Daemon &d, const Kv &req)
     std::ofstream os(file, std::ios::binary | std::ios::trunc);
     if (!os)
         throw std::runtime_error("cannot open " + file);
-    e.sys->saveCheckpoint(os);
+    e.job.sys().saveCheckpoint(os);
     const std::uint64_t bytes = static_cast<std::uint64_t>(os.tellp());
     os.close();
     Reply r(req);
     r.boolean("ok", true)
         .str("event", "checkpointed")
         .str("file", file)
-        .num("cycle", e.sys->now())
+        .num("cycle", e.job.sys().now())
         .num("bytes", bytes);
     r.send();
 }
@@ -1079,7 +984,7 @@ cmdRestore(Daemon &d, const Kv &req)
     if (!is)
         throw std::runtime_error("cannot open " + file);
     auto e = makeEntry(req, /*boot=*/false);
-    e->sys->restoreCheckpoint(is, e->opt);
+    e->job.boot(&is);
     d.session = std::move(e);
     d.sessionSpec = req;
     d.sessionSpec.erase("id");
@@ -1088,7 +993,7 @@ cmdRestore(Daemon &d, const Kv &req)
         .str("event", "restored")
         .str("file", file)
         .str("label", d.session->label)
-        .num("cycle", d.session->sys->now());
+        .num("cycle", d.session->job.sys().now());
     r.send();
 }
 

@@ -20,7 +20,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -43,13 +42,14 @@ namespace
 
 struct Options
 {
+    /** Every job is a copy of this; the run flags write into it. */
+    runner::JobSpec tmpl;
     std::vector<SharingPolicy> policies{SharingPolicy::Elastic};
     unsigned clusters = 1;
     unsigned cores = 2;         // per cluster; total on a flat machine
     std::string pair = "6+16";
     bool opencv = false;
     std::vector<std::string> batch;
-    Cycle maxCycles = 40'000'000;
     unsigned jobs = 0;          // runner threads; 0 = runner default
     std::string jsonOut;
     bool timeline = false;
@@ -58,16 +58,7 @@ struct Options
     std::string csvPrefix;
     std::string traceOut;
     std::string traceEvents = "all";
-    Cycle snapshotEvery = 0;
-    bool fastForward = true;
     bool strictTimeout = false;
-    std::string faultPlan;
-    std::uint64_t faultSeed = 0;
-    Cycle watchdogCycles = 0;
-    std::string checkpointOut;
-    Cycle checkpointEvery = 0;
-    std::string restoreFrom;
-    unsigned simThreads = 1;
 };
 
 /** The whole flag surface, declared once. */
@@ -117,7 +108,7 @@ optionTable(Options &opt)
                     opt.batch = cliopts::splitCommas(v);
                     return true;
                 })
-        .value("max-cycles", &opt.maxCycles, "N",
+        .value("max-cycles", &opt.tmpl.maxCycles, "N",
                "simulation cap (default 4e7)")
         .value("jobs", &opt.jobs, "N",
                "run --policy all fan-out on N threads", 1)
@@ -137,37 +128,37 @@ optionTable(Options &opt)
                "categories to trace: comma list of phase,pipeline,\n"
                "partition,reconfig,mem,sched,cluster or 'all'\n"
                "(default all; needs --trace-out)")
-        .value("snapshot-every", &opt.snapshotEvery, "N",
+        .value("snapshot-every", &opt.tmpl.snapshotEvery, "N",
                "metric snapshot each N cycles, rendered as counter\n"
                "tracks in the Chrome trace")
-        .onOff("fast-forward", &opt.fastForward,
+        .onOff("fast-forward", &opt.tmpl.fastForward,
                "skip quiescent cycle spans (default on; results are\n"
                "identical either way)")
         .flag("strict-timeout", &opt.strictTimeout,
               "exit 3 (with a stderr note) if any run hit the\n"
               "--max-cycles cap")
-        .value("fault-plan", &opt.faultPlan, "S",
+        .value("fault-plan", &opt.tmpl.faultPlan, "S",
                "deterministic fault plan, entries ';'-joined:\n"
                "lane@CYC:bu=N | vldeny@CYC+DUR:core=N |\n"
                "dram@CYC+DUR:lat=N,bw=N |\n"
                "cfgdelay@CYC+DUR:core=N,cycles=N")
-        .value("fault-seed", &opt.faultSeed, "N",
+        .value("fault-seed", &opt.tmpl.faultSeed, "N",
                "seeded random fault plan (ignored when --fault-plan\n"
                "is given); same seed, same plan")
-        .value("watchdog-cycles", &opt.watchdogCycles, "N",
+        .value("watchdog-cycles", &opt.tmpl.watchdogCycles, "N",
                "escalate a <VL> retry spin older than N cycles to\n"
                "the scalar fallback (default off)")
-        .value("checkpoint-out", &opt.checkpointOut, "F",
+        .value("checkpoint-out", &opt.tmpl.checkpointOut, "F",
                "checkpoint file; written every --checkpoint-every\n"
                "cycles (single-policy runs only; both flags required)")
-        .value("checkpoint-every", &opt.checkpointEvery, "N",
+        .value("checkpoint-every", &opt.tmpl.checkpointEvery, "N",
                "overwrite --checkpoint-out every N cycles (the file\n"
                "holds the latest snapshot)")
-        .value("restore", &opt.restoreFrom, "F",
+        .value("restore", &opt.tmpl.restoreFrom, "F",
                "resume from checkpoint F instead of cycle 0;\n"
                "config/workloads/options must match the run that\n"
                "wrote it (single-policy runs only)")
-        .value("sim-threads", &opt.simThreads, "N",
+        .value("sim-threads", &opt.tmpl.simThreads, "N",
                "tick clustered machines with N worker threads between\n"
                "deterministic horizons; results are byte-identical\n"
                "for any N (default 1 = serial)");
@@ -177,25 +168,13 @@ optionTable(Options &opt)
     return cli;
 }
 
-/** Machine for one policy under the selected topology: the flat path
- *  keeps the forPolicy presets byte-for-byte. */
-MachineConfig
-makeConfig(SharingPolicy policy, const Options &opt)
-{
-    if (opt.clusters == 1)
-        return MachineConfig::forPolicy(policy, opt.cores);
-    return MachineConfig::Builder(policy)
-        .topology(opt.clusters, opt.cores)
-        .build();
-}
-
 void
 printRun(SharingPolicy policy, const RunResult &r, const Options &opt)
 {
     std::printf("\n=== %s ===\n", policyName(policy));
     if (r.timedOut)
         std::printf("  (hit the %llu-cycle cap)\n",
-                    static_cast<unsigned long long>(opt.maxCycles));
+                    static_cast<unsigned long long>(opt.tmpl.maxCycles));
     for (std::size_t c = 0; c < r.cores.size(); ++c) {
         const auto &core = r.cores[c];
         std::printf("core%zu %-10s finish=%llu cycles, %llu SIMD "
@@ -279,68 +258,40 @@ main(int argc, char **argv)
     }
 
     // Checkpoint files name one run's state, so tie them to one policy.
-    if ((!opt.checkpointOut.empty() || !opt.restoreFrom.empty()) &&
+    runner::JobSpec &tmpl = opt.tmpl;
+    if ((!tmpl.checkpointOut.empty() || !tmpl.restoreFrom.empty()) &&
         opt.policies.size() != 1) {
         std::fprintf(stderr, "--checkpoint-out/--restore need a single "
                              "--policy (not 'all')\n");
         return 2;
     }
-
-    // Resolve the pair ids (e.g. "6+16").
-    const auto plus = opt.pair.find('+');
-    if (plus == std::string::npos) {
-        std::fprintf(stderr, "bad --pair %s (want e.g. 6+16)\n",
-                     opt.pair.c_str());
-        return 2;
-    }
-    const unsigned a =
-        static_cast<unsigned>(std::atoi(opt.pair.substr(0, plus).c_str()));
-    const unsigned b =
-        static_cast<unsigned>(std::atoi(opt.pair.substr(plus + 1).c_str()));
+    if (!opt.traceOut.empty())
+        tmpl.traceEvents = obs::parseEventMask(opt.traceEvents);
 
     // Resolve workloads and the machine up front so catalog mistakes
     // and infeasible topologies stay usage errors, then fan one job
-    // per policy out through the runner (--policy all used to run the
-    // four architectures serially).
+    // per policy out through the runner.
     std::vector<runner::JobSpec> jobs;
     try {
+        const auto [w0, w1] = cliopts::lookupPair(opt.pair, opt.opencv);
+        if (opt.batch.empty()) {
+            tmpl.workloads.emplace_back(w0.name, w0.loops);
+            if (opt.clusters * opt.cores > 1)
+                tmpl.workloads.emplace_back(w1.name, w1.loops);
+        }
+        for (const auto &token : opt.batch) {
+            const workloads::Workload w = cliopts::lookupWorkload(token);
+            tmpl.batch.emplace_back(w.name, w.loops);
+        }
         for (SharingPolicy policy : opt.policies) {
-            runner::JobSpec spec;
-            spec.id = jobs.size();
+            runner::JobSpec &spec = jobs.emplace_back(tmpl);
+            spec.id = jobs.size() - 1;
             spec.label = opt.batch.empty()
                              ? opt.pair + "/" + policyName(policy)
                              : "batch/" + std::string(policyName(policy));
-            spec.cfg = makeConfig(policy, opt);
-            spec.maxCycles = opt.maxCycles;
-            spec.fastForward = opt.fastForward;
-            spec.faultPlan = opt.faultPlan;
-            spec.faultSeed = opt.faultSeed;
-            spec.watchdogCycles = opt.watchdogCycles;
-            spec.checkpointOut = opt.checkpointOut;
-            spec.checkpointEvery = opt.checkpointEvery;
-            spec.restoreFrom = opt.restoreFrom;
-            spec.simThreads = opt.simThreads;
-            if (!opt.traceOut.empty())
-                spec.traceEvents = obs::parseEventMask(opt.traceEvents);
-            spec.snapshotEvery = opt.snapshotEvery;
-            if (opt.batch.empty()) {
-                const workloads::Workload w0 =
-                    opt.opencv ? workloads::opencvWorkload(a)
-                               : workloads::specWorkload(a);
-                const workloads::Workload w1 =
-                    opt.opencv ? workloads::opencvWorkload(b)
-                               : workloads::specWorkload(b);
-                spec.workloads.emplace_back(w0.name, w0.loops);
-                if (spec.cfg.numCores > 1)
-                    spec.workloads.emplace_back(w1.name, w1.loops);
-            } else {
-                for (const auto &token : opt.batch) {
-                    const workloads::Workload w =
-                        cliopts::lookupWorkload(token);
-                    spec.batch.emplace_back(w.name, w.loops);
-                }
-            }
-            jobs.push_back(std::move(spec));
+            spec.cfg = MachineConfig::Builder(policy)
+                           .topology(opt.clusters, opt.cores)
+                           .build();
         }
     } catch (const std::exception &e) {
         std::fprintf(stderr,
@@ -361,7 +312,7 @@ main(int argc, char **argv)
                          j.error.c_str());
         printRun(opt.policies[i], j.result, opt);
         // Keep the machine-readable --json stdout stream clean.
-        if (opt.fastForward && !opt.json && j.ff.cyclesTicked)
+        if (tmpl.fastForward && !opt.json && j.ff.cyclesTicked)
             std::printf("engine: ticked %llu of %llu cycles "
                         "(%.1fx fast-forward, %llu spans)\n",
                         static_cast<unsigned long long>(j.ff.cyclesTicked),
@@ -414,7 +365,7 @@ main(int argc, char **argv)
                          "%zu run(s) hit the %llu-cycle cap "
                          "(--strict-timeout)\n",
                          timed_out,
-                         static_cast<unsigned long long>(opt.maxCycles));
+                         static_cast<unsigned long long>(tmpl.maxCycles));
             return 3;
         }
     }
