@@ -12,18 +12,6 @@ namespace occamy::cliopts
 namespace
 {
 
-/** Canonical key form: underscores read as dashes so NDJSON keys
- *  ("max_cycles") and flags ("max-cycles") name the same option. */
-std::string
-canonical(const std::string &key)
-{
-    std::string out = key;
-    for (char &c : out)
-        if (c == '_')
-            c = '-';
-    return out;
-}
-
 bool
 parseBool(const std::string &v, bool &out)
 {
@@ -243,7 +231,7 @@ OptionSet::resolveAlias(const std::string &name) const
 const OptionSet::Option *
 OptionSet::find(const std::string &name) const
 {
-    const std::string target = resolveAlias(canonical(name));
+    const std::string target = resolveAlias(canonicalKey(name));
     for (const Option &o : options_)
         if (o.name == target)
             return &o;
@@ -399,6 +387,16 @@ flatCores(unsigned &clusters, unsigned &cores)
         cores = static_cast<unsigned>(n);
         return true;
     };
+}
+
+std::string
+canonicalKey(const std::string &key)
+{
+    std::string out = key;
+    for (char &c : out)
+        if (c == '_')
+            c = '-';
+    return out;
 }
 
 std::vector<std::string>

@@ -156,6 +156,10 @@ bool parseTopology(const std::string &spec, unsigned &clusters,
 std::function<bool(const std::string &, std::string &)>
 flatCores(unsigned &clusters, unsigned &cores);
 
+/** The canonical spelling of an option key: '_' reads as '-', so the
+ *  NDJSON key "max_cycles" and the flag --max-cycles name one option. */
+std::string canonicalKey(const std::string &key);
+
 /** The non-empty items of a comma-separated list. */
 std::vector<std::string> splitCommas(const std::string &s);
 

@@ -35,6 +35,16 @@ SweepResult::failed() const
     return n;
 }
 
+std::size_t
+SweepResult::timedOut() const
+{
+    std::size_t n = 0;
+    for (const auto &j : jobs)
+        if (j.result.timedOut)
+            ++n;
+    return n;
+}
+
 unsigned
 defaultJobs()
 {

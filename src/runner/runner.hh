@@ -67,10 +67,6 @@ struct JobSpec
     /** Timeline bucket size in cycles (System::run's bucket). */
     unsigned bucket = 1000;
 
-    /** Reserved for stochastic workloads/configs. The simulator is
-     *  fully deterministic today, so the seed only tags the result. */
-    std::uint64_t seed = 0;
-
     /** Event categories to trace (obs::parseEventMask). When nonzero,
      *  the job gets a private RingSink built on its worker thread and
      *  the captured TraceBuffer comes back in JobResult::trace — the
@@ -261,6 +257,8 @@ struct SweepResult
     std::vector<JobResult> jobs;
 
     std::size_t failed() const;
+    /** Jobs that hit their cycle cap (RunResult::timedOut). */
+    std::size_t timedOut() const;
     bool allOk() const { return failed() == 0; }
 };
 

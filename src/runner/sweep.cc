@@ -14,6 +14,89 @@
 namespace occamy::runner
 {
 
+MachineConfig
+RunKeys::machine(SharingPolicy policy) const
+{
+    return MachineConfig::Builder(policy).topology(clusters, cores).build();
+}
+
+cliopts::OptionSet &
+addRunKeys(cliopts::OptionSet &set, RunKeys &keys, unsigned which)
+{
+    JobSpec &t = keys.tmpl;
+    set.custom("topology", "CxK",
+               "C co-processor clusters of K cores each (default\n"
+               "1x2); clustered machines add the inter-cluster\n"
+               "bandwidth arbiter and work migration",
+               [&keys](const std::string &v, std::string &err) {
+                   return cliopts::parseTopology(v, keys.clusters,
+                                                 keys.cores, err);
+               })
+        .custom("cores", "N",
+                "number of scalar cores (default 2); shorthand for\n"
+                "--topology 1xN",
+                cliopts::flatCores(keys.clusters, keys.cores))
+        .value("max-cycles", &t.maxCycles, "N",
+               "simulation cap per run (default 40000000)")
+        .value("trace-events", &keys.traceEvents, "L",
+               "categories to trace: comma list of phase,pipeline,\n"
+               "partition,reconfig,mem,sched,cluster or 'all'")
+        .value("snapshot-every", &t.snapshotEvery, "N",
+               "metric snapshot each N cycles, rendered as counter\n"
+               "tracks in the Chrome trace")
+        .onOff("fast-forward", &t.fastForward,
+               "skip quiescent cycle spans (default on; results are\n"
+               "identical either way)")
+        .value("fault-plan", &t.faultPlan, "S",
+               "deterministic fault plan, entries ';'-joined:\n"
+               "lane@CYC:bu=N | vldeny@CYC+DUR:core=N |\n"
+               "dram@CYC+DUR:lat=N,bw=N |\n"
+               "cfgdelay@CYC+DUR:core=N,cycles=N")
+        .value("fault-seed", &t.faultSeed, "N",
+               "seeded random fault plan (ignored when --fault-plan\n"
+               "is given); same seed, same plan")
+        .value("watchdog-cycles", &t.watchdogCycles, "N",
+               "escalate a <VL> retry spin older than N cycles to\n"
+               "the scalar fallback (default off)")
+        .value("checkpoint-every", &t.checkpointEvery, "N",
+               "checkpoint period in cycles; each save overwrites\n"
+               "the run's --checkpoint-out (both are needed)")
+        .value("sim-threads", &t.simThreads, "N",
+               "tick clustered machines with N worker threads between\n"
+               "deterministic horizons; results are byte-identical\n"
+               "for any N (default 1 = serial)");
+    if (which & kRestoreKey)
+        set.value("restore", &t.restoreFrom, "F",
+                  "resume from checkpoint F instead of cycle 0; the\n"
+                  "run (one policy, one job) must match the run that\n"
+                  "wrote it in config, workloads and options");
+    if (which & kTrafficKeys) {
+        traffic::TrafficConfig &tc = t.traffic;
+        set.value("traffic", &tc.process, "PROC",
+                  "multi-tenant traffic: stochastic arrivals from\n"
+                  "process PROC (poisson|bursty|diurnal|closed) in\n"
+                  "place of the workload pairs")
+            .value("tenants", &tc.tenants, "N",
+                   "tenant streams (default 2)", 1)
+            .value("arrival-seed", &tc.seed, "N",
+                   "deterministic arrival-stream seed (default 1; same\n"
+                   "seed = byte-identical stream)")
+            .value("traffic-rate", &tc.meanGapCycles, "G",
+                   "mean inter-arrival gap per tenant, cycles (default\n"
+                   "200000)", true)
+            .value("traffic-jobs", &tc.jobsPerTenant, "N",
+                   "jobs generated per tenant (default 4)", 1)
+            .value("admission", &tc.admission, "A",
+                   "admission policy for traffic mode (none|static-cap|\n"
+                   "token-bucket|slo-aware); 'none' (default) keeps every\n"
+                   "export byte-identical to admission-less builds")
+            .value("admission-cap", &tc.admissionCap, "N",
+                   "per-tenant in-flight cap / token-bucket size\n"
+                   "(default 4)", 1);
+    }
+    return set;
+}
+
 std::vector<workloads::Pair>
 selectPairs(const std::string &spec)
 {
@@ -217,12 +300,8 @@ sweepToJson(const SweepResult &sweep)
             os << ",\"traffic\":" << trafficToJson(j);
         os << ",\"result\":" << trace::toJson(j.result) << "}";
     }
-    std::size_t timed_out = 0;
-    for (const auto &j : sweep.jobs)
-        if (j.result.timedOut)
-            ++timed_out;
     os << "],\"failed\":" << sweep.failed()
-       << ",\"timed_out\":" << timed_out << "}";
+       << ",\"timed_out\":" << sweep.timedOut() << "}";
     return os.str();
 }
 

@@ -1,10 +1,11 @@
 /**
  * @file
- * Sweep construction and export on top of the runner: build job lists
- * from the workload suite's co-running pairs crossed with sharing
- * policies, and render a completed SweepResult as aggregated JSON or a
- * summary CSV (both deterministic: ordered by job id, no wall-clock
- * fields), reusing the per-run exporters in sim/trace.
+ * Sweep construction and export on top of the runner: the one table of
+ * run keys every front end registers, job lists built from the
+ * workload suite's co-running pairs crossed with sharing policies, and
+ * a completed SweepResult rendered as aggregated JSON or a summary CSV
+ * (both deterministic: ordered by job id, no wall-clock fields),
+ * reusing the per-run exporters in sim/trace.
  */
 
 #ifndef OCCAMY_RUNNER_SWEEP_HH
@@ -14,11 +15,46 @@
 #include <string>
 #include <vector>
 
+#include "common/cliopts.hh"
 #include "runner/runner.hh"
 #include "workloads/suite.hh"
 
 namespace occamy::runner
 {
+
+/** What the run keys fill: a template JobSpec plus the keys that
+ *  resolve into its cfg and traceEvents later. A tool whose default
+ *  differs (traceEvents) sets the field before registering the keys. */
+struct RunKeys
+{
+    /** Every job of the run is a copy of this. */
+    JobSpec tmpl;
+    unsigned clusters = 1;
+    unsigned cores = 2;         ///< Per cluster; total on a flat machine.
+    /** --trace-events, in obs::parseEventMask grammar. */
+    std::string traceEvents;
+
+    /** The machine shape under @p policy:
+     *  Builder(policy).topology(clusters, cores). Throws on an
+     *  infeasible shape. */
+    MachineConfig machine(SharingPolicy policy) const;
+};
+
+/** Optional key groups of addRunKeys. */
+inline constexpr unsigned kTrafficKeys = 1u << 0;   ///< traffic, tenants, ...
+inline constexpr unsigned kRestoreKey = 1u << 1;    ///< restore
+
+/**
+ * Register the keys that fill a JobSpec onto @p set, writing into
+ * @p keys (which must outlive the set): the eleven every front end
+ * takes, plus the groups selected by @p which. occamy-sim,
+ * occamy-batchrun and occamy-serve all call this, so a --flag and the
+ * NDJSON key of the same name ("max_cycles") are one entry, with one
+ * validation and one error text. Keys whose meaning differs per tool
+ * (policy, workload selectors, checkpoint-out, ...) stay in its table.
+ */
+cliopts::OptionSet &addRunKeys(cliopts::OptionSet &set, RunKeys &keys,
+                               unsigned which = 0);
 
 /**
  * Resolve a pair selector: "all", "spec", "opencv", or a comma list of
@@ -63,9 +99,9 @@ std::vector<JobSpec> trafficSweepJobs(
 
 /**
  * Render the whole sweep as one JSON object:
- *   {"jobs":[{"id":..,"label":..,"policy":..,"seed":..,"status":..,
+ *   {"jobs":[{"id":..,"label":..,"policy":..,"status":..,
  *             "error":..,"result":{..trace::toJson..}},...],
- *    "failed":N}
+ *    "failed":N,"timed_out":N}
  * Deterministic for a given job list: independent of thread count and
  * completion order (jobs are id-ordered, wall-clock is excluded).
  */

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 
@@ -14,6 +15,7 @@
 #include "common/config.hh"
 #include "common/log.hh"
 #include "common/stats.hh"
+#include "runner/sweep.hh"
 
 namespace occamy
 {
@@ -375,6 +377,55 @@ TEST(CliOpts, PairHalvesAreWholeWorkloadIds)
             << '"' << bad << '"';
     EXPECT_THROW(cliopts::lookupPair("CV6+3", true), std::out_of_range);
     EXPECT_THROW(cliopts::lookupPair("616"), std::invalid_argument);
+}
+
+TEST(CliOpts, RunKeysDocumentADefaultTheyAccept)
+{
+    runner::RunKeys keys;
+    keys.tmpl.maxCycles = 7;
+    cliopts::OptionSet set("t", "test");
+    runner::addRunKeys(set, keys);
+    std::FILE *f = std::tmpfile();
+    ASSERT_NE(f, nullptr);
+    set.printHelp(f);
+    std::rewind(f);
+    std::string help;
+    for (int c; (c = std::fgetc(f)) != EOF;)
+        help.push_back(static_cast<char>(c));
+    std::fclose(f);
+
+    // The help line of --max-cycles names its default; feeding that
+    // text back through set() gives the JobSpec default.
+    const std::size_t line = help.find("--max-cycles");
+    ASSERT_NE(line, std::string::npos);
+    const std::size_t at = help.find("(default ", line);
+    ASSERT_LT(at, help.find('\n', line));
+    const std::size_t from = at + 9;
+    const std::string dflt =
+        help.substr(from, help.find(')', from) - from);
+    std::string err;
+    EXPECT_TRUE(set.set("max-cycles", dflt, err)) << err;
+    EXPECT_EQ(keys.tmpl.maxCycles, runner::JobSpec{}.maxCycles);
+}
+
+TEST(CliOpts, RunKeysResolveCoresBeforeTopology)
+{
+    // occamy-serve applies a request's keys in sorted order, so
+    // "cores" lands before "topology"; the topology wins, as it does
+    // for the same two flags on a command line.
+    runner::RunKeys keys;
+    cliopts::OptionSet set("t", "test");
+    runner::addRunKeys(set, keys);
+    std::string err;
+    ASSERT_TRUE(set.set("cores", "8", err));
+    ASSERT_TRUE(set.set("topology", "2x2", err));
+    EXPECT_EQ(keys.machine(SharingPolicy::Elastic).numClusters, 2u);
+    EXPECT_EQ(keys.machine(SharingPolicy::Elastic).numCores, 4u);
+    ASSERT_TRUE(set.set("cores", "3", err));
+    const MachineConfig flat = keys.machine(SharingPolicy::Private);
+    EXPECT_EQ(flat.numClusters, 1u);
+    EXPECT_EQ(flat.numCores, 3u);
+    EXPECT_EQ(flat.policy, SharingPolicy::Private);
 }
 
 } // namespace

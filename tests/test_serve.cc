@@ -213,4 +213,76 @@ TEST_F(Serve, StructuredErrors)
     EXPECT_EQ(field(r["bye"].back(), "event"), "bye");
 }
 
+TEST_F(Serve, SweepRunsOnTheRequestedMachine)
+{
+    const std::string keys =
+        R"("pair":"6+16","policy":"occamy","topology":"2x2")";
+    int status = -1;
+    auto r = session(
+        {
+            R"({"cmd":"sweep","id":"sweep","pairs":"6+16",)"
+            R"("policy":"occamy","topology":"2x2","jobs":"1"})",
+            R"({"cmd":"run","id":"run",)" + keys + "}",
+            R"({"cmd":"run","id":"flat","pair":"6+16","policy":"occamy"})",
+            R"({"cmd":"shutdown","id":"bye"})",
+        },
+        &status);
+    EXPECT_EQ(status, 0);
+    std::string job;
+    for (const std::string &line : r["sweep"])
+        if (field(line, "event") == "job")
+            job = line;
+    ASSERT_FALSE(job.empty());
+    EXPECT_EQ(field(job, "status"), "ok");
+    const std::string run = r["run"].back();
+    ASSERT_EQ(field(run, "event"), "done");
+    // The 2x2 machine runs 6+16 differently from the flat 1x2 one, and
+    // the sweep job is the same simulation as the run.
+    EXPECT_NE(field(run, "cycles"), field(r["flat"].back(), "cycles"));
+    EXPECT_EQ(field(job, "cycles"), field(run, "cycles"));
+    EXPECT_EQ(field(job, "simd_util"), field(run, "simd_util"));
+}
+
+TEST_F(Serve, PoolKeyCoversEverySimulationKey)
+{
+    const std::string spec = R"("policy":"occamy","pair":"20+9")";
+    const std::string ckpt = (dir_ / "p.ckpt").string();
+    int status = -1;
+    auto r = session(
+        {
+            // One instance per run below, so every run could hit.
+            R"({"cmd":"pool","id":"pool","count":"5",)" + spec + "}",
+            R"({"cmd":"run","id":"plain",)" + spec + "}",
+            R"({"cmd":"run","id":"trace","trace_events":"phase",)" + spec +
+                "}",
+            R"({"cmd":"run","id":"cap","trace_capacity":"4096",)" + spec +
+                "}",
+            R"({"cmd":"run","id":"ckpt","checkpoint_out":")" + ckpt +
+                R"(","checkpoint_every":"20000",)" + spec + "}",
+            // An engine knob that never changes results still hits.
+            R"({"cmd":"run","id":"threads","sim_threads":"2",)" + spec +
+                "}",
+            R"({"cmd":"shutdown","id":"bye"})",
+        },
+        &status);
+    EXPECT_EQ(status, 0);
+    EXPECT_EQ(field(r["pool"].back(), "pool_size"), "5");
+    const std::map<std::string, std::string> hit{
+        {"plain", "true"}, {"trace", "false"},  {"cap", "false"},
+        {"ckpt", "false"}, {"threads", "true"},
+    };
+    for (const auto &[id, want] : hit) {
+        const std::string done = r[id].back();
+        EXPECT_EQ(field(done, "event"), "done") << done;
+        EXPECT_EQ(field(done, "pool_hit"), want) << id;
+        EXPECT_EQ(field(done, "cycles"), field(r["plain"].back(), "cycles"))
+            << id;
+    }
+    // The pool misses ran with the request's own keys: the traced run
+    // recorded its phases and the checkpointing run wrote its file.
+    EXPECT_GT(std::stoull(field(r["trace"].back(), "events")),
+              std::stoull(field(r["plain"].back(), "events")));
+    EXPECT_TRUE(fs::exists(ckpt));
+}
+
 } // namespace

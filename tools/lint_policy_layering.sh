@@ -6,6 +6,8 @@
 # against, because such logic belongs in a policy::SharingModel hook.
 # (2) No file under src/traffic/ includes a src/sim/ header.
 # (3) Only src/sim/ and tests/ include the cycle-loop internals.
+# (4) No file under tools/ registers a shared run key: the keys that
+# fill a runner::JobSpec are declared once, in src/runner/sweep.cc.
 #
 # Usage: lint_policy_layering.sh [repo-root]   (exit 0 = clean)
 
@@ -68,3 +70,22 @@ if [ -n "$hits" ]; then
     exit 1
 fi
 echo "cycle-loop layering: clean"
+
+# The keys that fill a JobSpec are declared once, in runner::addRunKeys;
+# a tool that registers one again has its own copy to drift. The key
+# names come from that table itself, so the rule follows it.
+registrar='\.(value|custom|onOff|flag)\("'
+keys=$(grep -oE "${registrar}[a-z0-9-]+\"" src/runner/sweep.cc \
+           | sed -E 's/.*\("//; s/"$//' | paste -sd '|' -)
+if [ -z "$keys" ]; then
+    echo "run-key lint: no keys found in src/runner/sweep.cc"
+    exit 1
+fi
+hits=$(grep -rnE "${registrar}(${keys})\"" tools \
+           --include='*.cc' --include='*.hh')
+if [ -n "$hits" ]; then
+    echo "run-key violation (tools/ registers a key of runner::addRunKeys):"
+    echo "$hits"
+    exit 1
+fi
+echo "run keys: clean"

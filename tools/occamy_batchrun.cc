@@ -10,8 +10,10 @@
  * gate on it. --topology CxK sweeps clustered machines (per-cluster
  * arbiter stats land in the JSON/CSV exports).
  *
- * All flags live in one cliopts::OptionSet table (src/common/cliopts)
- * shared with occamy-sim; --help is generated from it.
+ * All flags live in one cliopts::OptionSet table (src/common/cliopts);
+ * the keys that fill the run's JobSpec come from runner::addRunKeys,
+ * shared with occamy-sim and occamy-serve. --help is generated from
+ * the table.
  *
  * Examples:
  *   occamy-batchrun --jobs 4 --pairs all --policy all --json-out sweep.json
@@ -19,6 +21,7 @@
  *   occamy-batchrun --pairs 6+16,1+13 --policy all --topology 4x4
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -44,26 +47,23 @@ namespace
 
 struct Options
 {
-    /** Every job is a copy of this; the run flags write into it. */
-    runner::JobSpec tmpl;
+    /** Every job is a copy of run.tmpl; the run keys write into it. */
+    runner::RunKeys run;
     unsigned jobs = 0;                  // 0 = runner default
     std::string pairs = "spec";
     /** Empty = every registered policy, in registry order. */
     std::vector<SharingPolicy> policies;
-    unsigned clusters = 1;
-    unsigned cores = 2;                 // per cluster
     std::string jsonOut;
     std::string csvOut;
     bool progress = false;
     bool quiet = false;
     std::string traceOut;
-    std::string traceEvents = "all";
     bool strictTimeout = false;
     unsigned retries = 0;
     std::string checkpointPrefix;
 
     // Multi-tenant traffic mode (replaces the pair sweep when
-    // tmpl.traffic.process is set).
+    // run.tmpl.traffic.process is set).
     double sloMs = 0.0;             ///< SLO budget in milliseconds.
     std::string scheduler = "fcfs"; ///< Dispatcher name or "all".
 };
@@ -99,20 +99,6 @@ optionTable(Options &opt)
                     }
                     return true;
                 })
-        .custom("topology", "CxK",
-                "sweep C co-processor clusters of K cores each\n"
-                "(default 1x2); clustered machines add per-cluster\n"
-                "arbiter columns to the JSON/CSV exports",
-                [&opt](const std::string &v, std::string &err) {
-                    return cliopts::parseTopology(v, opt.clusters,
-                                                  opt.cores, err);
-                })
-        .custom("cores", "N",
-                "flat core count per job (default 2); shorthand for\n"
-                "--topology 1xN",
-                cliopts::flatCores(opt.clusters, opt.cores))
-        .value("max-cycles", &opt.tmpl.maxCycles, "N",
-               "per-job simulation cap (default 4e7)")
         .value("json-out", &opt.jsonOut, "FILE",
                "write the aggregated sweep JSON")
         .value("csv-out", &opt.csvOut, "FILE",
@@ -123,28 +109,12 @@ optionTable(Options &opt)
         .value("trace-out", &opt.traceOut, "PFX",
                "capture a per-job event trace, written to\n"
                "PFX<label>.trace.json (Chrome/Perfetto format; '/' in\n"
-               "labels becomes '_')")
-        .value("trace-events", &opt.traceEvents, "L",
-               "categories: comma list of phase,pipeline,partition,\n"
-               "reconfig,mem,sched,cluster or 'all'")
-        .value("snapshot-every", &opt.tmpl.snapshotEvery, "N",
-               "metric snapshot each N cycles")
-        .onOff("fast-forward", &opt.tmpl.fastForward,
-               "skip quiescent cycle spans (default on; results are\n"
-               "identical either way)")
+               "labels becomes '_'); all categories unless\n"
+               "--trace-events says otherwise")
         .flag("strict-timeout", &opt.strictTimeout,
               "exit 3 (with a stderr note) if any job hit its\n"
               "--max-cycles cap")
-        .value("fault-plan", &opt.tmpl.faultPlan, "S",
-               "deterministic fault plan applied to every job (see\n"
-               "occamy-sim --help for the grammar)")
-        .value("fault-seed", &opt.tmpl.faultSeed, "N",
-               "seeded random fault plan per job (ignored when\n"
-               "--fault-plan is given)")
-        .value("watchdog-cycles", &opt.tmpl.watchdogCycles, "N",
-               "per-job livelock watchdog threshold (escalates stuck\n"
-               "<VL> spins; default off)")
-        .value("wall-clock-limit", &opt.tmpl.wallClockLimitSec, "S",
+        .value("wall-clock-limit", &opt.run.tmpl.wallClockLimitSec, "S",
                "kill any job after S seconds of host time (failed,\n"
                "partial result kept)")
         .value("retries", &opt.retries, "N",
@@ -154,43 +124,15 @@ optionTable(Options &opt)
                "per-job periodic checkpoints, written to\n"
                "PFX<label>.ckpt every --checkpoint-every cycles ('/'\n"
                "in labels becomes '_')")
-        .value("checkpoint-every", &opt.tmpl.checkpointEvery, "N",
-               "checkpoint period in cycles (required with\n"
-               "--checkpoint-out)")
-        .value("restore", &opt.tmpl.restoreFrom, "F",
-               "resume from checkpoint F; the sweep must select\n"
-               "exactly one pair and one policy")
-        .value("sim-threads", &opt.tmpl.simThreads, "N",
-               "worker threads per job's own cycle loop (clustered\n"
-               "machines only; byte-identical for any N; composes\n"
-               "with --jobs)")
-        .value("traffic", &opt.tmpl.traffic.process, "PROC",
-               "multi-tenant traffic mode: stochastic arrivals from\n"
-               "process PROC (poisson|bursty|diurnal|closed) swept\n"
-               "over policy x scheduler instead of the pair sweep")
-        .value("tenants", &opt.tmpl.traffic.tenants, "N",
-               "tenant streams (default 2)", 1)
-        .value("arrival-seed", &opt.tmpl.traffic.seed, "N",
-               "deterministic arrival-stream seed (default 1; same\n"
-               "seed = byte-identical stream)")
         .value("slo-ms", &opt.sloMs, "X",
                "per-job SLO budget in milliseconds of simulated time\n"
                "(default: no deadline)", true)
-        .value("traffic-rate", &opt.tmpl.traffic.meanGapCycles, "G",
-               "mean inter-arrival gap per tenant, cycles (default\n"
-               "200000)", true)
-        .value("traffic-jobs", &opt.tmpl.traffic.jobsPerTenant, "N",
-               "jobs generated per tenant (default 4)", 1)
         .value("scheduler", &opt.scheduler, "S",
                "dispatch discipline (fcfs|sjf|edf|oi) or 'all'\n"
-               "(default fcfs)")
-        .value("admission", &opt.tmpl.traffic.admission, "A",
-               "admission policy for traffic mode (none|static-cap|\n"
-               "token-bucket|slo-aware); 'none' (default) keeps every\n"
-               "export byte-identical to admission-less builds")
-        .value("admission-cap", &opt.tmpl.traffic.admissionCap, "N",
-               "per-tenant in-flight cap / token-bucket size\n"
-               "(default 4)", 1);
+               "(default fcfs)");
+    opt.run.traceEvents = "all";
+    runner::addRunKeys(cli, opt.run,
+                       runner::kTrafficKeys | runner::kRestoreKey);
     cliopts::addListOptions(
         cli, cliopts::kListTraffic | cliopts::kListSchedulers |
                  cliopts::kListAdmission | cliopts::kListPairs |
@@ -200,6 +142,14 @@ optionTable(Options &opt)
                "error,\n             3 a job timed out under "
                "--strict-timeout");
     return cli;
+}
+
+/** A job label as a file-name part: every '/' becomes '_'. */
+std::string
+fileLabel(std::string label)
+{
+    std::replace(label.begin(), label.end(), '/', '_');
+    return label;
 }
 
 } // namespace
@@ -221,18 +171,16 @@ main(int argc, char **argv)
         for (const policy::SharingModel *m : policy::allModels())
             opt.policies.push_back(m->id());
 
-    runner::JobSpec &tmpl = opt.tmpl;
+    runner::JobSpec &tmpl = opt.run.tmpl;
     const traffic::TrafficConfig &tc = tmpl.traffic;
     if (!opt.traceOut.empty())
-        tmpl.traceEvents = obs::parseEventMask(opt.traceEvents);
+        tmpl.traceEvents = obs::parseEventMask(opt.run.traceEvents);
 
     std::vector<workloads::Pair> pairs;
     std::vector<runner::JobSpec> jobs;
     try {
         // An infeasible --topology surfaces from the Builder here.
-        tmpl.cfg = MachineConfig::Builder(SharingPolicy::Elastic)
-                       .topology(opt.clusters, opt.cores)
-                       .build();
+        tmpl.cfg = opt.run.machine(SharingPolicy::Elastic);
         if (tc.enabled()) {
             // Traffic mode: policy x scheduler ablation over one
             // seeded arrival stream. Validate names up front so a typo
@@ -292,13 +240,9 @@ main(int argc, char **argv)
     }
     if (!opt.checkpointPrefix.empty()) {
         // One checkpoint file per job, named by its label.
-        for (auto &spec : jobs) {
-            std::string label = spec.label;
-            for (char &c : label)
-                if (c == '/')
-                    c = '_';
-            spec.checkpointOut = opt.checkpointPrefix + label + ".ckpt";
-        }
+        for (auto &spec : jobs)
+            spec.checkpointOut =
+                opt.checkpointPrefix + fileLabel(spec.label) + ".ckpt";
     }
 
     const runner::SweepResult sweep =
@@ -306,12 +250,8 @@ main(int argc, char **argv)
 
     if (!opt.traceOut.empty()) {
         for (const auto &j : sweep.jobs) {
-            std::string label = j.label;
-            for (char &c : label)
-                if (c == '/')
-                    c = '_';
             const std::string path =
-                opt.traceOut + label + ".trace.json";
+                opt.traceOut + fileLabel(j.label) + ".trace.json";
             std::ofstream ofs(path);
             obs::writeChromeTrace(ofs, j.trace, j.result.snapshots);
             if (!opt.quiet)
@@ -422,11 +362,7 @@ main(int argc, char **argv)
     }
 
     if (opt.strictTimeout) {
-        std::size_t timed_out = 0;
-        for (const auto &j : sweep.jobs)
-            if (j.result.timedOut)
-                ++timed_out;
-        if (timed_out) {
+        if (const std::size_t timed_out = sweep.timedOut()) {
             std::fprintf(stderr,
                          "%zu job(s) hit the %llu-cycle cap "
                          "(--strict-timeout)\n",

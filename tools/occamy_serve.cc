@@ -172,6 +172,24 @@ parseFlat(const std::string &line, Kv &out, std::string &err)
     }
 }
 
+/** One flat-JSON line of @p m with every value as a string — readable
+ *  back through parseFlat, whose output is raw strings anyway. The
+ *  sidecar a recovery checkpoint needs to rebuild its System, and the
+ *  text of a pool key (poolKey()). */
+std::string
+kvToJsonLine(const Kv &m)
+{
+    std::string out = "{";
+    bool first = true;
+    for (const auto &[k, v] : m) {
+        if (!first)
+            out += ",";
+        first = false;
+        out += "\"" + jsonEscape(k) + "\":\"" + jsonEscape(v) + "\"";
+    }
+    return out + "}";
+}
+
 /** Incremental one-line JSON response builder. */
 class Reply
 {
@@ -255,76 +273,39 @@ getStr(const Kv &m, const std::string &k, const std::string &dflt = "")
     return it == m.end() ? dflt : it->second;
 }
 
-/** Simulation parameters a request may set: the JobSpec the request
- *  runs plus the keys serve resolves into its config and workloads.
- *  Parsed through the same declarative option table the CLIs use
- *  (common/cliopts): the NDJSON key "max_cycles" is the flag
- *  --max-cycles, with the identical validation and error messages. */
-struct SimSpec
+/** A request's simulation keys: the run keys every front end shares
+ *  (runner::addRunKeys) plus the keys serve resolves into the policy and
+ *  the workloads itself. */
+struct SimKeys
 {
-    runner::JobSpec job;
+    runner::RunKeys run;
     std::string policy = "occamy";
     std::string pair = "6+16";
-    unsigned clusters = 1;
-    unsigned cores = 2;             ///< Per cluster.
     std::string batch;
-    std::string traceEvents;
 };
 
-/** The config-key table: one entry per request key makeEntry honors. */
+/** The config-key table: one entry per request key makeEntry honors.
+ *  The NDJSON key "max_cycles" is the flag --max-cycles, with the
+ *  identical validation and error messages. */
 cliopts::OptionSet
-simSpecOptions(SimSpec &s)
+simKeyOptions(SimKeys &s)
 {
     cliopts::OptionSet set("occamy-serve", "simulation request keys");
+    runner::JobSpec &j = s.run.tmpl;
     set.value("policy", &s.policy, "P", "sharing policy name")
         .value("pair", &s.pair, "A+B", "workload ids for core0+core1")
-        .custom("topology", "CxK",
-                "C co-processor clusters of K cores each",
-                [&s](const std::string &v, std::string &err) {
-                    return cliopts::parseTopology(v, s.clusters,
-                                                  s.cores, err);
-                })
-        .value("cores", &s.cores, "N", "cores per cluster", 1)
         .value("batch", &s.batch, "L", "comma-separated workload list")
-        .value("max-cycles", &s.job.maxCycles, "N", "simulation cap")
-        .value("watchdog-cycles", &s.job.watchdogCycles, "N",
-               "livelock watchdog threshold")
-        .value("fault-plan", &s.job.faultPlan, "S",
-               "deterministic fault plan")
-        .value("fault-seed", &s.job.faultSeed, "N", "seeded fault plan")
-        .value("snapshot-every", &s.job.snapshotEvery, "N",
-               "metric snapshot period")
-        .onOff("fast-forward", &s.job.fastForward,
-               "skip quiescent cycle spans")
-        .value("checkpoint-out", &s.job.checkpointOut, "F",
+        .value("checkpoint-out", &j.checkpointOut, "F",
                "periodic checkpoint file")
-        .value("checkpoint-every", &s.job.checkpointEvery, "N",
-               "checkpoint period")
-        .value("trace-events", &s.traceEvents, "L",
-               "extra event categories")
-        .value("trace-capacity", &s.job.traceCapacity, "N",
+        .value("trace-capacity", &j.traceCapacity, "N",
                "most events the ring keeps; the capacity reserves\n"
                "address space, and resident memory grows with the\n"
                "events actually recorded", 1)
-        .value("sim-threads", &s.job.simThreads, "N",
-               "cycle-loop worker threads (clustered machines)", 1)
-        .value("traffic", &s.job.traffic.process, "PROC",
-               "traffic session: arrival process name")
-        .value("tenants", &s.job.traffic.tenants, "N", "tenant streams", 1)
-        .value("arrival-seed", &s.job.traffic.seed, "N", "arrival seed")
-        .value("traffic-jobs", &s.job.traffic.jobsPerTenant, "N",
-               "jobs per tenant", 1)
-        .value("traffic-rate", &s.job.traffic.meanGapCycles, "G",
-               "mean inter-arrival gap, cycles", true)
-        .value("slo-cycles", &s.job.traffic.sloCycles, "N",
+        .value("slo-cycles", &j.traffic.sloCycles, "N",
                "per-job SLO budget")
-        .value("scheduler", &s.job.traffic.scheduler, "S",
-               "dispatch discipline")
-        .value("admission", &s.job.traffic.admission, "A",
-               "admission policy")
-        .value("admission-cap", &s.job.traffic.admissionCap, "N",
-               "per-tenant in-flight cap / token-bucket size", 1);
-    return set;
+        .value("scheduler", &j.traffic.scheduler, "S",
+               "dispatch discipline");
+    return runner::addRunKeys(set, s.run, runner::kTrafficKeys);
 }
 
 /** Apply the keys of @p m that @p set knows; the rest (cmd, id, file,
@@ -340,12 +321,12 @@ applyKeys(const cliopts::OptionSet &set, const Kv &m)
     }
 }
 
-/** Parse a request's config keys into a SimSpec. */
-SimSpec
-parseSpec(const Kv &m)
+/** Parse a request's config keys. */
+SimKeys
+parseKeys(const Kv &m)
 {
-    SimSpec s;
-    applyKeys(simSpecOptions(s), m);
+    SimKeys s;
+    applyKeys(simKeyOptions(s), m);
     return s;
 }
 
@@ -374,54 +355,38 @@ parseArgs(const Kv &m)
     return a;
 }
 
-/** Canonical identity of a request's simulation parameters: a pooled
- *  instance may serve a request iff the keys match exactly. Engine
- *  knobs that never change results, such as sim_threads, are left
- *  out, so a pooled instance serves requests with any value of them. */
+/** Pool identity of a request: its own simulation keys, every key
+ *  the config table accepts ('_' read as '-') except sim_threads, an
+ *  engine knob that never changes results. A pooled instance serves a
+ *  request iff the keys match exactly, so no key the table accepts can
+ *  be left out; two spellings of one value (a default given or left
+ *  out) only miss each other and cost a boot. A bad value throws, as
+ *  in makeEntry. */
 std::string
-specKey(const SimSpec &s)
+poolKey(const Kv &m)
 {
-    const runner::JobSpec &j = s.job;
-    std::string key =
-        s.policy + "|" + s.pair + "|" +
-        std::to_string(s.clusters) + "x" + std::to_string(s.cores) +
-        "|" + s.batch + "|" + std::to_string(j.maxCycles) + "|" +
-        std::to_string(j.watchdogCycles) + "|" + j.faultPlan + "|" +
-        std::to_string(j.faultSeed) + "|" +
-        std::to_string(j.snapshotEvery) + "|" +
-        (j.fastForward ? "ff" : "tick");
-    // Traffic sessions extend the key (batch requests keep their
-    // historical keys): a pooled batch instance never serves a traffic
-    // request or vice versa.
-    const traffic::TrafficConfig &t = j.traffic;
-    if (t.enabled()) {
-        char rate[32];
-        std::snprintf(rate, sizeof rate, "%.6g", t.meanGapCycles);
-        key += "|tr:" + t.process + "|" + std::to_string(t.tenants) +
-               "|" + std::to_string(t.seed) + "|" +
-               std::to_string(t.jobsPerTenant) + "|" + rate + "|" +
-               std::to_string(t.sloCycles) + "|" + t.scheduler + "|" +
-               t.admission + "|" + std::to_string(t.admissionCap);
+    SimKeys s;
+    const cliopts::OptionSet table = simKeyOptions(s);
+    applyKeys(table, m);
+    Kv sim;
+    for (const auto &[k, v] : m) {
+        const std::string key = cliopts::canonicalKey(k);
+        if (table.has(key) && key != "sim-threads")
+            sim[key] = v;
     }
-    return key;
-}
-
-std::string
-specKey(const Kv &m)
-{
-    return specKey(parseSpec(m));
+    return kvToJsonLine(sim);
 }
 
 /** One booted simulation the daemon holds: a pooled instance or the
  *  stepped session. */
 struct SimEntry
 {
-    SimEntry(const SimSpec &s, const runner::JobSpec &spec)
-        : key(specKey(s)), label(spec.label), job(spec)
+    SimEntry(std::string key, const runner::JobSpec &spec)
+        : key(std::move(key)), label(spec.label), job(spec)
     {
     }
 
-    std::string key;            ///< Pool identity (see specKey()).
+    std::string key;            ///< Pool identity (see poolKey()).
     std::string label;
     runner::Job job;
 };
@@ -433,15 +398,13 @@ struct SimEntry
 std::unique_ptr<SimEntry>
 makeEntry(const Kv &m, bool boot)
 {
-    const SimSpec s = parseSpec(m);
-    runner::JobSpec spec = s.job;
+    const SimKeys s = parseKeys(m);
+    runner::JobSpec spec = s.run.tmpl;
     const policy::SharingModel *model = policy::modelByName(s.policy);
     if (!model)
         throw std::runtime_error("unknown policy: " + s.policy +
                                  " (see hello's policy list)");
-    spec.cfg = MachineConfig::Builder(model->id())
-                   .topology(s.clusters, s.cores)
-                   .build();
+    spec.cfg = s.run.machine(model->id());
     if (spec.traffic.enabled()) {
         // Traffic session: the workload is a generated multi-tenant
         // arrival stream; the pair/batch keys are ignored.
@@ -465,10 +428,10 @@ makeEntry(const Kv &m, bool boot)
     // CheckpointSave/Restore narrate the session. "trace_events" adds
     // simulated-hardware categories on top.
     spec.traceEvents = obs::kEvEngine;
-    if (!s.traceEvents.empty())
-        spec.traceEvents |= obs::parseEventMask(s.traceEvents);
+    if (!s.run.traceEvents.empty())
+        spec.traceEvents |= obs::parseEventMask(s.run.traceEvents);
 
-    auto e = std::make_unique<SimEntry>(s, spec);
+    auto e = std::make_unique<SimEntry>(poolKey(m), spec);
     if (boot)
         e->job.boot();
     return e;
@@ -516,23 +479,6 @@ struct Daemon
         return nullptr;
     }
 };
-
-/** One flat-JSON line of @p m with every value as a string — readable
- *  back through parseFlat, whose output is raw strings anyway. The
- *  sidecar a recovery checkpoint needs to rebuild its System. */
-std::string
-kvToJsonLine(const Kv &m)
-{
-    std::string out = "{";
-    bool first = true;
-    for (const auto &[k, v] : m) {
-        if (!first)
-            out += ",";
-        first = false;
-        out += "\"" + jsonEscape(k) + "\":\"" + jsonEscape(v) + "\"";
-    }
-    return out + "}";
-}
 
 /**
  * Persist the live session: <dir>/auto-<seq>.ckpt (binary state) plus
@@ -666,7 +612,7 @@ void
 cmdPool(Daemon &d, const Kv &req)
 {
     const std::uint64_t count = parseArgs(req).count;
-    const std::string key = specKey(req);
+    const std::string key = poolKey(req);
     for (std::uint64_t i = 0; i < count; ++i) {
         auto e = makeEntry(req, /*boot=*/true);
         // Drain boot-time events now: anything the sink catches later
@@ -690,7 +636,7 @@ cmdPool(Daemon &d, const Kv &req)
 std::unique_ptr<SimEntry>
 acquire(Daemon &d, const Kv &req, bool &pool_hit)
 {
-    auto e = d.takePooled(specKey(req));
+    auto e = d.takePooled(poolKey(req));
     pool_hit = e != nullptr;
     if (!e) {
         e = makeEntry(req, /*boot=*/true);
@@ -812,11 +758,12 @@ cmdSweep(Daemon &, const Kv &req)
         throw std::runtime_error("unknown policy: " + pol);
     }
 
-    // Every job is a copy of the request's JobSpec. Its machine shape
-    // is the flat 2-core default, as it always was for sweeps; jobs
-    // cannot share one checkpoint file, so checkpoint_out stays a
-    // session key.
-    runner::JobSpec tmpl = parseSpec(req).job;
+    // Every job is a copy of the request's JobSpec on the request's
+    // machine shape; jobs cannot share one checkpoint file, so
+    // checkpoint_out stays a session key.
+    const SimKeys s = parseKeys(req);
+    runner::JobSpec tmpl = s.run.tmpl;
+    tmpl.cfg = s.run.machine(SharingPolicy::Elastic);
     tmpl.checkpointOut.clear();
     auto jobs = runner::pairSweepJobs(tmpl, pairs, policies);
 

@@ -9,8 +9,10 @@
  * the machine shape from --topology CxK (C co-processor clusters of K
  * cores; --cores N remains the flat 1xN spelling).
  *
- * All flags live in one cliopts::OptionSet table (src/common/cliopts)
- * shared with occamy-batchrun; --help is generated from it.
+ * All flags live in one cliopts::OptionSet table (src/common/cliopts);
+ * the keys that fill the run's JobSpec come from runner::addRunKeys,
+ * shared with occamy-batchrun and occamy-serve. --help is generated
+ * from the table.
  *
  * Examples:
  *   occamy-sim --pair 6+16 --policy all --jobs 4
@@ -42,11 +44,9 @@ namespace
 
 struct Options
 {
-    /** Every job is a copy of this; the run flags write into it. */
-    runner::JobSpec tmpl;
+    /** Every job is a copy of run.tmpl; the run keys write into it. */
+    runner::RunKeys run;
     std::vector<SharingPolicy> policies{SharingPolicy::Elastic};
-    unsigned clusters = 1;
-    unsigned cores = 2;         // per cluster; total on a flat machine
     std::string pair = "6+16";
     bool opencv = false;
     std::vector<std::string> batch;
@@ -57,7 +57,6 @@ struct Options
     bool json = false;
     std::string csvPrefix;
     std::string traceOut;
-    std::string traceEvents = "all";
     bool strictTimeout = false;
 };
 
@@ -86,18 +85,6 @@ optionTable(Options &opt)
                          " (see --list-policies)";
                    return false;
                })
-        .custom("topology", "CxK",
-                "C co-processor clusters of K cores each (default\n"
-                "1x2); clustered machines add the inter-cluster\n"
-                "bandwidth arbiter and work migration",
-                [&opt](const std::string &v, std::string &err) {
-                    return cliopts::parseTopology(v, opt.clusters,
-                                                  opt.cores, err);
-                })
-        .custom("cores", "N",
-                "number of scalar cores (default 2); shorthand for\n"
-                "--topology 1xN",
-                cliopts::flatCores(opt.clusters, opt.cores))
         .value("pair", &opt.pair, "A+B",
                "workload ids for core0+core1 (default 6+16)")
         .flag("opencv", &opt.opencv,
@@ -108,8 +95,6 @@ optionTable(Options &opt)
                     opt.batch = cliopts::splitCommas(v);
                     return true;
                 })
-        .value("max-cycles", &opt.tmpl.maxCycles, "N",
-               "simulation cap (default 4e7)")
         .value("jobs", &opt.jobs, "N",
                "run --policy all fan-out on N threads", 1)
         .value("json-out", &opt.jsonOut, "F",
@@ -123,45 +108,16 @@ optionTable(Options &opt)
         .value("trace-out", &opt.traceOut, "F",
                "capture an event trace per run; .json gets\n"
                "Chrome/Perfetto format, .bin the compact binary\n"
-               "format (multi-run adds _<policy>)")
-        .value("trace-events", &opt.traceEvents, "L",
-               "categories to trace: comma list of phase,pipeline,\n"
-               "partition,reconfig,mem,sched,cluster or 'all'\n"
-               "(default all; needs --trace-out)")
-        .value("snapshot-every", &opt.tmpl.snapshotEvery, "N",
-               "metric snapshot each N cycles, rendered as counter\n"
-               "tracks in the Chrome trace")
-        .onOff("fast-forward", &opt.tmpl.fastForward,
-               "skip quiescent cycle spans (default on; results are\n"
-               "identical either way)")
+               "format (multi-run adds _<policy>); all categories\n"
+               "unless --trace-events says otherwise")
         .flag("strict-timeout", &opt.strictTimeout,
               "exit 3 (with a stderr note) if any run hit the\n"
               "--max-cycles cap")
-        .value("fault-plan", &opt.tmpl.faultPlan, "S",
-               "deterministic fault plan, entries ';'-joined:\n"
-               "lane@CYC:bu=N | vldeny@CYC+DUR:core=N |\n"
-               "dram@CYC+DUR:lat=N,bw=N |\n"
-               "cfgdelay@CYC+DUR:core=N,cycles=N")
-        .value("fault-seed", &opt.tmpl.faultSeed, "N",
-               "seeded random fault plan (ignored when --fault-plan\n"
-               "is given); same seed, same plan")
-        .value("watchdog-cycles", &opt.tmpl.watchdogCycles, "N",
-               "escalate a <VL> retry spin older than N cycles to\n"
-               "the scalar fallback (default off)")
-        .value("checkpoint-out", &opt.tmpl.checkpointOut, "F",
+        .value("checkpoint-out", &opt.run.tmpl.checkpointOut, "F",
                "checkpoint file; written every --checkpoint-every\n"
-               "cycles (single-policy runs only; both flags required)")
-        .value("checkpoint-every", &opt.tmpl.checkpointEvery, "N",
-               "overwrite --checkpoint-out every N cycles (the file\n"
-               "holds the latest snapshot)")
-        .value("restore", &opt.tmpl.restoreFrom, "F",
-               "resume from checkpoint F instead of cycle 0;\n"
-               "config/workloads/options must match the run that\n"
-               "wrote it (single-policy runs only)")
-        .value("sim-threads", &opt.tmpl.simThreads, "N",
-               "tick clustered machines with N worker threads between\n"
-               "deterministic horizons; results are byte-identical\n"
-               "for any N (default 1 = serial)");
+               "cycles (single-policy runs only; both flags required)");
+    opt.run.traceEvents = "all";
+    runner::addRunKeys(cli, opt.run, runner::kRestoreKey);
     cliopts::addListOptions(cli, cliopts::kListWorkloads |
                                      cliopts::kListPolicies);
     cli.alias("list", "list-workloads");
@@ -174,7 +130,7 @@ printRun(SharingPolicy policy, const RunResult &r, const Options &opt)
     std::printf("\n=== %s ===\n", policyName(policy));
     if (r.timedOut)
         std::printf("  (hit the %llu-cycle cap)\n",
-                    static_cast<unsigned long long>(opt.tmpl.maxCycles));
+                    static_cast<unsigned long long>(opt.run.tmpl.maxCycles));
     for (std::size_t c = 0; c < r.cores.size(); ++c) {
         const auto &core = r.cores[c];
         std::printf("core%zu %-10s finish=%llu cycles, %llu SIMD "
@@ -258,7 +214,7 @@ main(int argc, char **argv)
     }
 
     // Checkpoint files name one run's state, so tie them to one policy.
-    runner::JobSpec &tmpl = opt.tmpl;
+    runner::JobSpec &tmpl = opt.run.tmpl;
     if ((!tmpl.checkpointOut.empty() || !tmpl.restoreFrom.empty()) &&
         opt.policies.size() != 1) {
         std::fprintf(stderr, "--checkpoint-out/--restore need a single "
@@ -266,7 +222,7 @@ main(int argc, char **argv)
         return 2;
     }
     if (!opt.traceOut.empty())
-        tmpl.traceEvents = obs::parseEventMask(opt.traceEvents);
+        tmpl.traceEvents = obs::parseEventMask(opt.run.traceEvents);
 
     // Resolve workloads and the machine up front so catalog mistakes
     // and infeasible topologies stay usage errors, then fan one job
@@ -276,7 +232,7 @@ main(int argc, char **argv)
         const auto [w0, w1] = cliopts::lookupPair(opt.pair, opt.opencv);
         if (opt.batch.empty()) {
             tmpl.workloads.emplace_back(w0.name, w0.loops);
-            if (opt.clusters * opt.cores > 1)
+            if (opt.run.clusters * opt.run.cores > 1)
                 tmpl.workloads.emplace_back(w1.name, w1.loops);
         }
         for (const auto &token : opt.batch) {
@@ -289,9 +245,7 @@ main(int argc, char **argv)
             spec.label = opt.batch.empty()
                              ? opt.pair + "/" + policyName(policy)
                              : "batch/" + std::string(policyName(policy));
-            spec.cfg = MachineConfig::Builder(policy)
-                           .topology(opt.clusters, opt.cores)
-                           .build();
+            spec.cfg = opt.run.machine(policy);
         }
     } catch (const std::exception &e) {
         std::fprintf(stderr,
@@ -356,11 +310,7 @@ main(int argc, char **argv)
         std::printf("wrote %s\n", opt.jsonOut.c_str());
     }
     if (opt.strictTimeout) {
-        std::size_t timed_out = 0;
-        for (const auto &j : sweep.jobs)
-            if (j.result.timedOut)
-                ++timed_out;
-        if (timed_out) {
+        if (const std::size_t timed_out = sweep.timedOut()) {
             std::fprintf(stderr,
                          "%zu run(s) hit the %llu-cycle cap "
                          "(--strict-timeout)\n",
