@@ -65,7 +65,9 @@ enum class EventKind : std::uint8_t
     BatchDispatch,  ///< Queued workload placed. a=name id, b=queue idx.
 
     // --- Simulation engine (not simulated hardware). ---
-    SchedFastForward, ///< Cycle loop skipped a quiescent span. The
+    SchedFastForward, ///< The whole machine skipped a quiescent span
+                      ///< after a tick window's last cycle (an engine's
+                      ///< own skips inside a window emit none). The
                       ///< event's cycle is the decision cycle; a=number
                       ///< of skipped cycles, b=wake source
                       ///< (occamy::WakeSource numeric value).

@@ -120,7 +120,23 @@ ClusterEngine::skipTo(Cycle to)
     assert(quiet_ && to <= qwake_);
     synthesizeSkipped(at_, to - 1);
     coproc_.skipCycles(to - at_);
-    at_ = to;
+    if (at_ != skip_end_) {
+        ++ff_.spans;
+        span_from_ = at_;
+    }
+    ff_.cyclesSkipped += to - at_;
+    ff_.longestSpan = std::max(ff_.longestSpan, to - span_from_);
+    at_ = skip_end_ = to;
+}
+
+void
+ClusterEngine::takeFf(FastForwardStats &into)
+{
+    into.cyclesTicked += ff_.cyclesTicked;
+    into.cyclesSkipped += ff_.cyclesSkipped;
+    into.spans += ff_.spans;
+    into.longestSpan = std::max(into.longestSpan, ff_.longestSpan);
+    ff_ = {};
 }
 
 void
@@ -129,7 +145,6 @@ ClusterEngine::beginWindow(Cycle now)
     skipTo(now);
     assert(at_ == now);
     quiet_ = false;
-    rq_ = false;
     stopped_ = false;
     edges_.clear();
     live_count_ = 0;
@@ -137,17 +152,6 @@ ClusterEngine::beginWindow(Cycle now)
         live_[i] = !drained(static_cast<CoreId>(i));
         live_count_ += live_[i];
     }
-}
-
-void
-ClusterEngine::resume()
-{
-    assert(stopped());
-    rq_ = stop_state_ == State::Quiet;
-    rq_probe_ = stop_probe_;
-    rq_to_ = qwake_;
-    stopped_ = false;
-    edges_.clear();
 }
 
 void
@@ -159,6 +163,7 @@ ClusterEngine::tickWindow(Cycle limit)
             continue;
         }
         const Cycle t = at_++;
+        ++ff_.cyclesTicked;
         quiet_ = false;
         if (buffer_)
             buffer_->setCycle(t);
@@ -172,63 +177,17 @@ ClusterEngine::tickWindow(Cycle limit)
                 edges_.push_back(c);
             }
         }
-        if (!fast_forward_) {
-            if (!edges_.empty()) {
-                stopped_ = true;
-                stop_at_ = t;
-                stop_state_ = State::Busy;
-            }
-            continue;
-        }
-
-        // The lock-step wake ladder, for this engine alone.
         Probe p;
-        const State st = probeLive(t, &p);
-        if (st == State::Quiet)
+        if (fast_forward_ && probeLive(t, &p))
             markQuiet(p);
-        if (st == State::Quiet || !edges_.empty()) {
+        if (!edges_.empty()) {
             stopped_ = true;
             stop_at_ = t;
-            stop_probe_ = p;
-            stop_state_ = st;
         }
     }
 }
 
-Cycle
-ClusterEngine::knownUntil() const
-{
-    if (quiet_ && (!stopped() || stop_state_ == State::Quiet))
-        return std::max(at_, qwake_);
-    return at_;
-}
-
-ClusterEngine::State
-ClusterEngine::stateAt(Cycle t, Probe *probe) const
-{
-    if (rq_ && t < rq_to_) {
-        *probe = rq_probe_;
-        return State::Quiet;
-    }
-    if (stopped() && t >= stop_at_) {
-        *probe = stop_probe_;
-        return t == stop_at_ ? stop_state_ : State::Quiet;
-    }
-    return State::Busy;
-}
-
-Cycle
-ClusterEngine::nextQuiet(Cycle c) const
-{
-    if (rq_ && c < rq_to_)
-        return c;
-    c = std::max(c, stopped() ? stop_at_ : at_);
-    if (stopped() && c == stop_at_ && stop_state_ == State::Busy)
-        ++c;
-    return c < knownUntil() ? c : kCycleNever;
-}
-
-ClusterEngine::State
+bool
 ClusterEngine::probeLive(Cycle t, Probe *probe) const
 {
     *probe = Probe{};
@@ -239,9 +198,7 @@ ClusterEngine::probeLive(Cycle t, Probe *probe) const
         if (probe->core > t + 1)
             probe->mem = mem_.nextEventAt(t);
     }
-    return std::min({probe->coproc, probe->core, probe->mem}) > t + 1
-               ? State::Quiet
-               : State::Busy;
+    return std::min({probe->coproc, probe->core, probe->mem}) > t + 1;
 }
 
 void

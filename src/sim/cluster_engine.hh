@@ -12,20 +12,19 @@
  *
  * The Coordinator (sim/coordinator.hh) drives the engines in windows:
  * its runRound() calls tickWindow(), which runs this cluster's own
- * cycle loop — ticks, fast-forward over quiescent stretches, and
- * completion detection — until a stop the Coordinator must see (a core
- * becoming drained(), or the engine turning quiescent) or the round's
- * limit. stateAt() records just enough for the Coordinator's
- * replayedFastForward() to take the machine-wide decision a lock-step
- * run would have taken at every cycle of the window; every serial,
- * cross-cluster step (arbiter, dispatch, admission, watchdog) and the
- * cluster-order merge of buffered events stay with the Coordinator
- * (DESIGN.md §15).
+ * cycle loop — ticks, skips over its own quiescent stretches, and
+ * completion detection — until a stop the Coordinator must see (a live
+ * core becoming drained()) or the round's limit. The engine counts the
+ * cycles it ticks and skips (takeFf()); every serial, cross-cluster
+ * step (arbiter, dispatch, admission, watchdog), the machine-wide skip
+ * at a window's end and the cluster-order merge of buffered events stay
+ * with the Coordinator (DESIGN.md §15).
  */
 
 #ifndef OCCAMY_SIM_CLUSTER_ENGINE_HH
 #define OCCAMY_SIM_CLUSTER_ENGINE_HH
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,6 +36,7 @@
 #include "core/scalar_core.hh"
 #include "mem/memsystem.hh"
 #include "obs/sink.hh"
+#include "sim/system.hh"
 
 namespace occamy
 {
@@ -110,10 +110,11 @@ class ClusterEngine
     void beginWindow(Cycle now);
 
     /**
-     * Tick and fast-forward from at() until @p limit (exclusive) or a
-     * stop: the first cycle at which a live core becomes done and
-     * drained (an edge), or the first tick after which the engine is
-     * quiescent (every probe > cycle + 1). Touches only this cluster.
+     * Tick and skip from at() until @p limit (exclusive) or a stop: the
+     * first cycle at which a live core becomes done and drained (an
+     * edge). With fast-forward on, a tick that leaves the engine
+     * quiescent (every probe > cycle + 1) lets it skip to the earliest
+     * probe. Touches only this cluster.
      */
     void tickWindow(Cycle limit);
 
@@ -136,7 +137,11 @@ class ClusterEngine
 
     /** The coordinator processed the stop; the next tickWindow() may
      *  run on. */
-    void resume();
+    void resume()
+    {
+        stopped_ = false;
+        edges_.clear();
+    }
 
     /** Some local core is still running (or owed) work. */
     bool hasLiveCore() const { return live_count_ > 0; }
@@ -149,14 +154,12 @@ class ClusterEngine
         return cores_[c]->doneEmitting() && coproc_.coreDrained(c);
     }
 
-    /** First cycle whose post-tick probes the coordinator cannot yet
-     *  read with stateAt(): every earlier one was ticked, or lies in a
-     *  recorded quiescent stretch. */
-    Cycle knownUntil() const;
-
-    /** First cycle >= @p c (and < knownUntil()) whose recorded state
-     *  is Quiet; kCycleNever when there is none yet. */
-    Cycle nextQuiet(Cycle c) const;
+    /** First cycle this engine may still have an edge at: every
+     *  earlier one was ticked, or lies in its quiescent stretch. */
+    Cycle knownUntil() const
+    {
+        return quiet_ ? std::max(at_, qwake_) : at_;
+    }
 
     /** Quiescence probes after a tick: the three engine tiers of the
      *  fast-forward wake, in their tie-breaking order. */
@@ -167,25 +170,11 @@ class ClusterEngine
         Cycle mem = kCycleNever;
     };
 
-    /** What the probes said after cycle t. */
-    enum class State : std::uint8_t
-    {
-        Busy,       ///< Something acts or a line fill lands at t + 1.
-        Quiet,      ///< Nothing before probe.wake; probe is valid.
-    };
-
-    /**
-     * Post-tick state at cycle @p t, for t from the coordinator's
-     * replay cursor up to knownUntil(). A quiescent stretch keeps
-     * the probe values of the tick that started it: each probe is
-     * an absolute cycle (> t + 1) of unchanged state.
-     */
-    State stateAt(Cycle t, Probe *probe) const;
-
-    /** The lock-step wake ladder on live state at @p t (the engine
-     *  synchronized just past @p t): a later tier is only probed while
-     *  every earlier one is beyond t + 1. Quiet iff all three are. */
-    State probeLive(Cycle t, Probe *probe) const;
+    /** The wake ladder on live state at @p t (the engine synchronized
+     *  just past @p t): a later tier is only probed while every earlier
+     *  one is beyond t + 1. @return quiescent: all three are, so
+     *  nothing acts before the earliest. */
+    bool probeLive(Cycle t, Probe *probe) const;
 
     /** Record live probes @p p (every tier beyond its cycle + 1) as the
      *  pending quiescent stretch. The coordinator's serial step at a
@@ -195,9 +184,15 @@ class ClusterEngine
     void markQuiet(const Probe &p);
 
     /** Skip forward to @p to (exclusive) across a quiescent stretch:
-     *  synthesize the bucket accounting and advance skip-invariant
-     *  co-processor state. Coordinator only. */
+     *  synthesize the bucket accounting, advance skip-invariant
+     *  co-processor state and count the skip — as a new span, or as
+     *  more of the last one when it ended at at(). */
     void skipTo(Cycle to);
+
+    /** Add the cycles ticked and skipped since the last call into
+     *  @p into, then zero them (the coordinator calls this in cluster
+     *  order). A span that later grows is still one span. */
+    void takeFf(FastForwardStats &into);
 
     /** Flush buffered events of cycles <= @p upto downstream
      *  (coordinator, cluster order). No-op when unbuffered. */
@@ -262,15 +257,15 @@ class ClusterEngine
     bool quiet_ = false;
     Cycle qwake_ = 0;
 
-    // Records since the last resume(), read by stateAt().
-    bool rq_ = false;           ///< Resumed inside a quiescent stretch...
-    Probe rq_probe_;            ///< ...with these probes...
-    Cycle rq_to_ = 0;           ///< ...lasting through rq_to_ - 1.
     bool stopped_ = false;
     Cycle stop_at_ = 0;
-    Probe stop_probe_;
-    State stop_state_ = State::Busy;
     std::vector<CoreId> edges_;
+
+    /** Ticks and skips not yet taken; the last span ran
+     *  [span_from_, skip_end_). */
+    FastForwardStats ff_;
+    Cycle span_from_ = 0;
+    Cycle skip_end_ = kCycleNever;
 
     /** Per local core: not yet done emitting and drained. */
     std::vector<bool> live_;

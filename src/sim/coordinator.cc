@@ -15,7 +15,7 @@ namespace occamy
 namespace
 {
 
-/** Ticked-cycle mask of the wall-clock check (one per 65,536). */
+/** Cycle mask of the wall-clock check (one per 65,536). */
 constexpr Cycle kWallCheckMask = 0xFFFF;
 
 /** One cluster's slice of the shared L2: the largest power-of-two
@@ -262,7 +262,7 @@ Coordinator::advance(Cycle stop)
     const Cycle every =
         opt.checkpointOut.empty() ? 0 : opt.checkpointEvery;
     next_ckpt = every ? (now / every + 1) * every : kCycleNever;
-    wall_check = (ff.cyclesTicked | kWallCheckMask) + 1;
+    wall_check = (now | kWallCheckMask) + 1;
     // Every call re-polls idle cores first, as a restored run must:
     // the idle flags are not checkpointed.
     rescan = true;
@@ -273,9 +273,7 @@ Coordinator::advance(Cycle stop)
     if (!pool && tick_threads > 1 && now < std::min(stop_at, opt.maxCycles))
         pool = std::make_unique<TickPool>(tick_threads);
 
-    while (now < opt.maxCycles) {
-        if (!preTick())
-            return complete;
+    while (now < opt.maxCycles && !complete && preTick()) {
         horizon = windowHorizon();
         // Idle cores (done, drained, nothing dispatched) are the only
         // ones a poll on a cycle without a completion can touch. Only
@@ -284,14 +282,17 @@ Coordinator::advance(Cycle stop)
         for (unsigned c = 0; c < cfg.numCores; ++c)
             idle[c] = !done[c] && dispatch_at[c] == kCycleNever &&
                       !eng(c).live(lc(c));
-        if (runWindow())
-            return true;
+        runWindow();
+    }
+    if (!complete && now >= opt.maxCycles) {
+        for (auto &e : engines)
+            e->skipTo(now);
+        drainUpTo(now);
+        complete = true;        // Ran into the maxCycles cap.
     }
     for (auto &e : engines)
-        e->skipTo(now);
-    drainUpTo(now);
-    complete = true;            // Ran into the maxCycles cap.
-    return true;
+        e->takeFf(ff);
+    return complete;
 }
 
 bool
@@ -309,13 +310,11 @@ Coordinator::preTick()
         next_ckpt += opt.checkpointEvery;
     }
 
-    ++ff.cyclesTicked;
-
     // Hard wall-clock kill (runner containment): checked at the first
-    // window start after every 65,536 ticked cycles, so the
+    // window start after every 65,536 simulated cycles, so the
     // steady_clock read stays off the hot path.
-    if (opt.wallClockLimitSec > 0 && ff.cyclesTicked >= wall_check) {
-        wall_check = (ff.cyclesTicked | kWallCheckMask) + 1;
+    if (opt.wallClockLimitSec > 0 && now >= wall_check) {
+        wall_check = (now | kWallCheckMask) + 1;
         const std::chrono::duration<double> elapsed =
             std::chrono::steady_clock::now() - wall_start;
         if (elapsed.count() > opt.wallClockLimitSec) {
@@ -366,21 +365,18 @@ Coordinator::windowHorizon() const
     return h;
 }
 
-bool
+void
 Coordinator::runWindow()
 {
-    // Replay the lock-step loop over the window, cycle `now` at a time
-    // (each already counted as ticked), as far as the engines have run;
-    // then let them run further.
+    // Move the cursor `now` through the cycles that need a serial step
+    // (engine edges, due traffic, idle-core polls, the window's last
+    // cycle) as far as every engine has run; then let them run further.
     for (;;) {
         runRound();
-        for (;;) {
-            Cycle known = kCycleNever;
-            for (auto &e : engines)
-                known = std::min(known, e->knownUntil());
-            if (now >= known)
-                break;
-
+        Cycle known = kCycleNever;
+        for (auto &e : engines)
+            known = std::min(known, e->knownUntil());
+        while (now < known) {
             const bool window_end = now == horizon - 1;
             if (window_end)
                 for (auto &e : engines)
@@ -401,36 +397,22 @@ Coordinator::runWindow()
                 if (complete) {
                     for (auto &e : engines)
                         e->skipTo(now + 1);
-                    return true;
+                    return;
                 }
             }
-
-            const Cycle after = window_end ? liveFastForward()
-                                           : replayedFastForward();
-            if (after >= horizon) {
-                now = after;
-                return false;
+            if (window_end) {
+                now = liveFastForward();
+                return;
             }
-            if (after > now + 1) {
-                ++ff.cyclesTicked;
-                now = after;
-                continue;
-            }
-            // Plain ticked cycles up to the next one the replay must
-            // look at, counted in O(1).
             Cycle to = now + 1;
             if (!rescan) {
                 to = std::min(known, horizon - 1);
                 if (traffic)
                     to = std::min(to, traffic->firstDue(now + 1));
                 for (auto &e : engines)
-                    if (e->stopped() && e->stopCycle() > now &&
-                        !e->edges().empty())
+                    if (e->stopped() && e->stopCycle() > now)
                         to = std::min(to, e->stopCycle());
-                if (opt.fastForward)
-                    to = nextQuiet(now + 1, to);
             }
-            ff.cyclesTicked += to - now;
             now = to;
         }
     }
@@ -715,22 +697,7 @@ Coordinator::fastForwardFrom()
     drainUpTo(now);
     obs::emit(opt.sink, obs::EventKind::SchedFastForward, now, kNoCore,
               span, static_cast<std::uint64_t>(why));
-    ++ff.spans;
-    ff.cyclesSkipped += span;
-    ff.longestSpan = std::max(ff.longestSpan, span);
     return target;
-}
-
-Cycle
-Coordinator::replayedFastForward()
-{
-    if (!opt.fastForward)
-        return now + 1;
-    bool quiet = true;
-    for (unsigned k = 0; k < ncl; ++k)
-        quiet &= engines[k]->stateAt(now, &probes[k]) ==
-                 ClusterEngine::State::Quiet;
-    return quiet ? fastForwardFrom() : now + 1;
 }
 
 Cycle
@@ -740,26 +707,12 @@ Coordinator::liveFastForward()
         return now + 1;
     bool quiet = true;
     for (unsigned k = 0; k < ncl; ++k)
-        quiet &= engines[k]->probeLive(now, &probes[k]) ==
-                 ClusterEngine::State::Quiet;
+        quiet &= engines[k]->probeLive(now, &probes[k]);
     if (!quiet)
         return now + 1;
     for (unsigned k = 0; k < ncl; ++k)
         engines[k]->markQuiet(probes[k]);
     return fastForwardFrom();
-}
-
-Cycle
-Coordinator::nextQuiet(Cycle from, Cycle bound) const
-{
-    for (Cycle c = from;;) {
-        Cycle m = c;
-        for (const auto &e : engines)
-            m = std::max(m, e->nextQuiet(c));
-        if (m == c || m >= bound)
-            return std::min(m, bound);
-        c = m;
-    }
 }
 
 void
@@ -779,6 +732,8 @@ Coordinator::drainUpTo(Cycle upto)
 void
 Coordinator::writeCheckpoint()
 {
+    for (auto &e : engines)
+        e->takeFf(ff);
     std::ofstream os(opt.checkpointOut, std::ios::binary | std::ios::trunc);
     if (!os)
         throw ckpt::Error("cannot open checkpoint file: " +

@@ -12,11 +12,14 @@
  *
  * advance() runs windows. preTick() does the work at the top of a
  * window's first cycle, windowHorizon() bounds the window, and
- * runWindow() lets the engines tick it in rounds (runRound()) while it
- * replays the lock-step loop over the cycles they covered: a
- * serialStep() at engine stops, due traffic cycles and the window's
- * last cycle, and the fast-forward decision at quiet cycles. Each step
- * is a public member, so tests drive it without advance().
+ * runWindow() lets the engines tick it in rounds (runRound()) while its
+ * cursor visits, among the cycles they covered, those that need a
+ * serialStep(): engine edges, due traffic cycles, idle-core polls and
+ * the window's last cycle, where the machine-wide skip is decided on
+ * live probes. Each engine skips its own quiescent stretches inside a
+ * window and counts what it ticked and skipped; advance() sums the
+ * counts into `ff`. Each step is a public member, so tests drive it
+ * without advance().
  */
 
 #ifndef OCCAMY_SIM_COORDINATOR_HH
@@ -66,14 +69,15 @@ class Coordinator
      *  outside the engines acts inside it. */
     Cycle windowHorizon() const;
 
-    /** Tick and replay [now, horizon) round by round, leaving `now` at
-     *  the next window. @return true once the run completed. */
-    bool runWindow();
+    /** Tick [now, horizon) round by round with a serial step wherever
+     *  one is due, leaving `now` at the next window (or at the cycle
+     *  the run completed). */
+    void runWindow();
 
-    /** One round: each engine the replay has caught up with runs on to
+    /** One round: each engine the cursor has caught up with runs on to
      *  its next stop, at most to the window end (engines without a
-     *  live core: to the replay cursor), and short of the next due
-     *  traffic cycle (of every cycle while idle cores are polled). */
+     *  live core: to the cursor), and short of the next due traffic
+     *  cycle (of every cycle while idle cores are polled). */
     void runRound();
 
     /** The serial step after the engines ticked `now`: watchdog,
@@ -99,23 +103,16 @@ class Coordinator
      *  OI @p cand joins the other cores of @p target's cluster. */
     double progressWith(const PhaseOI &cand, CoreId target) const;
 
-    /** The lock-step fast-forward decision after `now`, every engine
-     *  quiescent with `probes`: the earliest wake over the probes
-     *  (co-processors, cores, memories) and the wake table, ties
-     *  keeping the first, capped at the pause and checkpoint cycles.
-     *  @return the next cycle to run. */
+    /** The machine-wide skip after `now`, every engine quiescent with
+     *  `probes`: the earliest wake over the probes (co-processors,
+     *  cores, memories) and the wake table, ties keeping the first,
+     *  capped at the pause and checkpoint cycles. A skip emits
+     *  SchedFastForward. @return the next cycle to run. */
     Cycle fastForwardFrom();
 
-    /** The decision inside a window, from what the engines recorded. */
-    Cycle replayedFastForward();
-
-    /** The decision at a window's last cycle, on live probes, which
-     *  then re-base every engine's quiescent stretch. */
+    /** The skip at a window's last cycle, on live probes, which then
+     *  re-base every engine's quiescent stretch. */
     Cycle liveFastForward();
-
-    /** The first cycle in [@p from, @p bound] at which every engine
-     *  recorded a quiet state (@p bound when none). */
-    Cycle nextQuiet(Cycle from, Cycle bound) const;
 
     /** Forward buffered engine events of cycles <= @p upto, cycle by
      *  cycle, each in cluster-id order. */
@@ -133,7 +130,7 @@ class Coordinator
     std::vector<MachineConfig> clusterViews() const;
 
     /** Register the machine-level wake candidates in the tie order of
-     *  the lock-step wake ladder's last tier. */
+     *  the wake ladder's last tier. */
     void registerWakes();
 
     // --- Topology helpers. ---
@@ -198,6 +195,8 @@ class Coordinator
     std::vector<Cycle> dispatch_at;
     std::vector<std::size_t> pending_wl;
 
+    /** The engines' counts, summed in cluster order whenever advance()
+     *  returns and before a checkpoint is written. */
     FastForwardStats ff;
     std::uint64_t watchdog_trips = 0;
     std::chrono::steady_clock::time_point wall_start;
@@ -220,12 +219,12 @@ class Coordinator
     std::vector<bool> idle;
     std::vector<bool> edge;
     std::vector<traffic::PendingJob> pending;
-    /** Idle cores are re-polled on every replayed cycle while set. */
+    /** Idle cores are re-polled at every cycle while set. */
     bool rescan = true;
     bool deferred = false;      ///< The dispatcher returned kDefer.
     Cycle stop_at = kCycleNever;    ///< This advance() call's pause.
     Cycle next_ckpt = kCycleNever;  ///< Next periodic checkpoint.
-    Cycle wall_check = 0;       ///< Ticked count of the next clock read.
+    Cycle wall_check = 0;       ///< Cycle of the next clock read.
     Cycle horizon = 0;          ///< End of the current window.
 };
 

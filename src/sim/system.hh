@@ -197,18 +197,20 @@ enum class WakeSource : std::uint8_t
 };
 
 /**
- * Accounting of one run's fast-forward behaviour. cyclesTicked counts
- * loop iterations actually executed; the ratio cyclesSimulated /
- * cyclesTicked is the engine's leverage on that workload (1.0 when
- * fast-forward is off or the machine is never quiescent).
+ * Accounting of one run's fast-forward behaviour, summed over the
+ * cluster engines in cluster order (DESIGN.md §8). Each engine ticks or
+ * skips every simulated cycle, so cyclesTicked + cyclesSkipped =
+ * numClusters x cyclesSimulated, and numClusters x cyclesSimulated /
+ * cyclesTicked is the leverage on that workload (1.0 when fast-forward
+ * is off or no engine is ever quiescent).
  */
 struct FastForwardStats
 {
     Cycle cyclesSimulated = 0;      ///< Cycles the run covered.
-    Cycle cyclesTicked = 0;         ///< Cycles actually ticked.
-    Cycle cyclesSkipped = 0;        ///< Sum of skipped spans.
-    std::uint64_t spans = 0;        ///< Fast-forward jumps taken.
-    Cycle longestSpan = 0;          ///< Largest single jump, cycles.
+    Cycle cyclesTicked = 0;         ///< Engine-cycles ticked.
+    Cycle cyclesSkipped = 0;        ///< Engine-cycles skipped.
+    std::uint64_t spans = 0;        ///< An engine's runs of skips.
+    Cycle longestSpan = 0;          ///< Longest such run, cycles.
 };
 
 /** Knobs of one System::run() invocation. */

@@ -2,9 +2,10 @@
  * @file
  * The cycle loop's steps, driven one at a time without advance():
  * dispatch selection and settling, the fast-forward decision and its
- * tie order, the window horizon, and the round limit at a due traffic
- * cycle. Each test builds a Coordinator on a System the way
- * System::boot does, then sets the loop state a step reads.
+ * tie order, the window horizon, the round limit at a due traffic
+ * cycle, and a cluster engine's skip accounting. Each Coordinator test
+ * builds a Coordinator on a System the way System::boot does, then sets
+ * the loop state a step reads.
  */
 
 #include <gtest/gtest.h>
@@ -180,14 +181,38 @@ TEST(Coordinator, FastForwardTieOrderAndCaps)
     EXPECT_EQ(probe(3500, 3500, 3500), 2000u);
     EXPECT_EQ(lastWhy(sink), WakeSource::Checkpoint);
 
-    // Accounting: the spans above, 4 x 3095, 1499, 1999, 999 cycles.
-    EXPECT_EQ(co.ff.spans, 7u);
-    EXPECT_EQ(co.ff.cyclesSkipped, 4 * 3095u + 1499 + 1999 + 999);
-    EXPECT_EQ(co.ff.longestSpan, 3095u);
-
-    // Nothing to skip: the next cycle, no span.
+    // Nothing to skip: the next cycle, and no event.
     EXPECT_EQ(probe(1001, kCycleNever, kCycleNever), 1001u);
-    EXPECT_EQ(co.ff.spans, 7u);
+    EXPECT_EQ(sink.size(), 0u);
+}
+
+TEST(ClusterEngine, SkipsCountSpansAndExtendContiguousOnes)
+{
+    // No core attached: every tick leaves the engine quiescent.
+    ClusterEngine e(0, MachineConfig::forPolicy(SharingPolicy::Elastic, 2),
+                    "system", false, 1000, true);
+    e.markQuiet({100, kCycleNever, kCycleNever});
+    e.skipTo(10);
+    e.skipTo(30);           // Starts where the last skip ended.
+    FastForwardStats ff;
+    e.takeFf(ff);
+    EXPECT_EQ(ff.cyclesTicked, 0u);
+    EXPECT_EQ(ff.cyclesSkipped, 30u);
+    EXPECT_EQ(ff.spans, 1u);
+    EXPECT_EQ(ff.longestSpan, 30u);
+
+    // The span grows on after a take without counting again; a tick
+    // ends it, and the next skip starts a new one.
+    e.skipTo(40);
+    e.beginWindow(40);
+    e.tickWindow(41);
+    e.skipTo(60);
+    EXPECT_EQ(e.at(), 60u);
+    e.takeFf(ff);
+    EXPECT_EQ(ff.cyclesTicked, 1u);
+    EXPECT_EQ(ff.cyclesSkipped, 30u + 10 + 19);
+    EXPECT_EQ(ff.spans, 2u);
+    EXPECT_EQ(ff.longestSpan, 40u);
 }
 
 TEST(Coordinator, FastForwardJumpsToTheCap)

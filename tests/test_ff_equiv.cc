@@ -73,6 +73,21 @@ expectIdentical(const runner::JobResult &on, const runner::JobResult &off)
     EXPECT_EQ(a.str(), b.str());
 }
 
+/** Every engine ticks or skips each simulated cycle exactly once, so
+ *  ticked + skipped = clusters x simulated; a run without fast-forward
+ *  skips nothing. */
+void
+expectAccounted(unsigned clusters, bool fast_forward,
+                const FastForwardStats &ff)
+{
+    EXPECT_EQ(ff.cyclesTicked + ff.cyclesSkipped,
+              clusters * ff.cyclesSimulated);
+    if (!fast_forward) {
+        EXPECT_EQ(ff.cyclesSkipped, 0u);
+        EXPECT_EQ(ff.spans, 0u);
+    }
+}
+
 TEST(FastForwardEquiv, GoldenMatrixIsObservationallyIdentical)
 {
     for (const auto &spec : golden::goldenJobs()) {
@@ -83,12 +98,8 @@ TEST(FastForwardEquiv, GoldenMatrixIsObservationallyIdentical)
         ASSERT_TRUE(off.ok()) << off.error;
         expectIdentical(on, off);
 
-        // The engine's accounting is consistent, and the classic loop
-        // reports itself as never skipping.
-        EXPECT_EQ(on.ff.cyclesTicked + on.ff.cyclesSkipped,
-                  on.ff.cyclesSimulated);
-        EXPECT_EQ(off.ff.cyclesSkipped, 0u);
-        EXPECT_EQ(off.ff.cyclesTicked, off.ff.cyclesSimulated);
+        expectAccounted(spec.cfg.numClusters, true, on.ff);
+        expectAccounted(spec.cfg.numClusters, false, off.ff);
         EXPECT_EQ(on.ff.cyclesSimulated, off.ff.cyclesSimulated);
     }
 }
@@ -253,9 +264,9 @@ class ClusteredMatrix : public ::testing::TestWithParam<MatrixCell>
 };
 
 /** The tentpole contract (DESIGN.md §15): every observable artifact of
- *  a clustered run is byte-identical whether the per-cluster engines
- *  tick serially or on a worker pool, across policy x fault plan x
- *  traffic x fast-forward. */
+ *  a clustered run, its fast-forward accounting included, is identical
+ *  whether the per-cluster engines tick serially or on a worker pool,
+ *  across policy x fault plan x traffic x fast-forward. */
 TEST_P(ClusteredMatrix, IsByteIdenticalOneVsN)
 {
     const MatrixCell &cell = GetParam();
@@ -265,10 +276,19 @@ TEST_P(ClusteredMatrix, IsByteIdenticalOneVsN)
     spec.faultSeed = cell.faultSeed;
     spec.watchdogCycles = 50'000;
     const runner::JobResult serial = runThreaded(spec, 1);
+    expectAccounted(spec.cfg.numClusters, cell.ff, serial.ff);
     // 4 workers = one per cluster; 3 leaves a cluster to work-stealing,
     // covering uneven division.
-    expectIdentical(serial, runThreaded(spec, 4));
-    expectIdentical(serial, runThreaded(spec, 3));
+    for (const unsigned threads : {4u, 3u}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        const runner::JobResult pooled = runThreaded(spec, threads);
+        expectIdentical(serial, pooled);
+        EXPECT_EQ(pooled.ff.cyclesSimulated, serial.ff.cyclesSimulated);
+        EXPECT_EQ(pooled.ff.cyclesTicked, serial.ff.cyclesTicked);
+        EXPECT_EQ(pooled.ff.cyclesSkipped, serial.ff.cyclesSkipped);
+        EXPECT_EQ(pooled.ff.spans, serial.ff.spans);
+        EXPECT_EQ(pooled.ff.longestSpan, serial.ff.longestSpan);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -282,9 +302,11 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 /** Fast-forward accounting is written into checkpoints, sweep JSON and
- *  serve replies, so it must not depend on how the cycle loop is
- *  organized: these are the lock-step loop's figures for two clustered
- *  runs, at 4 sim-threads (and equal at any count). */
+ *  serve replies. Each cluster engine counts the cycles it ticks and
+ *  the spans it skips, and the counts are summed in cluster order, so
+ *  on these 4-cluster runs ticked + skipped is 4x the simulated cycles
+ *  and no figure depends on the thread count. These are the figures at
+ *  4 sim-threads. */
 TEST(FastForwardEquiv, ClusteredFfStatsArePinned)
 {
     struct Pin
@@ -294,8 +316,8 @@ TEST(FastForwardEquiv, ClusteredFfStatsArePinned)
         std::uint64_t spans;
         Cycle longest;
     };
-    for (const Pin &pin : {Pin{false, 23877, 530, 105, 7},
-                           Pin{true, 274638, 2757, 67, 2179}}) {
+    for (const Pin &pin : {Pin{false, 81008, 16620, 1191, 204},
+                           Pin{true, 481497, 628083, 3366, 2179}}) {
         runner::JobSpec spec =
             clusteredSpec(SharingPolicy::Elastic, pin.traffic);
         spec.watchdogCycles = 50'000;
@@ -487,7 +509,7 @@ TEST(SimThreadsEquiv, WindowedEqualsSingleStepped)
  *  reconfiguration delay and the scalar fallback stalls the core. With
  *  the partner core done, the machine-wide skip that follows must be
  *  taken on that live state, not on what the engine's own tick saw.
- *  The figures are the lock-step loop's. */
+ *  On this flat machine the one engine's counts are the run's. */
 TEST(FastForwardEquiv, WatchdogEscalationThenSkipIsPinned)
 {
     struct Pin

@@ -141,6 +141,26 @@ TEST_F(Serve, ScriptedSession)
     EXPECT_EQ(field(r["bye"].back(), "event"), "bye");
 }
 
+TEST_F(Serve, WrappedTraceStillCountsItsBoot)
+{
+    // The pipeline trace of 20+9 fills the default 2^20-event ring and
+    // wraps it, overwriting the inline boot's SystemBoot event.
+    int status = -1;
+    auto r = session(
+        {
+            R"({"cmd":"run","id":"wrap","policy":"occamy","pair":"20+9",)"
+            R"("trace_events":"pipeline"})",
+            R"({"cmd":"shutdown","id":"bye"})",
+        },
+        &status);
+    EXPECT_EQ(status, 0);
+    const std::string done = r["wrap"].back();
+    ASSERT_EQ(field(done, "event"), "done") << done;
+    EXPECT_EQ(field(done, "pool_hit"), "false");
+    EXPECT_EQ(field(done, "events"), "1048576");
+    EXPECT_EQ(field(done, "boot_events_on_request_path"), "1");
+}
+
 TEST_F(Serve, StructuredErrors)
 {
     int status = -1;

@@ -9,8 +9,10 @@
 #     it is fully deterministic, any drift means the simulation changed
 #     without regenerating the snapshot (see bench/micro_ticks.cc);
 #   - `cycles_ticked` and `spans` may grow by at most 10% — these are
-#     the deterministic leverage metrics (fewer skipped cycles == the
-#     quiescence detector got weaker);
+#     the deterministic leverage metrics, summed over the cluster
+#     engines (each ticks or skips every cycle, so a C-cluster run has
+#     C x `cycles` engine-cycles; fewer skipped ones == the quiescence
+#     detector got weaker);
 #   - `results_match` must stay true (fast-forward on == off; for the
 #     parallel_clusters scenario, 1 worker thread == N worker threads);
 #   - the parallel_clusters scenario itself must be present.

@@ -386,9 +386,22 @@ struct SimEntry
     {
     }
 
+    /** Boot, or restore from @p ckpt, and count the SystemBoot events
+     *  the sink holds now, without taking them: a run that wraps the
+     *  ring later must neither lose the count nor change `events`. */
+    void boot(std::istream *ckpt = nullptr)
+    {
+        job.boot(ckpt);
+        boots = 0;
+        for (const obs::Event &ev : job.sink()->snapshot().events)
+            boots += ev.kind == obs::EventKind::SystemBoot;
+    }
+
     std::string key;            ///< Pool identity (see poolKey()).
     std::string label;
     runner::Job job;
+    /** SystemBoot events recorded and not yet reported or drained. */
+    std::uint64_t boots = 0;
 };
 
 /** Build a SimEntry from request params; boots unless told not to
@@ -433,18 +446,8 @@ makeEntry(const Kv &m, bool boot)
 
     auto e = std::make_unique<SimEntry>(poolKey(m), spec);
     if (boot)
-        e->job.boot();
+        e->boot();
     return e;
-}
-
-std::uint64_t
-countBootEvents(const obs::TraceBuffer &tb)
-{
-    std::uint64_t n = 0;
-    for (const obs::Event &ev : tb.events)
-        if (ev.kind == obs::EventKind::SystemBoot)
-            ++n;
-    return n;
 }
 
 // ------------------------------------------------------------- daemon
@@ -566,7 +569,7 @@ recoverSession(Daemon &d, const std::string &dir)
         std::ifstream is(ckpt, std::ios::binary);
         if (!is)
             throw std::runtime_error("cannot open " + ckpt);
-        e->job.boot(&is);
+        e->boot(&is);
         d.session = std::move(e);
         d.sessionSpec = spec;
         Reply r{Kv{}};
@@ -615,12 +618,13 @@ cmdPool(Daemon &d, const Kv &req)
     const std::string key = poolKey(req);
     for (std::uint64_t i = 0; i < count; ++i) {
         auto e = makeEntry(req, /*boot=*/true);
-        // Drain boot-time events now: anything the sink catches later
-        // happened on a request path.
-        const obs::TraceBuffer tb = e->job.sink()->take();
-        if (countBootEvents(tb) != 1)
+        if (e->boots != 1)
             throw std::runtime_error("pool boot produced no SystemBoot "
                                      "event (engine tracing broken?)");
+        // Drain boot-time events now: anything the sink catches later
+        // happened on a request path.
+        e->job.sink()->clear();
+        e->boots = 0;
         d.pool.push_back(std::move(e));
     }
     Reply r(req);
@@ -690,7 +694,7 @@ sendRunSummary(const Kv &req, SimEntry &e, const RunResult &res,
         // The warm-pool contract, made measurable: SystemBoot engine
         // events recorded since the request arrived. 0 on a pool hit
         // (the boot happened at pool-fill time), 1 on an inline boot.
-        .num("boot_events_on_request_path", countBootEvents(tb))
+        .num("boot_events_on_request_path", e.boots)
         .num("cycles", res.cycles)
         .flt("simd_util", res.simdUtil)
         .num("vl_switches", res.vlSwitches)
@@ -812,15 +816,16 @@ cmdLoad(Daemon &d, const Kv &req)
     d.session = acquire(d, req, pool_hit);
     d.sessionSpec = req;
     d.sessionSpec.erase("id");
-    const obs::TraceBuffer tb = d.session->job.sink()->take();
+    d.session->job.sink()->clear();
     Reply r(req);
     r.boolean("ok", true)
         .str("event", "loaded")
         .str("label", d.session->label)
         .boolean("pool_hit", pool_hit)
-        .num("boot_events_on_request_path", countBootEvents(tb))
+        .num("boot_events_on_request_path", d.session->boots)
         .num("cycle", d.session->job.sys().now());
     r.send();
+    d.session->boots = 0;
 }
 
 SimEntry &
@@ -931,7 +936,7 @@ cmdRestore(Daemon &d, const Kv &req)
     if (!is)
         throw std::runtime_error("cannot open " + file);
     auto e = makeEntry(req, /*boot=*/false);
-    e->job.boot(&is);
+    e->boot(&is);
     d.session = std::move(e);
     d.sessionSpec = req;
     d.sessionSpec.erase("id");

@@ -265,14 +265,15 @@ main(int argc, char **argv)
             std::fprintf(stderr, "job %s failed: %s\n", j.label.c_str(),
                          j.error.c_str());
         printRun(opt.policies[i], j.result, opt);
-        // Keep the machine-readable --json stdout stream clean.
+        // Keep the machine-readable --json stdout stream clean. Each
+        // cluster engine ticks or skips every cycle on its own.
+        const Cycle engine_cycles = opt.run.clusters * j.ff.cyclesSimulated;
         if (tmpl.fastForward && !opt.json && j.ff.cyclesTicked)
-            std::printf("engine: ticked %llu of %llu cycles "
+            std::printf("engine: ticked %llu of %llu engine-cycles "
                         "(%.1fx fast-forward, %llu spans)\n",
                         static_cast<unsigned long long>(j.ff.cyclesTicked),
-                        static_cast<unsigned long long>(
-                            j.ff.cyclesSimulated),
-                        static_cast<double>(j.ff.cyclesSimulated) /
+                        static_cast<unsigned long long>(engine_cycles),
+                        static_cast<double>(engine_cycles) /
                             static_cast<double>(j.ff.cyclesTicked),
                         static_cast<unsigned long long>(j.ff.spans));
 
