@@ -120,9 +120,8 @@ ScalarCore::enterLoop(Cycle now)
     elems_done_ = 0;
     iter_index_ = 0;
     state_ = State::Prologue;
-    if (sink_ && sink_->wants(obs::EventKind::PhaseBegin))
-        obs::emit(sink_, obs::EventKind::PhaseBegin, now, id_,
-                  sink_->internString(t.name), t.phaseId);
+    obs::emit(sink_, obs::EventKind::PhaseBegin, now, id_, t.name,
+              t.phaseId);
     OCCAMY_LOG(now, "Core", "core%u enters phase %s", id_, t.name.c_str());
 }
 
@@ -132,10 +131,8 @@ ScalarCore::finishLoop(Cycle now)
     phases_.back().end = now;
     if (phases_.back().lastVl == 0)
         phases_.back().lastVl = current_vl_;
-    if (sink_ && sink_->wants(obs::EventKind::PhaseEnd))
-        obs::emit(sink_, obs::EventKind::PhaseEnd, now, id_,
-                  sink_->internString(phases_.back().name),
-                  phases_.back().phaseId);
+    obs::emit(sink_, obs::EventKind::PhaseEnd, now, id_,
+              phases_.back().name, phases_.back().phaseId);
     ++loop_idx_;
     state_ = State::Idle;
 }

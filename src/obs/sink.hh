@@ -20,6 +20,7 @@
 #ifndef OCCAMY_OBS_SINK_HH
 #define OCCAMY_OBS_SINK_HH
 
+#include <cassert>
 #include <cstddef>
 #include <string>
 #include <string_view>
@@ -99,6 +100,18 @@ emit(EventSink *sink, EventKind k, Cycle cycle, CoreId core,
         sink->record({cycle, k, core, a, b, x, y});
 }
 
+/** Record the (cycle, kind, core, id of @p name, b) event of a kind
+ *  with a string payload on @p sink, interning @p name only if the
+ *  sink wants the kind: the one interning call site outside src/obs. */
+inline void
+emit(EventSink *sink, EventKind k, Cycle cycle, CoreId core,
+     std::string_view name, std::uint64_t b)
+{
+    assert(kindHasStringPayload(k));
+    if (sink && sink->wants(k))
+        sink->record({cycle, k, core, sink->internString(name), b});
+}
+
 /** Fixed-capacity drop-oldest ring sink. */
 class RingSink : public EventSink
 {
@@ -152,12 +165,13 @@ class RingSink : public EventSink
 };
 
 /**
- * Deferred-forwarding sink for the parallel cluster tick phase.
+ * Deferred-forwarding sink for the cluster engines' tick phase.
  *
- * Each ClusterEngine's components record into a private BufferSink
- * while the engines tick concurrently; the coordinator then drains the
- * buffers into the real sink in cluster-id order, so the merged event
- * stream is identical no matter how many worker threads ticked. String
+ * On every traced machine, each ClusterEngine's components record into
+ * a private BufferSink while the engines tick, possibly concurrently
+ * and ahead of the coordinator; it drains the buffers into the real
+ * sink in cluster-id order before its own events of each cycle, so the
+ * stream is the same for any thread count and window shape. String
  * ids are interned into a buffer-local table at record time (recording
  * stays allocation-light and lock-free) and remapped to the downstream
  * sink's table at drain time — only the event kinds for which

@@ -115,7 +115,6 @@ Job::Job(const JobSpec &spec) : sys_(spec.cfg)
         sink_ = std::make_unique<obs::RingSink>(spec.traceCapacity,
                                                 spec.traceEvents);
     opt_.maxCycles = spec.maxCycles;
-    opt_.bucket = spec.bucket;
     opt_.sink = sink_.get();
     opt_.snapshotEvery = spec.snapshotEvery;
     opt_.fastForward = spec.fastForward;

@@ -64,9 +64,6 @@ struct JobSpec
     /** Simulation cycle cap; exceeding it fails the job. */
     Cycle maxCycles = 40'000'000;
 
-    /** Timeline bucket size in cycles (System::run's bucket). */
-    unsigned bucket = 1000;
-
     /** Event categories to trace (obs::parseEventMask). When nonzero,
      *  the job gets a private RingSink built on its worker thread and
      *  the captured TraceBuffer comes back in JobResult::trace — the

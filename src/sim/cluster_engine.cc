@@ -8,9 +8,8 @@ namespace occamy
 
 ClusterEngine::ClusterEngine(unsigned id, const MachineConfig &view,
                              const std::string &stats_prefix,
-                             bool full_width, unsigned bucket,
-                             bool fast_forward)
-    : id_(id), view_(view), full_width_(full_width), bucket_(bucket),
+                             bool full_width, bool fast_forward)
+    : id_(id), view_(view), full_width_(full_width),
       fast_forward_(fast_forward), mem_(view_), coproc_(view_, mem_),
       mem_group_(stats_prefix + ".mem"), cp_group_(stats_prefix + ".coproc")
 {
@@ -28,17 +27,14 @@ ClusterEngine::addCore(std::unique_ptr<ScalarCore> core)
 }
 
 void
-ClusterEngine::attachSink(obs::EventSink *sink, bool buffered)
+ClusterEngine::attachSink(obs::EventSink *sink)
 {
-    obs::EventSink *target = sink;
-    if (sink && buffered) {
+    if (sink)
         buffer_ = std::make_unique<obs::BufferSink>(*sink);
-        target = buffer_.get();
-    }
-    mem_.setEventSink(target);
-    coproc_.setEventSink(target);
+    mem_.setEventSink(buffer_.get());
+    coproc_.setEventSink(buffer_.get());
     for (auto &core : cores_)
-        core->setEventSink(target);
+        core->setEventSink(buffer_.get());
 }
 
 void
@@ -67,7 +63,7 @@ ClusterEngine::tickCycle(Cycle now)
         fts_scale_ = sum > cap ? static_cast<double>(cap) / sum : 1.0;
     }
 
-    const std::size_t b = static_cast<std::size_t>(now / bucket_);
+    const std::size_t b = static_cast<std::size_t>(now / kTimelineBucket);
     for (unsigned i = 0; i < numCores(); ++i) {
         const unsigned alloc =
             coproc_.allocatedLanes(static_cast<CoreId>(i));
@@ -90,7 +86,7 @@ ClusterEngine::tickCycle(Cycle now)
 void
 ClusterEngine::synthesizeSkipped(Cycle from, Cycle to)
 {
-    const std::size_t last_b = static_cast<std::size_t>(to / bucket_);
+    const std::size_t last_b = static_cast<std::size_t>(to / kTimelineBucket);
     for (unsigned i = 0; i < numCores(); ++i) {
         if (busy_buckets_[i].size() <= last_b) {
             busy_buckets_[i].resize(last_b + 1, 0.0);
@@ -101,9 +97,10 @@ ClusterEngine::synthesizeSkipped(Cycle from, Cycle to)
         if (alloc == 0)
             continue;
         for (Cycle cy = from; cy <= to;) {
-            const std::size_t b = static_cast<std::size_t>(cy / bucket_);
+            const std::size_t b =
+                static_cast<std::size_t>(cy / kTimelineBucket);
             const Cycle bucket_last =
-                (static_cast<Cycle>(b) + 1) * bucket_ - 1;
+                (static_cast<Cycle>(b) + 1) * kTimelineBucket - 1;
             const Cycle upto = std::min(bucket_last, to);
             alloc_buckets_[i][b] += static_cast<double>(alloc) *
                                     static_cast<double>(upto - cy + 1);

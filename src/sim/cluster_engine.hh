@@ -51,13 +51,12 @@ class ClusterEngine
      *        a flat machine).
      * @param stats_prefix Stats-group prefix, e.g. "system" or
      *        "system.cluster2".
-     * @param full_width FTS busy-lane capping; @p bucket the timeline
-     *        bucket in cycles; @p fast_forward skips quiescent
-     *        stretches. Run constants of every tick window.
+     * @param full_width FTS busy-lane capping; @p fast_forward skips
+     *        quiescent stretches. Run constants of every tick window.
      */
     ClusterEngine(unsigned id, const MachineConfig &view,
                   const std::string &stats_prefix, bool full_width,
-                  unsigned bucket, bool fast_forward);
+                  bool fast_forward);
     ~ClusterEngine();
 
     unsigned id() const { return id_; }
@@ -81,17 +80,10 @@ class ClusterEngine
     ScalarCore &core(CoreId local) { return *cores_[local]; }
     const ScalarCore &core(CoreId local) const { return *cores_[local]; }
 
-    /**
-     * Attach the run's event sink to every component of this cluster.
-     * With @p buffered (clustered machines with tracing on), events
-     * recorded during the parallel tick phase land in a private
-     * BufferSink that the coordinator drains in cluster-id order —
-     * buffering is keyed to the topology, never the thread count, so 1
-     * and N worker threads produce identical streams. Unbuffered (flat
-     * machines), components record straight into @p sink and the
-     * pre-engine event order is preserved exactly.
-     */
-    void attachSink(obs::EventSink *sink, bool buffered);
+    /** Attach the run's event sink (null: tracing off) to every
+     *  component of this cluster through a private BufferSink, which
+     *  the coordinator drains cycle by cycle in cluster-id order. */
+    void attachSink(obs::EventSink *sink);
 
     /** Register component stats into the per-cluster groups. */
     void regStats();
@@ -195,14 +187,14 @@ class ClusterEngine
     void takeFf(FastForwardStats &into);
 
     /** Flush buffered events of cycles <= @p upto downstream
-     *  (coordinator, cluster order). No-op when unbuffered. */
+     *  (coordinator, cluster order). No-op when tracing is off. */
     void drainEventsUpTo(Cycle upto)
     {
         if (buffer_)
             buffer_->drainUpTo(upto);
     }
     /** Cycle of the oldest undrained buffered event (kCycleNever if
-     *  none or unbuffered). */
+     *  none or tracing is off). */
     Cycle nextEventCycle() const
     {
         return buffer_ ? buffer_->nextCycle() : kCycleNever;
@@ -224,7 +216,6 @@ class ClusterEngine
     unsigned id_;
     MachineConfig view_;
     bool full_width_;
-    unsigned bucket_;
     bool fast_forward_;
     MemSystem mem_;
     CoProcessor coproc_;
@@ -236,8 +227,7 @@ class ClusterEngine
 
     std::vector<std::unique_ptr<ScalarCore>> cores_;
 
-    /** Deferred event forwarding for the parallel tick phase; null on
-     *  flat machines and sink-less runs. */
+    /** Deferred event forwarding; null on sink-less runs. */
     std::unique_ptr<obs::BufferSink> buffer_;
 
     /** Tick one cycle: co-processor first, then the local cores (their
@@ -280,8 +270,8 @@ class ClusterEngine
      *  to the pre-engine accumulator on a flat machine). */
     double busy_integral_ = 0.0;
 
-    /** Per local core, per opt.bucket cycles: busy / allocated lane
-     *  sums (the Fig. 2/14 timelines). */
+    /** Per local core, per kTimelineBucket cycles: busy / allocated
+     *  lane sums (the Fig. 2/14 timelines). */
     std::vector<std::vector<double>> busy_buckets_;
     std::vector<std::vector<double>> alloc_buckets_;
 };

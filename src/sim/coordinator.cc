@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cassert>
 #include <fstream>
 
 #include "ckpt/ckpt.hh"
@@ -55,7 +56,7 @@ Coordinator::Coordinator(const System &s, const RunOptions &o)
             k, views[k],
             ncl == 1 ? std::string("system")
                      : "system.cluster" + std::to_string(k),
-            model.fullWidthExecution(), opt.bucket, opt.fastForward));
+            model.fullWidthExecution(), opt.fastForward));
     // All clusters share one machine shape; the roofline used for
     // scheduling decisions is derived from cluster 0's view (== the
     // config on a flat machine).
@@ -82,14 +83,11 @@ Coordinator::Coordinator(const System &s, const RunOptions &o)
     }
 
     // Attach the trace sink after construction so boot-time plumbing
-    // (e.g. initial lane grants) produces no events. Clustered
-    // machines route tick-phase events through per-engine buffers
-    // merged in cluster order (independent of the thread count); flat
-    // machines record straight into the sink, preserving the
-    // pre-engine event order exactly.
-    buffered = opt.sink != nullptr && ncl > 1;
+    // (e.g. initial lane grants) produces no events. Engines record
+    // into per-engine buffers that drainUpTo() merges in cycle, then
+    // cluster order, whatever the thread count and window shape.
     for (auto &e : engines) {
-        e->attachSink(opt.sink, buffered);
+        e->attachSink(opt.sink);
         e->regStats();
     }
 
@@ -421,10 +419,6 @@ Coordinator::runWindow()
 void
 Coordinator::runRound()
 {
-    const Cycle due = traffic ? traffic->firstDue(now) : kCycleNever;
-    const Cycle evt_limit = std::min(
-        horizon,
-        rescan ? now + 1 : due == kCycleNever ? kCycleNever : due + 1);
     unsigned pooled = 0;
     for (unsigned k = 0; k < ncl; ++k) {
         ClusterEngine &e = *engines[k];
@@ -434,11 +428,11 @@ Coordinator::runRound()
                 continue;
             e.resume();
         }
-        if (!e.hasLiveCore()) {
-            e.tickWindow(std::min(horizon, now + 1));
-        } else if (e.at() < evt_limit) {
-            limit[k] = evt_limit;
-            ++pooled;
+        const bool live = e.hasLiveCore();
+        const Cycle to = live ? horizon : std::min(horizon, now + 1);
+        if (e.at() < to) {
+            limit[k] = to;
+            pooled += live;
         }
     }
     if (pool && pooled > 1)
@@ -489,9 +483,8 @@ Coordinator::serialStep(bool window_end)
         if (traffic)
             traffic->started(cid, q);
         result.batch.push_back(BatchCompletion{wl_name, cid, now, 0});
-        if (opt.sink && opt.sink->wants(obs::EventKind::BatchDispatch))
-            obs::emit(opt.sink, obs::EventKind::BatchDispatch, now, cid,
-                      opt.sink->internString(wl_name), q);
+        obs::emit(opt.sink, obs::EventKind::BatchDispatch, now, cid,
+                  wl_name, q);
         dispatch_at[c] = kCycleNever;
     }
 
@@ -508,12 +501,10 @@ Coordinator::serialStep(bool window_end)
         edge[c] = false;
     }
     // Idle cores must be re-polled on a quiet cycle only while a poll
-    // can change something: the queue emptied (they retire) or the
-    // dispatcher deferred a candidate. Arrivals and admissions are
-    // polled at their own (due) cycles.
-    rescan = std::find(idle.begin(), idle.end(), true) != idle.end() &&
-             (undispatched == 0 || deferred);
-    deferred = false;
+    // can change something: the queue emptied, so they retire.
+    // Arrivals and admissions are polled at their own (due) cycles.
+    rescan = undispatched == 0 &&
+             std::find(idle.begin(), idle.end(), true) != idle.end();
 
     if (window_end && opt.snapshotEvery && now > 0 &&
         now % opt.snapshotEvery == 0) {
@@ -604,10 +595,7 @@ Coordinator::selectNext(CoreId c)
             return progressWith(queue_oi[pending[i].queueIdx], c);
         };
     const std::size_t sel = dispatcher->select(dc);
-    if (sel >= pending.size()) {
-        deferred = true;
-        return sys.queue_.size();       // kDefer: leave the core idle.
-    }
+    assert(sel < pending.size());
     return pending[sel].queueIdx;
 }
 
@@ -718,7 +706,7 @@ Coordinator::liveFastForward()
 void
 Coordinator::drainUpTo(Cycle upto)
 {
-    while (buffered) {
+    for (;;) {
         Cycle c = kCycleNever;
         for (const auto &e : engines)
             c = std::min(c, e->nextEventCycle());

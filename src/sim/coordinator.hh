@@ -75,9 +75,9 @@ class Coordinator
     void runWindow();
 
     /** One round: each engine the cursor has caught up with runs on to
-     *  its next stop, at most to the window end (engines without a
-     *  live core: to the cursor), and short of the next due traffic
-     *  cycle (of every cycle while idle cores are polled). */
+     *  its next stop, at most to the window end; an engine without a
+     *  live core runs only through the cursor (`limit` = now + 1), so
+     *  no engine ticks past the run's last cycle. */
     void runRound();
 
     /** The serial step after the engines ticked `now`: watchdog,
@@ -93,7 +93,7 @@ class Coordinator
     void settle(unsigned c);
 
     /** The queue entry idle @p core picks up next, or the queue size
-     *  when none is dispatchable (a kDefer pick sets `deferred`).
+     *  when none is dispatchable (nothing arrived or admitted).
      *  Without traffic, a clustered machine prefers entries whose home
      *  cluster (q % numClusters) is the core's own, and adopts foreign
      *  work only when no home entry is left. */
@@ -115,7 +115,9 @@ class Coordinator
     Cycle liveFastForward();
 
     /** Forward buffered engine events of cycles <= @p upto, cycle by
-     *  cycle, each in cluster-id order. */
+     *  cycle, each in cluster-id order (nothing without a sink). A run
+     *  that throws mid-window keeps its trace up to the last cycle
+     *  drained. */
     void drainUpTo(Cycle upto);
 
     /** Overwrite opt.checkpointOut with the paused run. */
@@ -163,10 +165,6 @@ class Coordinator
     /** One tick engine per cluster; flat machines are the 1-cluster
      *  case (sim/cluster_engine.hh). */
     std::vector<std::unique_ptr<ClusterEngine>> engines;
-    /** Engines buffer tick-phase events for cluster-order merging.
-     *  Keyed to the topology (clustered + sink), never the thread
-     *  count, so 1-vs-N-thread streams are identical by construction. */
-    bool buffered = false;
     std::unique_ptr<fault::FaultInjector> injector;
 
     std::vector<std::unique_ptr<Program>> programs;
@@ -219,9 +217,8 @@ class Coordinator
     std::vector<bool> idle;
     std::vector<bool> edge;
     std::vector<traffic::PendingJob> pending;
-    /** Idle cores are re-polled at every cycle while set. */
+    /** An idle core is left with the queue empty: poll every cycle. */
     bool rescan = true;
-    bool deferred = false;      ///< The dispatcher returned kDefer.
     Cycle stop_at = kCycleNever;    ///< This advance() call's pause.
     Cycle next_ckpt = kCycleNever;  ///< Next periodic checkpoint.
     Cycle wall_check = 0;       ///< Cycle of the next clock read.

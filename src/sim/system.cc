@@ -86,12 +86,13 @@ System::finalize()
     if (!co_)
         throw std::logic_error("System::finalize: boot() first");
     Coordinator &x = *co_;
-    const unsigned bucket = x.opt.bucket;
     RunResult &result = x.result;
 
+    // A wall-clock kill stops at the top of `now`, before ticking it.
     result.timedOut = x.now >= x.opt.maxCycles;
-    x.ff.cyclesSimulated =
-        x.now < x.opt.maxCycles ? x.now + 1 : x.opt.maxCycles;
+    x.ff.cyclesSimulated = result.timedOut     ? x.opt.maxCycles
+                           : result.wallKilled ? x.now
+                                               : x.now + 1;
     if (x.opt.ffStats)
         *x.opt.ffStats = x.ff;
     // A run that hit its cap or was killed reports the cycles it
@@ -145,8 +146,8 @@ System::finalize()
         const auto &busy_bk = x.eng(c).busyBuckets(x.lc(c));
         const auto &alloc_bk = x.eng(c).allocBuckets(x.lc(c));
         for (std::size_t b = 0; b < busy_bk.size(); ++b) {
-            cr.busyLanesTimeline.push_back(busy_bk[b] / bucket);
-            cr.allocLanesTimeline.push_back(alloc_bk[b] / bucket);
+            cr.busyLanesTimeline.push_back(busy_bk[b] / kTimelineBucket);
+            cr.allocLanesTimeline.push_back(alloc_bk[b] / kTimelineBucket);
         }
     }
 
@@ -301,7 +302,7 @@ System::fingerprint(const Coordinator &x) const
     // Determinism-relevant run options. fastForward and checkpointing
     // knobs are deliberately excluded: they never change simulated
     // state, so a ticked run may restore a fast-forwarded checkpoint.
-    os << '#' << x.opt.maxCycles << '|' << x.opt.bucket << '|'
+    os << '#' << x.opt.maxCycles << '|' << kTimelineBucket << '|'
        << x.opt.snapshotEvery << '|' << x.opt.watchdogCycles << '|'
        << (x.opt.faultPlan ? x.opt.faultPlan->describe() : "");
     // Traffic metadata and the dispatch discipline are determinism-

@@ -213,11 +213,13 @@ struct FastForwardStats
     Cycle longestSpan = 0;          ///< Longest such run, cycles.
 };
 
+/** Cycles per point of the per-core busy/allocated-lane timelines. */
+constexpr unsigned kTimelineBucket = 1000;
+
 /** Knobs of one System::run() invocation. */
 struct RunOptions
 {
     Cycle maxCycles = 20'000'000;   ///< Safety cap (sets timedOut).
-    unsigned bucket = 1000;         ///< Timeline bucket size, cycles.
 
     /** Event sink to attach to every component for this run; null
      *  disables tracing (the zero-overhead default). Borrowed — must

@@ -12,9 +12,8 @@
  *    re-evaluated (tokens are consumed at admission, not at dispatch).
  *  - Defer: the job stays queued but invisible to the Dispatcher until
  *    a deterministic exponential backoff expires (admissionBackoff),
- *    then is re-evaluated. Deferral re-uses the Dispatcher::kDefer
- *    core-idling contract: a cycle where every candidate is deferred
- *    leaves the core idle, and no job is ever lost.
+ *    then is re-evaluated. A core whose every candidate is deferred
+ *    stays idle until a job is admitted, and no job is ever lost.
  *  - Shed: the job is rejected permanently. It is counted, its
  *    closed-loop dependents are released exactly as completion would
  *    release them (the simulated client keeps going after a

@@ -74,14 +74,11 @@ class Dispatcher
     virtual bool wantsOiScore() const { return false; }
 
     /**
-     * Pick an index INTO ctx.pending. Every stock discipline always
-     * dispatches (work-conserving); kDefer is allowed for future
-     * admission-control strategies and leaves the core idle this
-     * cycle.
+     * Pick an index INTO ctx.pending: a discipline always dispatches
+     * (work-conserving). Holding a job back is admission's call
+     * (traffic/admission.hh), made before it reaches ctx.pending.
      */
     virtual std::size_t select(const DispatchContext &ctx) const = 0;
-
-    static constexpr std::size_t kDefer = static_cast<std::size_t>(-1);
 
   private:
     const char *key_;

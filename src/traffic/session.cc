@@ -88,10 +88,9 @@ Session::arrivalPass(Cycle now)
             ++ready_;
             next_admission_ = now;  // Evaluate on sight.
         }
-        if (sink_ && sink_->wants(obs::EventKind::JobArrival))
-            obs::emit(sink_, obs::EventKind::JobArrival, now, kNoCore,
-                      sink_->internString(classes_[j.cls]),
-                      (static_cast<std::uint64_t>(j.tenant) << 32) | q);
+        obs::emit(sink_, obs::EventKind::JobArrival, now, kNoCore,
+                  classes_[j.cls],
+                  (static_cast<std::uint64_t>(j.tenant) << 32) | q);
     }
     next_arrival_ = next;
 }

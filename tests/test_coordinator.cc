@@ -2,8 +2,8 @@
  * @file
  * The cycle loop's steps, driven one at a time without advance():
  * dispatch selection and settling, the fast-forward decision and its
- * tie order, the window horizon, the round limit at a due traffic
- * cycle, and a cluster engine's skip accounting. Each Coordinator test
+ * tie order, the window horizon, the round limits, and a cluster
+ * engine's skip accounting. Each Coordinator test
  * builds a Coordinator on a System the way System::boot does, then sets
  * the loop state a step reads.
  */
@@ -40,17 +40,6 @@ machine(unsigned clusters, unsigned k, unsigned queued)
     return sys;
 }
 
-/** A discipline that never dispatches. */
-class DeferAll final : public traffic::Dispatcher
-{
-  public:
-    DeferAll() : Dispatcher("defer-all", "always kDefer") {}
-    std::size_t select(const traffic::DispatchContext &) const override
-    {
-        return kDefer;
-    }
-};
-
 TEST(Coordinator, SelectNextPrefersHomeClusterThenAdopts)
 {
     // Two 1-core clusters; entry q's home cluster is q % 2.
@@ -61,7 +50,6 @@ TEST(Coordinator, SelectNextPrefersHomeClusterThenAdopts)
     // No home entry left for cluster 1: it adopts cluster 0's work.
     co.dispatched[1] = co.dispatched[3] = true;
     EXPECT_EQ(co.selectNext(1), 0u);
-    EXPECT_FALSE(co.deferred);
 
     // A flat machine has no home clusters: plain FCFS.
     const auto flat = machine(1, 2, 4);
@@ -69,29 +57,6 @@ TEST(Coordinator, SelectNextPrefersHomeClusterThenAdopts)
     fco.dispatched[0] = true;
     EXPECT_EQ(fco.selectNext(0), 1u);
     EXPECT_EQ(fco.selectNext(1), 1u);
-}
-
-TEST(Coordinator, DeferLeavesTheCoreIdleAndRescans)
-{
-    const auto sys = machine(1, 2, 1);
-    const DeferAll defer;
-    sys->setDispatcher(&defer);
-    Coordinator co(*sys, {});
-    EXPECT_EQ(co.selectNext(0), 1u);        // The queue size: no pick.
-    EXPECT_TRUE(co.deferred);
-
-    co.now = 50;
-    co.idle[0] = true;
-    co.serialStep(/*window_end=*/false);
-    EXPECT_TRUE(co.idle[0]);
-    EXPECT_FALSE(co.done[0]);
-    EXPECT_FALSE(co.dispatched[0]);
-    EXPECT_EQ(co.undispatched, 1u);
-    EXPECT_EQ(co.dispatch_at[0], kCycleNever);
-    // A deferred pick must be polled again on the next cycle.
-    EXPECT_TRUE(co.rescan);
-    EXPECT_FALSE(co.deferred);
-    EXPECT_FALSE(co.complete);
 }
 
 TEST(Coordinator, SettleChargesMigrationAndCountsIt)
@@ -190,7 +155,7 @@ TEST(ClusterEngine, SkipsCountSpansAndExtendContiguousOnes)
 {
     // No core attached: every tick leaves the engine quiescent.
     ClusterEngine e(0, MachineConfig::forPolicy(SharingPolicy::Elastic, 2),
-                    "system", false, 1000, true);
+                    "system", false, true);
     e.markQuiet({100, kCycleNever, kCycleNever});
     e.skipTo(10);
     e.skipTo(30);           // Starts where the last skip ended.
@@ -283,11 +248,15 @@ TEST(Coordinator, WindowHorizonSources)
     EXPECT_EQ(co.windowHorizon(), 11u);
 }
 
-TEST(Coordinator, RoundStopsEnginesAtTheNextDueTrafficCycle)
+TEST(Coordinator, RoundRunsLiveEnginesToTheWindowEnd)
 {
-    System sys(MachineConfig::forPolicy(SharingPolicy::Elastic, 2));
+    // Cluster 0's core runs a long workload, cluster 1's is idle, and a
+    // traffic arrival falls due at cycle 500.
+    System sys(MachineConfig::Builder(SharingPolicy::Elastic)
+                   .topology(2, 1)
+                   .build());
     sys.setWorkload(0, "a", comp(1 << 20));
-    sys.setWorkload(1, "b", comp(1 << 20));
+    sys.setWorkload(1, "idle", {});
     traffic::Arrival a;
     a.arriveAt = 500;
     a.workload = "late";
@@ -296,21 +265,23 @@ TEST(Coordinator, RoundStopsEnginesAtTheNextDueTrafficCycle)
     Coordinator co(sys, {});
 
     ASSERT_TRUE(co.preTick());
-    co.horizon = 100'000;
-    // While idle cores are polled, every cycle is looked at.
+    co.horizon = 2'000;
+    // Neither idle-core polls nor the due cycle bound a live engine: it
+    // runs to the window end. An engine with no live core runs only
+    // through the cursor.
     co.rescan = true;
     co.runRound();
-    EXPECT_EQ(co.limit[0], 1u);
-    EXPECT_EQ(co.engines[0]->at(), 1u);
+    EXPECT_EQ(co.limit[0], 2'000u);
+    EXPECT_EQ(co.engines[0]->at(), 2'000u);
+    EXPECT_FALSE(co.engines[0]->stopped());
+    EXPECT_EQ(co.limit[1], 1u);
+    EXPECT_EQ(co.engines[1]->at(), 1u);
 
-    // Otherwise the engine may tick through the due cycle 500 itself,
-    // but no further.
     co.now = 1;
-    co.engines[0]->beginWindow(co.now);
-    co.rescan = false;
     co.runRound();
-    EXPECT_EQ(co.limit[0], 501u);
-    EXPECT_LE(co.engines[0]->at(), 501u);
+    EXPECT_EQ(co.limit[0], 0u);         // Already at the window end.
+    EXPECT_EQ(co.limit[1], 2u);
+    EXPECT_EQ(co.engines[1]->at(), 2u);
 }
 
 } // namespace

@@ -355,13 +355,14 @@ TEST(SimThreadsEquiv, OversizedAndFlatRequestsDegradeGracefully)
 /** Run @p spec on a System the way Runner::runOne does — with one
  *  advance() call, or with one call per cycle (advance(now() + 1)
  *  forces every tick window down to a single cycle) — optionally with
- *  @p dispatcher installed on a plain batch queue. */
+ *  @p dispatcher installed on a plain batch queue, tracing every
+ *  category into a ring of @p capacity events. */
 runner::JobResult
 runWindowed(const runner::JobSpec &spec, unsigned threads, bool stepped,
-            const char *dispatcher)
+            const char *dispatcher, std::size_t capacity = 1u << 16)
 {
     runner::JobResult out;
-    obs::RingSink sink(1u << 16, obs::kEvAll);
+    obs::RingSink sink(capacity, obs::kEvAll);
     System sys(spec.cfg);
     for (std::size_t c = 0; c < spec.workloads.size(); ++c)
         sys.setWorkload(static_cast<CoreId>(c), spec.workloads[c].first,
@@ -411,10 +412,12 @@ runWindowed(const runner::JobSpec &spec, unsigned threads, bool stepped,
  *  cycle long (advance(now() + 1) per call) and a run in one advance()
  *  call produce the same results, traffic records, snapshots and
  *  non-engine event stream, serially and on a worker pool. Covers
- *  traffic with admission, clusters finishing at different cycles, a
- *  flat machine, a zero and a default context switch, a watchdog
- *  shorter than the context switch, faults, snapshots, and OI-aware
- *  dispatch (one-cycle windows by construction). */
+ *  traffic with admission, clusters finishing at different cycles,
+ *  flat machines (a plain pair, traffic with admission, closed-loop
+ *  traffic, a batch with no context switch), a zero and a default
+ *  context switch, a watchdog shorter than the context switch, faults,
+ *  snapshots, and OI-aware dispatch (one-cycle windows by
+ *  construction). */
 TEST(SimThreadsEquiv, WindowedEqualsSingleStepped)
 {
     struct Case
@@ -422,6 +425,9 @@ TEST(SimThreadsEquiv, WindowedEqualsSingleStepped)
         std::string label;
         runner::JobSpec spec;
         const char *dispatcher = nullptr;
+        /** Compare the whole stream (a 2^20-event ring that must not
+         *  wrap), not just a 2^16-event tail. */
+        bool wholeTrace = false;
     };
     std::vector<Case> cases;
 
@@ -456,6 +462,32 @@ TEST(SimThreadsEquiv, WindowedEqualsSingleStepped)
     }
     cases.push_back({"flat 6+16", flat});
 
+    // Flat machines with due traffic cycles and idle-core polls, where
+    // the engine runs ahead of the coordinator's events.
+    auto flatten = [](runner::JobSpec s, unsigned cs) {
+        s.cfg = MachineConfig::Builder(SharingPolicy::Elastic)
+                    .topology(1, 2)
+                    .contextSwitch(cs)
+                    .build();
+        s.workloads.resize(2);
+        return s;
+    };
+    const unsigned default_cs = MachineConfig{}.contextSwitchCycles;
+    cases.push_back({"flat traffic slo-aware", flatten(slo, default_cs)});
+    // Short jobs and think times put closed-loop arrivals inside
+    // windows the engine has already ticked through; the whole stream
+    // is compared, so the coordinator's JobArrival must still follow
+    // the engine's events of its cycle and precede later ones.
+    runner::JobSpec closed = clusteredSpec(SharingPolicy::Elastic, true);
+    closed.traffic.process = "closed";
+    closed.traffic.workloadSet = {"CV7"};
+    closed.traffic.meanGapCycles = 20.0;
+    cases.push_back({"flat closed-loop traffic", flatten(closed, default_cs),
+                     nullptr, true});
+    cases.push_back(
+        {"flat batch cs 0",
+         flatten(clusteredSpec(SharingPolicy::Elastic, false), 0)});
+
     for (unsigned cs : {0u, 200u}) {
         runner::JobSpec batch = clusteredSpec(SharingPolicy::Elastic, false);
         batch.cfg = MachineConfig::Builder(SharingPolicy::Elastic)
@@ -481,11 +513,14 @@ TEST(SimThreadsEquiv, WindowedEqualsSingleStepped)
         for (unsigned threads : {1u, 4u}) {
             SCOPED_TRACE(c.label + ", " + std::to_string(threads) +
                          " sim-threads");
+            const std::size_t cap = c.wholeTrace ? 1u << 20 : 1u << 16;
             const runner::JobResult stepped =
-                runWindowed(c.spec, threads, true, c.dispatcher);
+                runWindowed(c.spec, threads, true, c.dispatcher, cap);
             const runner::JobResult windowed =
-                runWindowed(c.spec, threads, false, c.dispatcher);
+                runWindowed(c.spec, threads, false, c.dispatcher, cap);
             EXPECT_FALSE(windowed.result.timedOut);
+            if (c.wholeTrace)
+                EXPECT_EQ(stepped.trace.dropped, 0u);
             expectIdentical(stepped, windowed);
             ASSERT_EQ(stepped.result.trafficJobs.size(),
                       windowed.result.trafficJobs.size());

@@ -240,6 +240,29 @@ TEST(System, MaxCyclesCapSetsTimedOut)
     EXPECT_TRUE(r.timedOut);
 }
 
+TEST(System, WallClockKillReportsTheCyclesItRan)
+{
+    // A 1 ns limit kills this 2x2 run at the first clock read, at the
+    // top of a window start at or after cycle 65,536, before that
+    // cycle ticks.
+    System sys(MachineConfig::Builder(SharingPolicy::Elastic)
+                   .topology(2, 2)
+                   .build());
+    for (unsigned c = 0; c < 4; ++c)
+        sys.setWorkload(static_cast<CoreId>(c), "comp",
+                        compWorkload(1 << 20));
+    FastForwardStats ff;
+    RunOptions opt;
+    opt.ffStats = &ff;
+    opt.wallClockLimitSec = 1e-9;
+    const RunResult r = sys.run(opt);
+    ASSERT_TRUE(r.wallKilled);
+    EXPECT_FALSE(r.timedOut);
+    EXPECT_GE(ff.cyclesSimulated, 65'536u);
+    EXPECT_EQ(ff.cyclesTicked + ff.cyclesSkipped, 2 * ff.cyclesSimulated);
+    EXPECT_EQ(r.cycles, ff.cyclesSimulated);
+}
+
 TEST(System, CorunHelperMatchesManualSetup)
 {
     const RunResult a = corun(

@@ -540,84 +540,6 @@ TEST(TrafficEndToEnd, ClosedLoopKeepsOneJobInFlightPerTenant)
     }
 }
 
-// --------------------------------------------------- kDefer contract
-
-/** Test-only dispatcher: defers every candidate until a fixed cycle,
- *  then picks FCFS. Exercises the Dispatcher::kDefer core-idling
- *  contract directly — the same path admission deferral rides on. */
-class DeferUntilDispatcher final : public traffic::Dispatcher
-{
-  public:
-    explicit DeferUntilDispatcher(Cycle until)
-        : Dispatcher("defer-until", "test-only: idle until a cycle"),
-          until_(until)
-    {
-    }
-
-    std::size_t
-    select(const traffic::DispatchContext &ctx) const override
-    {
-        if (ctx.now < until_)
-            return kDefer;
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < ctx.pending.size(); ++i)
-            if (ctx.pending[i].arrived < ctx.pending[best].arrived)
-                best = i;
-        return best;
-    }
-
-  private:
-    Cycle until_;
-};
-
-/** kDefer leaves the core idle and loses no job: with every candidate
- *  deferred until cycle X, nothing dispatches before X (even though
- *  all arrivals land long before), and afterwards the whole stream
- *  still drains to completion. */
-TEST(TrafficDispatch, DeferLeavesCoreIdleAndLosesNoJob)
-{
-    traffic::TrafficConfig tc;
-    tc.process = "poisson";
-    tc.tenants = 2;
-    tc.seed = 13;
-    tc.jobsPerTenant = 3;
-    tc.meanGapCycles = 20'000.0;
-
-    const std::vector<traffic::Arrival> stream = traffic::generate(tc);
-    Cycle last_arrival = 0;
-    for (const traffic::Arrival &a : stream)
-        last_arrival = std::max(last_arrival, a.arriveAt);
-    const Cycle until = last_arrival + 200'000;
-
-    const DeferUntilDispatcher toy(until);
-    System sys(MachineConfig::forPolicy(SharingPolicy::Elastic, 2));
-    sys.setWorkload(0, "idle0", {});
-    sys.setWorkload(1, "idle1", {});
-    for (const traffic::Arrival &a : stream)
-        sys.enqueueArrival(a);
-    sys.setDispatcher(&toy);
-
-    RunOptions opt;
-    opt.maxCycles = 20'000'000;
-    // The toy defers on wall-cycle alone, which no wake source models;
-    // tick every cycle so the dispatcher is re-polled. (The production
-    // defer path — admission backoff — has a real wake source and is
-    // covered by the end-to-end admission tests.)
-    opt.fastForward = false;
-    const RunResult r = sys.run(opt);
-    ASSERT_FALSE(r.timedOut);
-
-    ASSERT_EQ(r.trafficJobs.size(), stream.size());
-    for (std::size_t q = 0; q < r.trafficJobs.size(); ++q) {
-        const traffic::JobRecord &j = r.trafficJobs[q];
-        // Core idled through the defer window: nothing dispatched
-        // before the threshold even though every arrival precedes it.
-        EXPECT_GE(j.admit, until) << "job " << q;
-        // ...and no job was lost to the idling.
-        EXPECT_TRUE(j.completed()) << "job " << q;
-    }
-}
-
 // ------------------------------------------------- admission policies
 
 /** A context with enough slack that every policy admits it. */

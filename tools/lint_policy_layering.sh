@@ -8,6 +8,8 @@
 # (3) Only src/sim/ and tests/ include the cycle-loop internals.
 # (4) No file under tools/ registers a shared run key: the keys that
 # fill a runner::JobSpec are declared once, in src/runner/sweep.cc.
+# (5) Only src/obs/ calls internString(): string payloads go through
+# obs::emit's name overload, which checks the mask first.
 #
 # Usage: lint_policy_layering.sh [repo-root]   (exit 0 = clean)
 
@@ -89,3 +91,12 @@ if [ -n "$hits" ]; then
     exit 1
 fi
 echo "run keys: clean"
+
+hits=$(grep -rn 'internString(' src tools bench examples perfbench \
+           --include='*.cc' --include='*.hh' | grep -v '^src/obs/')
+if [ -n "$hits" ]; then
+    echo "intern violation (internString outside src/obs/; use obs::emit):"
+    echo "$hits"
+    exit 1
+fi
+echo "string payloads: clean"
